@@ -536,7 +536,8 @@ def _write_phase_csvs(
     for tag, c in speeds.items():
         rows: list[list[Any]] = []
         for side in ("left", "right"):
-            path = shooting.shoot_half(f, side, c, eps=solver.eps, rtol=solver.ode_rtol)
+            # Only the samples are written, so skip the dense interpolant.
+            path = shooting._half_path(f, side, c, solver.eps, solver.ode_rtol, dense=False)
             if side == "left":
                 env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * path.u
                 env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * path.u
@@ -592,7 +593,7 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
         c_star = shooting.find_speed(
             term, bracket, solver.tol_c, eps=solver.eps, rtol=solver.ode_rtol, details=details
         )
-        jump = abs(shooting.speed_mismatch(term, c_star, eps=solver.eps, rtol=solver.ode_rtol))
+        jump = abs(details["residual"])  # S(c*), the mismatch find_speed stopped at
     except _SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -865,3 +866,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

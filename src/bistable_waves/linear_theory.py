@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import NoPositiveRoot
 from .reaction import SlopeBounds
-
-_EXPANSION_CAP = 1024.0  # 2**10
+from .roots import EXPANSION_CAP, bracketed_root
 
 
 def lambda0_plus(c: float, alpha: float) -> float:
@@ -103,7 +102,7 @@ def speed_residual(c: float, alpha: float, beta: float, a: float) -> float:
 
 
 def match_speed(alpha: float, beta: float, a: float, tol: float = 1e-12) -> float:
-    """The unique c >= 0 with |residual| <= tol, by bisection on an
+    """The unique c >= 0 with |residual| <= tol, by a Brent solve on an
     expanding bracket.
 
     At the degenerate boundary residual(0) = 0 the matched speed is 0.
@@ -122,26 +121,19 @@ def match_speed(alpha: float, beta: float, a: float, tol: float = 1e-12) -> floa
         )
     if abs(phi0) <= tol:
         return 0.0
-    lo, phi_lo = 0.0, phi0
     hi = 1.0
     phi_hi = speed_residual(hi, alpha, beta, a)
     while phi_hi > 0.0:
-        if hi >= _EXPANSION_CAP:
+        if hi >= EXPANSION_CAP:
             raise NoPositiveRoot(
                 f"residual still positive at c={hi}; inputs alpha={alpha}, beta={beta}, a={a}"
             )
         hi *= 2.0
         phi_hi = speed_residual(hi, alpha, beta, a)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        phi_mid = speed_residual(mid, alpha, beta, a)
-        if abs(phi_mid) <= tol or (hi - lo) <= 1e-16 * max(1.0, hi):
-            return mid
-        if phi_mid > 0.0:
-            lo, phi_lo = mid, phi_mid
-        else:
-            hi, phi_hi = mid, phi_mid
-    return 0.5 * (lo + hi)
+    c, _, _ = bracketed_root(
+        lambda c: speed_residual(c, alpha, beta, a), 0.0, hi, phi0, phi_hi, tol, xtol=1e-16 * hi
+    )
+    return c
 
 
 def matched_wave(alpha: float, beta: float, a: float, tol: float = 1e-12) -> EnvelopeWave:

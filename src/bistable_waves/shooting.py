@@ -6,7 +6,9 @@ dw/du = c - f(u)/w.  The left half path starts on the unstable manifold of
 manifold of (1, 0); both equilibria are singular points of the ODE, so the
 integrations are seeded a distance eps away with the linearized slope.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
-c, which makes bisection on S the whole speed solver.
+c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).
+The search integrates its half paths without dense output; only the
+profile, which reads w(u) between steps, builds the interpolant.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
 from .reaction import ReactionTerm
+from .roots import EXPANSION_CAP, bracketed_root
 
 PathSide = Literal["left", "right"]
 
 _W_FLOOR = 1e-12
-_EXPANSION_CAP = 1024.0
+# DOP853 clips rtol below 100 machine epsilons (2.2e-14) with a warning.
+_PROFILE_RTOL_FLOOR = 1e-13
 
 
 @dataclass
@@ -36,7 +40,8 @@ class PhasePath:
     c: float
     u: np.ndarray
     w: np.ndarray
-    w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    # None on the search paths, which skip the dense interpolant.
+    w_of_u: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, compare=False)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -54,23 +59,12 @@ def default_eps(f: ReactionTerm) -> float:
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
 
 
-def shoot_half(
-    f: ReactionTerm,
-    side: PathSide,
-    c: float,
-    eps: float | None = None,
-    rtol: float = 1e-10,
+def _half_path(
+    f: ReactionTerm, side: PathSide, c: float, eps: float | None, rtol: float, dense: bool
 ) -> PhasePath:
-    """Integrate one phase-plane half path up to u = a.
-
-    left:  dw/du = c - f0(u)/w from u = eps, seeded on the unstable
-           manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
-    right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
-           stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
-
-    Raises PathCollapse if w falls below the floor 1e-12 before reaching a
-    (possible on the right side only; callers treat it as w(a) = 0).
-    """
+    """shoot_half's integration; the dense interpolant w_of_u is built only
+    when `dense` is set (it is None otherwise).  Either way the RK45 steps,
+    and so the samples, are the same."""
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
     if eps is None:
@@ -105,7 +99,7 @@ def shoot_half(
         method="RK45",
         rtol=rtol,
         atol=1e-16,
-        dense_output=True,
+        dense_output=dense,
         events=collapse,
     )
     if sol.status == 1:  # collapse event fired
@@ -125,29 +119,55 @@ def shoot_half(
             )
         raise RuntimeError(f"phase-path integration failed at c={c}: {sol.message}")
 
-    dense = sol.sol
-    lam_seed = w0 / eps  # signed slope magnitude of the seeded manifold
+    if side == "left":
+        u_samples, w_samples = sol.t, sol.y[0]
+    else:
+        u_samples, w_samples = sol.t[::-1], sol.y[0][::-1]
+    # w0 / eps: signed slope magnitude of the seeded manifold
+    w_of_u = _interpolant(sol.sol, side, u0, u1, w0 / eps) if dense else None
+    return PhasePath(side=side, c=float(c), u=u_samples, w=w_samples, w_of_u=w_of_u)
 
+
+def _interpolant(
+    dense: Callable, side: PathSide, u0: float, u1: float, lam_seed: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """w(u) from a path's dense output, continued past the seed point u0
+    along the linearized manifold the path was seeded on."""
     if side == "left":
 
         def w_of_u(u):
             u = np.asarray(u, dtype=float)
-            inside = np.clip(u, u0, u1)
-            out = np.where(u < u0, lam_seed * u, dense(inside)[0])
+            out = np.where(u < u0, lam_seed * u, dense(np.clip(u, u0, u1))[0])
             return float(out) if out.ndim == 0 else out
 
-        u_samples, w_samples = sol.t, sol.y[0]
     else:
 
         def w_of_u(u):
             u = np.asarray(u, dtype=float)
-            inside = np.clip(u, u1, u0)
-            out = np.where(u > u0, lam_seed * (1.0 - u), dense(inside)[0])
+            out = np.where(u > u0, lam_seed * (1.0 - u), dense(np.clip(u, u1, u0))[0])
             return float(out) if out.ndim == 0 else out
 
-        u_samples, w_samples = sol.t[::-1], sol.y[0][::-1]
+    return w_of_u
 
-    return PhasePath(side=side, c=float(c), u=u_samples, w=w_samples, w_of_u=w_of_u)
+
+def shoot_half(
+    f: ReactionTerm,
+    side: PathSide,
+    c: float,
+    eps: float | None = None,
+    rtol: float = 1e-10,
+) -> PhasePath:
+    """Integrate one phase-plane half path up to u = a.
+
+    left:  dw/du = c - f0(u)/w from u = eps, seeded on the unstable
+           manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
+    right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
+           stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
+
+    Raises PathCollapse if w falls below the floor 1e-12 before reaching a
+    (possible on the right side only; callers treat it as w(a) = 0).
+    """
+    return _half_path(f, side, c, eps, rtol, dense=True)
 
 
 def speed_mismatch(
@@ -155,12 +175,12 @@ def speed_mismatch(
 ) -> float:
     """S(c) = w_left(a; c) - w_right(a; c); a right-side collapse counts as
     w_right(a; c) = 0."""
-    left = shoot_half(f, "left", c, eps=eps, rtol=rtol)
+    w_left = _half_path(f, "left", c, eps, rtol, dense=False).w_at_a
     try:
-        w_right = shoot_half(f, "right", c, eps=eps, rtol=rtol).w_at_a
+        w_right = _half_path(f, "right", c, eps, rtol, dense=False).w_at_a
     except PathCollapse:
         w_right = 0.0
-    return left.w_at_a - w_right
+    return w_left - w_right
 
 
 def find_speed(
@@ -173,20 +193,20 @@ def find_speed(
     check_monotone: bool = True,
     details: dict | None = None,
 ) -> float:
-    """Bisect the mismatch S to the unique speed with |S(c*)| <= tol_c.
+    """Solve the mismatch S for the unique speed with |S(c*)| <= tol_c, by
+    Brent's method on a bracket of S's sign change.
 
     The working bracket is [c_check, c_hat] when the envelope bracket is
     ordered, else [0, expanding].  Raises NoPositiveRoot when S(0) >= 0
     (the root sits at or left of zero) and BracketFailure when no sign
     change appears up to c = 2**10.
     """
-    mismatch = lambda c: speed_mismatch(f, c, eps=eps, rtol=rtol)
     n_evals = 0
 
     def S(c: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        return mismatch(c)
+        return speed_mismatch(f, c, eps=eps, rtol=rtol)
 
     if bracket is not None and bracket.ordering_ok:
         lo, hi = bracket.c_check, bracket.c_hat
@@ -195,9 +215,7 @@ def find_speed(
 
     s_lo = S(lo)
     if lo > 0.0 and abs(s_lo) <= tol_c:
-        c_star = lo
-        s_star = s_lo
-        iterations = 0
+        c_star, s_star, iterations = lo, s_lo, 0
     else:
         if lo > 0.0 and s_lo > tol_c:
             # Mismatch already positive at the lower end: fall back to 0.
@@ -211,27 +229,16 @@ def find_speed(
             hi = max(2.0 * lo, 1.0)
         s_hi = S(hi)
         while s_hi < -tol_c:
-            if hi >= _EXPANSION_CAP:
+            if hi >= EXPANSION_CAP:
                 raise BracketFailure(
                     f"no sign change of the mismatch up to c={hi} (S={s_hi:.3g})"
                 )
             lo, s_lo = hi, s_hi
             hi *= 2.0
             s_hi = S(hi)
-
-        c_star, s_star = lo, s_lo
-        iterations = 0
-        for iterations in range(1, 201):
-            mid = 0.5 * (lo + hi)
-            s_mid = S(mid)
-            if abs(s_mid) < abs(s_star):
-                c_star, s_star = mid, s_mid
-            if abs(s_mid) <= tol_c or (hi - lo) <= 1e-14 * max(1.0, hi):
-                break
-            if s_mid > 0.0:
-                hi = mid
-            else:
-                lo = mid
+        c_star, s_star, iterations = bracketed_root(
+            S, lo, hi, s_lo, s_hi, tol_c, xtol=1e-14 * max(1.0, hi)
+        )
 
     monotone_ok = True
     if check_monotone and bracket is not None and bracket.c_hat > bracket.c_check + 1e-9:
@@ -267,24 +274,48 @@ class WaveSolution:
 
 
 def _march(
-    w_of_u: Callable, u_start: float, target: float, dz: float, forward: bool
-) -> tuple[list[float], list[float]]:
-    """Fixed-step RK4 on du/dz = w(u) until u passes the target level."""
-    us: list[float] = []
-    ws: list[float] = []
-    u = u_start
-    h = dz if forward else -dz
+    w_of_u: Callable, u_start: float, target: float, dz: float, forward: bool, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One adaptive solve of du/dz = w(u) from u(0) = u_start, sampled at
+    z = dz, 2 dz, ... (or -dz, -2 dz, ...) up to the first sample past the
+    target level.
+
+    Each sample is read from the dense output of the step that covers it,
+    and the solve stops with the step that holds the last sample, so
+    nothing is extrapolated past the solved interval.  The solve runs 100x
+    tighter than the phase paths it reads, which keeps its own error at the
+    paths' level (~1e-12 against the linear closed forms); DOP853 makes
+    that tolerance cheap.
+    """
+    sign = 1.0 if forward else -1.0
     cap = int(round(400.0 / dz))
-    for _ in range(cap):
-        k1 = w_of_u(u)
-        k2 = w_of_u(u + 0.5 * h * k1)
-        k3 = w_of_u(u + 0.5 * h * k2)
-        k4 = w_of_u(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        us.append(u)
-        ws.append(float(w_of_u(u)))
-        if (forward and u >= target) or (not forward and u <= target):
-            return us, ws
+    solver = DOP853(
+        lambda z, u: [w_of_u(u[0])],  # a scalar query is the interpolant's cheap path
+        0.0,
+        [u_start],
+        sign * cap * dz,
+        rtol=max(1e-2 * rtol, _PROFILE_RTOL_FLOOR),
+        atol=1e-16,
+    )
+    chunks: list[np.ndarray] = []
+    k = 1  # index of the next grid sample
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"profile solve failed at z={solver.t:.6g}: {message}")
+        z_done = abs(solver.t)
+        ks = np.arange(k, int(z_done / dz) + 2)
+        ks = ks[ks * dz <= z_done]
+        if ks.size == 0:
+            continue
+        u = solver.dense_output()(sign * (ks * dz))[0]
+        passed = np.flatnonzero(u >= target if forward else u <= target)
+        if passed.size:
+            chunks.append(u[: passed[0] + 1])
+            us = np.concatenate(chunks)
+            return us, w_of_u(us)
+        chunks.append(u)
+        k = int(ks[-1]) + 1
     raise RuntimeError(
         f"profile march did not reach u={target} within z range 400 (dz={dz})"
     )
@@ -313,8 +344,8 @@ def reconstruct_profile(
     right = shoot_half(f, "right", c_star, eps=eps, rtol=rtol)
     jump = abs(left.w_at_a - right.w_at_a)
 
-    u_fwd, w_fwd = _march(right.w_of_u, f.a, 1.0 - u_eps, dz, forward=True)
-    u_bwd, w_bwd = _march(left.w_of_u, f.a, u_eps, dz, forward=False)
+    u_fwd, w_fwd = _march(right.w_of_u, f.a, 1.0 - u_eps, dz, forward=True, rtol=rtol)
+    u_bwd, w_bwd = _march(left.w_of_u, f.a, u_eps, dz, forward=False, rtol=rtol)
 
     n_b, n_f = len(u_bwd), len(u_fwd)
     z = np.arange(-n_b, n_f + 1, dtype=float) * dz
@@ -346,7 +377,7 @@ def solve_wave(
     rtol: float = 1e-10,
     details: dict | None = None,
 ) -> WaveSolution:
-    """Full pipeline: slope bounds, envelope bracket, bisected speed, profile."""
+    """Full pipeline: slope bounds, envelope bracket, Brent-solved speed, profile."""
     from .linear_theory import speed_bracket
     from .reaction import slope_bounds
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,25 @@ def test_check_command_demo(tmp_path):
     assert rep["report"]["h3_integral"] == pytest.approx(0.459 - 1.0 / 3.0, abs=1e-9)
     assert rep["report"]["remark2_ok"] is True
     assert rep["config"]["reaction"]["a"] == 0.3
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m bistable_waves.cli` runs the command, as the console
+    script does."""
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, {"reaction": "quadratic_demo", "output": {"directory": str(out)}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bistable_waves.cli", "check", "--config", cfgp],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads((out / "check.json").read_text())
+    assert rep["report"]["h3_ok"] is True
 
 
 def test_check_command_rejects_symmetric(tmp_path):
@@ -305,8 +328,9 @@ def test_deterministic_artifacts(tmp_path):
     first = (out / "bounds.json").read_bytes()
     assert cli.main(["bounds", "--config", cfgp]) == 0
     assert (out / "bounds.json").read_bytes() == first
-    # 17 significant digits in the artifact
-    assert b"0.32470162523532053" in first
+    # 17 significant digits in the artifact: c_check, the matched speed of
+    # (-1.3, -0.5, 0.3), which the Brent solve returns to within 1e-16
+    assert b"0.32470162523637836" in first
 
 
 def test_validation_exit_code(tmp_path):

@@ -1,5 +1,5 @@
 """Phase-plane shooting: exact linear paths, mismatch monotonicity, the
-speed bisection, and profile reconstruction."""
+Brent speed solve, and profile reconstruction."""
 
 from __future__ import annotations
 
@@ -116,6 +116,48 @@ def test_find_speed_reports_details(demo, demo_bracket):
     assert abs(det["residual"]) <= 1e-10
 
 
+def test_search_paths_skip_only_the_interpolant(demo):
+    """speed_mismatch's half paths take the same RK45 steps as shoot_half's,
+    without building the dense interpolant."""
+    for side in ("left", "right"):
+        full = bw.shoot_half(demo, side, 0.5)
+        bare = bw.shooting._half_path(demo, side, 0.5, None, 1e-10, dense=False)
+        assert bare.w_of_u is None
+        np.testing.assert_array_equal(bare.u, full.u)
+        np.testing.assert_array_equal(bare.w, full.w)
+
+
+@pytest.mark.parametrize(
+    "term, use_bracket",
+    [("demo", True), ("demo", False), ("linear", True)],
+    ids=["demo-bracket", "demo-no-bracket", "linear-point-bracket"],
+)
+def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypatch):
+    f = demo if term == "demo" else bw.piecewise_linear(-1.0, 0.3)
+    br = bw.speed_bracket(bw.slope_bounds(f), f.a) if use_bracket else None
+    calls = 0
+    real = bw.shooting.speed_mismatch
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bw.shooting, "speed_mismatch", counting)
+    det = {}
+    c = bw.find_speed(f, br, details=det)
+    assert det["evaluations"] == calls
+    assert det["residual"] == real(f, c)
+
+
+def test_find_speed_demo_evaluation_budget(demo, demo_bracket):
+    """Brent's method on [c_check, c_hat]: bisection needed 32 evaluations
+    plus the 5 spot-check probes."""
+    det = {}
+    bw.find_speed(demo, demo_bracket, details=det)
+    assert det["evaluations"] <= 25
+
+
 def test_find_speed_without_bracket(demo, demo_bracket):
     c_free = bw.find_speed(demo, None)
     c_br = bw.find_speed(demo, demo_bracket)
@@ -159,6 +201,21 @@ def test_linear_profile_matches_envelope_wave():
     wave = bw.matched_wave(-1.0, -1.0, 0.3)
     exact = bw.envelope_profile(wave, ws.z_grid)
     assert np.max(np.abs(ws.u_values - exact)) <= 1e-6
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.45])
+def test_linear_profile_samples_match_closed_form(a):
+    lin = bw.piecewise_linear(-1.0, a)
+    br = bw.speed_bracket(bw.slope_bounds(lin), a)
+    ws = bw.reconstruct_profile(lin, bw.find_speed(lin, br), bracket=br)
+    exact = bw.envelope_profile(bw.matched_wave(-1.0, -1.0, a), ws.z_grid)
+    assert np.max(np.abs(ws.u_values - exact)) <= 1e-9
+
+
+def test_profile_ends_at_first_sample_past_target(demo_wave):
+    u = demo_wave.u_values
+    assert u[0] <= 1e-4 < u[1]
+    assert u[-2] < 1.0 - 1e-4 <= u[-1]
 
 
 def test_left_tail_rate(demo, demo_wave):
