@@ -536,8 +536,7 @@ def _write_phase_csvs(
     for tag, c in speeds.items():
         rows: list[list[Any]] = []
         for side in ("left", "right"):
-            # Only the samples are written, so skip the dense interpolant.
-            path = shooting._half_path(f, side, c, solver.eps, solver.ode_rtol, dense=False)
+            path = shooting.shoot_half(f, side, c, eps=solver.eps, rtol=solver.ode_rtol)
             if side == "left":
                 env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * path.u
                 env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * path.u

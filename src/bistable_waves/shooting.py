@@ -7,8 +7,6 @@ manifold of (1, 0); both equilibria are singular points of the ODE, so the
 integrations are seeded a distance eps away with the linearized slope.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).
-The search integrates its half paths without dense output; only the
-profile, which reads w(u) between steps, builds the interpolant.
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ class PhasePath:
     c: float
     u: np.ndarray
     w: np.ndarray
-    # None on the search paths, which skip the dense interpolant.
-    w_of_u: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, compare=False)
+    w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -59,12 +56,23 @@ def default_eps(f: ReactionTerm) -> float:
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
 
 
-def _half_path(
-    f: ReactionTerm, side: PathSide, c: float, eps: float | None, rtol: float, dense: bool
+def shoot_half(
+    f: ReactionTerm,
+    side: PathSide,
+    c: float,
+    eps: float | None = None,
+    rtol: float = 1e-10,
 ) -> PhasePath:
-    """shoot_half's integration; the dense interpolant w_of_u is built only
-    when `dense` is set (it is None otherwise).  Either way the RK45 steps,
-    and so the samples, are the same."""
+    """Integrate one phase-plane half path up to u = a.
+
+    left:  dw/du = c - f0(u)/w from u = eps, seeded on the unstable
+           manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
+    right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
+           stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
+
+    Raises PathCollapse if w falls below the floor 1e-12 before reaching a
+    (possible on the right side only; callers treat it as w(a) = 0).
+    """
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
     if eps is None:
@@ -99,7 +107,7 @@ def _half_path(
         method="RK45",
         rtol=rtol,
         atol=1e-16,
-        dense_output=dense,
+        dense_output=True,
         events=collapse,
     )
     if sol.status == 1:  # collapse event fired
@@ -119,55 +127,29 @@ def _half_path(
             )
         raise RuntimeError(f"phase-path integration failed at c={c}: {sol.message}")
 
+    dense = sol.sol
+    lam_seed = w0 / eps  # signed slope magnitude of the seeded manifold
+
     if side == "left":
+
+        def w_of_u(u):
+            u = np.asarray(u, dtype=float)
+            inside = np.clip(u, u0, u1)
+            out = np.where(u < u0, lam_seed * u, dense(inside)[0])
+            return float(out) if out.ndim == 0 else out
+
         u_samples, w_samples = sol.t, sol.y[0]
     else:
+
+        def w_of_u(u):
+            u = np.asarray(u, dtype=float)
+            inside = np.clip(u, u1, u0)
+            out = np.where(u > u0, lam_seed * (1.0 - u), dense(inside)[0])
+            return float(out) if out.ndim == 0 else out
+
         u_samples, w_samples = sol.t[::-1], sol.y[0][::-1]
-    # w0 / eps: signed slope magnitude of the seeded manifold
-    w_of_u = _interpolant(sol.sol, side, u0, u1, w0 / eps) if dense else None
+
     return PhasePath(side=side, c=float(c), u=u_samples, w=w_samples, w_of_u=w_of_u)
-
-
-def _interpolant(
-    dense: Callable, side: PathSide, u0: float, u1: float, lam_seed: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """w(u) from a path's dense output, continued past the seed point u0
-    along the linearized manifold the path was seeded on."""
-    if side == "left":
-
-        def w_of_u(u):
-            u = np.asarray(u, dtype=float)
-            out = np.where(u < u0, lam_seed * u, dense(np.clip(u, u0, u1))[0])
-            return float(out) if out.ndim == 0 else out
-
-    else:
-
-        def w_of_u(u):
-            u = np.asarray(u, dtype=float)
-            out = np.where(u > u0, lam_seed * (1.0 - u), dense(np.clip(u, u1, u0))[0])
-            return float(out) if out.ndim == 0 else out
-
-    return w_of_u
-
-
-def shoot_half(
-    f: ReactionTerm,
-    side: PathSide,
-    c: float,
-    eps: float | None = None,
-    rtol: float = 1e-10,
-) -> PhasePath:
-    """Integrate one phase-plane half path up to u = a.
-
-    left:  dw/du = c - f0(u)/w from u = eps, seeded on the unstable
-           manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
-    right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
-           stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
-
-    Raises PathCollapse if w falls below the floor 1e-12 before reaching a
-    (possible on the right side only; callers treat it as w(a) = 0).
-    """
-    return _half_path(f, side, c, eps, rtol, dense=True)
 
 
 def speed_mismatch(
@@ -175,12 +157,12 @@ def speed_mismatch(
 ) -> float:
     """S(c) = w_left(a; c) - w_right(a; c); a right-side collapse counts as
     w_right(a; c) = 0."""
-    w_left = _half_path(f, "left", c, eps, rtol, dense=False).w_at_a
+    left = shoot_half(f, "left", c, eps=eps, rtol=rtol)
     try:
-        w_right = _half_path(f, "right", c, eps, rtol, dense=False).w_at_a
+        w_right = shoot_half(f, "right", c, eps=eps, rtol=rtol).w_at_a
     except PathCollapse:
         w_right = 0.0
-    return w_left - w_right
+    return left.w_at_a - w_right
 
 
 def find_speed(

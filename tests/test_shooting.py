@@ -116,17 +116,6 @@ def test_find_speed_reports_details(demo, demo_bracket):
     assert abs(det["residual"]) <= 1e-10
 
 
-def test_search_paths_skip_only_the_interpolant(demo):
-    """speed_mismatch's half paths take the same RK45 steps as shoot_half's,
-    without building the dense interpolant."""
-    for side in ("left", "right"):
-        full = bw.shoot_half(demo, side, 0.5)
-        bare = bw.shooting._half_path(demo, side, 0.5, None, 1e-10, dense=False)
-        assert bare.w_of_u is None
-        np.testing.assert_array_equal(bare.u, full.u)
-        np.testing.assert_array_equal(bare.w, full.w)
-
-
 @pytest.mark.parametrize(
     "term, use_bracket",
     [("demo", True), ("demo", False), ("linear", True)],
