@@ -18,8 +18,7 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -74,32 +73,41 @@ class ReactionConfig:
     branch_rule: str = "right_closed"
 
 
+def _number(default: float | None, *, positive: bool = True) -> Any:
+    """A numeric config field: a finite number, and > 0 unless positive=False."""
+    return field(default=default, metadata={"positive": positive})
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    eps: float | None = None
-    tol_phi: float = 1e-12
-    tol_c: float = 1e-10
-    c1_tol: float = 1e-6
-    dz: float = 1e-2
-    u_eps: float = 1e-4
-    ode_rtol: float = 1e-10
+    eps: float | None = _number(None)
+    tol_phi: float = _number(1e-12)
+    tol_c: float = _number(1e-10)
+    c1_tol: float = _number(1e-6)
+    dz: float = _number(1e-2)
+    u_eps: float = _number(1e-4)
+    ode_rtol: float = _number(1e-10)
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    x_min: float = -60.0
-    x_max: float = 60.0
-    dx: float = 0.05
-    dt: float = 0.01
+    x_min: float = _number(-60.0, positive=False)
+    x_max: float = _number(60.0, positive=False)
+    dx: float = _number(0.05)
+    dt: float = _number(None)  # None: 0.2*dx
     bc: str = "dirichlet01"
+
+    def __post_init__(self) -> None:
+        if self.dt is None:
+            object.__setattr__(self, "dt", 0.2 * self.dx)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    t_end: float = 40.0
-    observe_every: float = 0.5
+    t_end: float = _number(40.0)
+    observe_every: float = _number(0.5)
     initial_condition: str = "step"
-    delta: float = 0.05
+    delta: float = _number(0.05)
     window: tuple[float, float] | None = None
     custom_table: tuple[tuple[float, float], ...] | None = None
 
@@ -199,24 +207,32 @@ def _expand_reaction(entry: Any, errs: list[tuple[str, str]]) -> ReactionConfig 
     return ReactionConfig(float(a), coeffs["f0"], coeffs["f1"], rule)
 
 
-def _number(
-    raw: dict, section: str, key: str, default: Any, errs: list[tuple[str, str]],
-    *, positive: bool = False, nonnegative: bool = False, optional: bool = False,
-) -> Any:
-    val = raw.get(key, default)
-    if val is None and (optional or default is None):
-        return None
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-        errs.append((f"{section}.{key}", f"{val!r} is not a finite number"))
-        return None
-    val = float(val)
-    if positive and val <= 0.0:
-        errs.append((f"{section}.{key}", f"{val} must be > 0"))
-        return None
-    if nonnegative and val < 0.0:
-        errs.append((f"{section}.{key}", f"{val} must be >= 0"))
-        return None
-    return val
+def _section(raw: dict, name: str, cls: type, errs: list[tuple[str, str]]) -> tuple[dict, dict]:
+    """Read one config section: its raw object, and the values of its
+    numeric fields checked against each field's declared limit.  A missing
+    field takes its default, as does null where the default is None; an
+    invalid one is reported and left out."""
+    sec = raw.get(name, {})
+    if not isinstance(sec, dict):
+        errs.append((name, "must be an object"))
+        sec = {}
+    declared = fields(cls)
+    for key in sorted(set(sec) - {f.name for f in declared}):
+        errs.append((f"{name}.{key}", "unknown field"))
+    values: dict[str, Any] = {}
+    for f in declared:
+        if "positive" not in f.metadata:
+            continue
+        val = sec.get(f.name, f.default)
+        if val is None and f.default is None:
+            values[f.name] = None
+        elif not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            errs.append((f"{name}.{f.name}", f"{val!r} is not a finite number"))
+        elif f.metadata["positive"] and val <= 0.0:
+            errs.append((f"{name}.{f.name}", f"{float(val)} must be > 0"))
+        else:
+            values[f.name] = float(val)
+    return sec, values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -234,75 +250,33 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([("<document>", "top level must be an object")])
 
     known = {"reaction", "solver", "grid", "experiment", "output"}
-    for key in set(raw) - known:
+    for key in sorted(set(raw) - known):
         errs.append((key, "unknown section"))
     if "reaction" not in raw:
         errs.append(("reaction", "required section missing"))
 
     rc = _expand_reaction(raw.get("reaction"), errs) if "reaction" in raw else None
 
-    def section(name: str) -> dict:
-        sec = raw.get(name, {})
-        if not isinstance(sec, dict):
-            errs.append((name, "must be an object"))
-            return {}
-        return sec
+    _, solver_values = _section(raw, "solver", SolverConfig, errs)
+    solver = SolverConfig(**solver_values)
 
-    s = section("solver")
-    sd = SolverConfig()
-    solver = SolverConfig(
-        eps=_number(s, "solver", "eps", None, errs, positive=True, optional=True),
-        tol_phi=_number(s, "solver", "tol_phi", sd.tol_phi, errs, positive=True),
-        tol_c=_number(s, "solver", "tol_c", sd.tol_c, errs, positive=True),
-        c1_tol=_number(s, "solver", "c1_tol", sd.c1_tol, errs, positive=True),
-        dz=_number(s, "solver", "dz", sd.dz, errs, positive=True),
-        u_eps=_number(s, "solver", "u_eps", sd.u_eps, errs, positive=True),
-        ode_rtol=_number(s, "solver", "ode_rtol", sd.ode_rtol, errs, positive=True),
-    )
-    for key in set(s) - {f.name for f in SolverConfig.__dataclass_fields__.values()}:
-        errs.append((f"solver.{key}", "unknown field"))
-
-    g = section("grid")
-    gd = GridConfig()
-    x_min = _number(g, "grid", "x_min", gd.x_min, errs)
-    x_max = _number(g, "grid", "x_max", gd.x_max, errs)
-    dx = _number(g, "grid", "dx", gd.dx, errs, positive=True)
-    dt_raw = g.get("dt", None)
-    dt = (
-        _number(g, "grid", "dt", gd.dt, errs, positive=True)
-        if dt_raw is not None
-        else (0.2 * dx if dx else gd.dt)
-    )
-    bc = g.get("bc", gd.bc)
+    g, grid_values = _section(raw, "grid", GridConfig, errs)
+    bc = g.get("bc", GridConfig.bc)
     if bc not in ("dirichlet01", "neumann"):
         errs.append(("grid.bc", f"unknown boundary condition {bc!r}"))
-        bc = gd.bc
-    if x_min is not None and x_max is not None and dx:
-        if x_min >= x_max:
-            errs.append(("grid.x_min", f"domain [{x_min}, {x_max}] is empty"))
-        else:
-            cells = (x_max - x_min) / dx
-            if abs(cells - round(cells)) > 1e-6 * max(1.0, cells) or round(cells) < 16:
-                errs.append(("grid.dx", f"(x_max-x_min)/dx = {cells:.6g} must be an integer >= 16"))
-    for key in set(g) - {f.name for f in GridConfig.__dataclass_fields__.values()}:
-        errs.append((f"grid.{key}", "unknown field"))
-    grid = GridConfig(
-        x_min=x_min if x_min is not None else gd.x_min,
-        x_max=x_max if x_max is not None else gd.x_max,
-        dx=dx if dx else gd.dx,
-        dt=dt if dt else gd.dt,
-        bc=bc,
-    )
+        bc = GridConfig.bc
+    grid = GridConfig(**grid_values, bc=bc)
+    if {"x_min", "x_max", "dx"} <= grid_values.keys():
+        try:
+            simulator.Grid1D(**asdict(grid))
+        except ValueError as exc:  # the domain is empty or not a whole number >= 16 of cells
+            errs.append(("grid.dx" if grid.x_min < grid.x_max else "grid.x_min", str(exc)))
 
-    e = section("experiment")
-    ed = ExperimentConfig()
-    t_end = _number(e, "experiment", "t_end", ed.t_end, errs, positive=True)
-    observe_every = _number(e, "experiment", "observe_every", ed.observe_every, errs, positive=True)
-    ic = e.get("initial_condition", ed.initial_condition)
+    e, experiment_values = _section(raw, "experiment", ExperimentConfig, errs)
+    ic = e.get("initial_condition", ExperimentConfig.initial_condition)
     if ic not in ("step", "wave", "wave_plus_delta", "custom_table"):
         errs.append(("experiment.initial_condition", f"unknown initial condition {ic!r}"))
-        ic = ed.initial_condition
-    delta = _number(e, "experiment", "delta", ed.delta, errs, positive=True)
+        ic = ExperimentConfig.initial_condition
     window_raw = e.get("window")
     window: tuple[float, float] | None = None
     if window_raw is not None:
@@ -336,23 +310,15 @@ def parse_config(text: str) -> RunConfig:
                 custom_table = tuple((float(p[0]), float(p[1])) for p in table_raw)
     if ic == "custom_table" and custom_table is None and table_raw is None:
         errs.append(("experiment.custom_table", "required when initial_condition=custom_table"))
-    for key in set(e) - {f.name for f in ExperimentConfig.__dataclass_fields__.values()}:
-        errs.append((f"experiment.{key}", "unknown field"))
     experiment = ExperimentConfig(
-        t_end=t_end if t_end else ed.t_end,
-        observe_every=observe_every if observe_every else ed.observe_every,
-        initial_condition=ic,
-        delta=delta if delta else ed.delta,
-        window=window,
-        custom_table=custom_table,
+        **experiment_values, initial_condition=ic, window=window, custom_table=custom_table
     )
 
-    o = section("output")
-    od = OutputConfig()
-    directory = o.get("directory", od.directory)
+    o, _ = _section(raw, "output", OutputConfig, errs)
+    directory = o.get("directory", OutputConfig.directory)
     if not isinstance(directory, str) or not directory:
         errs.append(("output.directory", f"{directory!r} must be a non-empty string"))
-        directory = od.directory
+        directory = OutputConfig.directory
     snaps_raw = o.get("snapshot_times", [])
     snapshot_times: tuple[float, ...] = ()
     if not isinstance(snaps_raw, list) or not all(
@@ -361,23 +327,21 @@ def parse_config(text: str) -> RunConfig:
         errs.append(("output.snapshot_times", "must be a list of finite numbers"))
     else:
         snapshot_times = tuple(float(v) for v in snaps_raw)
-    for key in set(o) - {f.name for f in OutputConfig.__dataclass_fields__.values()}:
-        errs.append((f"output.{key}", "unknown field"))
     output = OutputConfig(directory=directory, snapshot_times=snapshot_times)
 
-    if solver.u_eps is not None and solver.u_eps > 1e-3:
+    if solver.u_eps > 1e-3:
         errs.append(("solver.u_eps", f"{solver.u_eps} exceeds the profile truncation cap 1e-3"))
 
     # Term-dependent limits: dt against the explicit-reaction stability
     # bound, eps against the singular-seed window.
     if rc is not None and not any(path.startswith("grid.d") for path, _ in errs):
-        term = build_term(rc)
-        lipschitz = simulator._reaction_lipschitz(term)
-        bound = 1.9 / lipschitz if lipschitz > 0 else math.inf
+        bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
         if grid.dt > bound:
-            errs.append(
-                ("grid.dt", f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} (=1.9/max(K0,K1))")
-            )
+            errs.append((
+                "grid.dt",
+                f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} "
+                f"(={simulator.DT_STABILITY_FACTOR:g}/max(K0,K1))",
+            ))
         eps_cap = min(rc.a, 1.0 - rc.a) / 100.0
         if solver.eps is not None and solver.eps > eps_cap:
             errs.append(
@@ -550,13 +514,127 @@ def _write_phase_csvs(
         _write_csv(outdir / f"phase_{tag}.csv", ["side", "u", "w", "w_env_lo", "w_env_hi"], rows)
 
 
+def _bracket(
+    term: reaction.ReactionTerm, bounds: reaction.SlopeBounds | None, solver: SolverConfig
+) -> tuple[reaction.SlopeBounds, linear_theory.SpeedBracket]:
+    """Bracket stage: the speeds of the four envelope waves.
+
+    ``bounds`` are the audit's.  Without them (a sweep row runs no audit,
+    or the audit found a secant slope >= 0) they are computed here, which
+    raises NonNegativeSlope in the latter case.
+    """
+    if bounds is None:
+        bounds = reaction.slope_bounds(term)
+    return bounds, linear_theory.speed_bracket(bounds, term.a, tol=solver.tol_phi)
+
+
+def _speed(
+    term: reaction.ReactionTerm,
+    bracket: linear_theory.SpeedBracket,
+    solver: SolverConfig,
+    *,
+    check_monotone: bool = True,
+    details: dict | None = None,
+) -> float:
+    """Speed stage: shoot for c* inside the bracket."""
+    return shooting.find_speed(
+        term,
+        bracket,
+        solver.tol_c,
+        eps=solver.eps,
+        rtol=solver.ode_rtol,
+        check_monotone=check_monotone,
+        details=details,
+    )
+
+
+def _profile(
+    term: reaction.ReactionTerm,
+    c_star: float,
+    bracket: linear_theory.SpeedBracket,
+    solver: SolverConfig,
+) -> shooting.WaveSolution:
+    """Profile stage: the sampled C^1 wave at c*."""
+    return shooting.reconstruct_profile(
+        term,
+        c_star,
+        u_eps=solver.u_eps,
+        dz=solver.dz,
+        bracket=bracket,
+        eps=solver.eps,
+        rtol=solver.ode_rtol,
+    )
+
+
+def _simulate(
+    cfg: RunConfig, term: reaction.ReactionTerm, ws: shooting.WaveSolution
+) -> tuple[simulator.Grid1D, simulator.Trajectory]:
+    """Simulate stage: evolve the configured initial data on the configured
+    grid, observing the front and the distance to the wave."""
+    grid = simulator.Grid1D(**asdict(cfg.grid))
+    ec = cfg.experiment
+    travel = ws.c_star * ec.t_end + 10.0
+    if grid.x_min > -travel:
+        print(
+            f"warning: left margin |x_min|={abs(grid.x_min):.6g} < c*.t_end+10={travel:.6g}; "
+            "the front may reach the boundary",
+            file=sys.stderr,
+        )
+    tr = simulator.run(
+        term,
+        _initial_profile(cfg, ws),
+        grid,
+        ec.t_end,
+        ec.observe_every,
+        reference=ws,
+        snapshot_times=cfg.output.snapshot_times,
+    )
+    return grid, tr
+
+
+def _fit(cfg: RunConfig, tr: simulator.Trajectory, c_star: float) -> dict:
+    """Fit stage: the front speed and the exponential decay rate of the
+    distance to the wave over the fit window, as the stability payload."""
+    ec = cfg.experiment
+    window = ec.window if ec.window is not None else (ec.t_end / 2.0, ec.t_end)
+    slope, speed_r2 = simulator.estimate_speed(tr, window)
+    K, kappa, r2 = simulator.fit_decay(tr, window)
+    speed = -slope  # the front drifts toward -inf under the z = x + c t convention
+    return {
+        "kappa": kappa,
+        "K": K,
+        "r2": r2,
+        "window": list(window),
+        "speed": speed,
+        "speed_r2": speed_r2,
+        "speed_error_vs_cstar": abs(speed - c_star),
+        "c_star": c_star,
+    }
+
+
 def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Execute one subcommand, writing artifacts to the output directory."""
+    """Execute one subcommand, writing artifacts to the output directory.
+
+    The commands run prefixes of one chain of stages, audit -> bracket ->
+    speed -> profile -> simulate -> fit: each command runs the stages up to
+    its own, each once, and writes the artifacts of its own stage.
+    """
     if cmd not in _COMMANDS:
         raise ValueError(f"unknown command {cmd!r}")
     outdir = Path(out_dir or cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run_chain(cmd, cfg, outdir)
+    except _SOLVER_FAILURES as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except Divergence as exc:
+        print(f"simulation divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
 
+
+def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
+    solver = cfg.solver
     term = build_term(cfg.reaction)
     report = reaction.check_hypotheses(term)
     if cmd == "check":
@@ -570,14 +648,7 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
         )
         return EXIT_HYPOTHESIS
 
-    solver = cfg.solver
-    try:
-        bounds = reaction.slope_bounds(term)
-        bracket = linear_theory.speed_bracket(bounds, term.a, tol=solver.tol_phi)
-    except (NonNegativeSlope, NoPositiveRoot) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    bounds, bracket = _bracket(term, report.slope_bounds, solver)
     if cmd == "bounds":
         _write_json(outdir / "bounds.json", _artifact(cfg, bracket=_bracket_dict(bracket)))
         _write_csv(
@@ -588,15 +659,7 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
         return EXIT_OK
 
     details: dict[str, Any] = {}
-    try:
-        c_star = shooting.find_speed(
-            term, bracket, solver.tol_c, eps=solver.eps, rtol=solver.ode_rtol, details=details
-        )
-        jump = abs(details["residual"])  # S(c*), the mismatch find_speed stopped at
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    c_star = _speed(term, bracket, solver, details=details)
     if cmd == "speed":
         _write_json(
             outdir / "speed.json",
@@ -604,26 +667,13 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
                 cfg,
                 c_star=c_star,
                 bracket=_bracket_dict(bracket),
-                derivative_jump=jump,
+                derivative_jump=abs(details["residual"]),  # S(c*), where find_speed stopped
                 iterations=details.get("iterations", 0),
             ),
         )
         return EXIT_OK
 
-    try:
-        ws = shooting.reconstruct_profile(
-            term,
-            c_star,
-            u_eps=solver.u_eps,
-            dz=solver.dz,
-            bracket=bracket,
-            eps=solver.eps,
-            rtol=solver.ode_rtol,
-        )
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    ws = _profile(term, c_star, bracket, solver)
     if cmd == "profile":
         _write_csv(
             outdir / "profile.csv",
@@ -659,37 +709,12 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
         )
         return EXIT_OK
 
-    # simulate / stability
-    gc = cfg.grid
-    grid = simulator.Grid1D(gc.x_min, gc.x_max, gc.dx, gc.dt, gc.bc)  # type: ignore[arg-type]
-    ec = cfg.experiment
-    travel = c_star * ec.t_end + 10.0
-    if gc.x_min > -travel:
-        print(
-            f"warning: left margin |x_min|={abs(gc.x_min):.6g} < c*.t_end+10={travel:.6g}; "
-            "the front may reach the boundary",
-            file=sys.stderr,
-        )
-    try:
-        tr = simulator.run(
-            term,
-            _initial_profile(cfg, ws),
-            grid,
-            ec.t_end,
-            ec.observe_every,
-            reference=ws,
-            snapshot_times=cfg.output.snapshot_times,
-        )
-    except Divergence as exc:
-        print(f"simulation divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-
+    grid, tr = _simulate(cfg, term, ws)
     _write_csv(
         outdir / "trajectory.csv",
         ["t", "front_position", "shift_distance", "z_best"],
         list(zip(tr.times, tr.front_positions, tr.shift_distances, tr.best_shifts)),
     )
-
     if cmd == "simulate":
         for snap in tr.snapshots:
             _write_csv(
@@ -708,28 +733,7 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
         )
         return EXIT_OK
 
-    window = ec.window if ec.window is not None else (ec.t_end / 2.0, ec.t_end)
-    try:
-        slope, speed_r2 = simulator.estimate_speed(tr, window)
-        K, kappa, r2 = simulator.fit_decay(tr, window)
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    speed = -slope  # the front drifts toward -inf under the z = x + c t convention
-    _write_json(
-        outdir / "stability.json",
-        _artifact(
-            cfg,
-            kappa=kappa,
-            K=K,
-            r2=r2,
-            window=list(window),
-            speed=speed,
-            speed_r2=speed_r2,
-            speed_error_vs_cstar=abs(speed - c_star),
-            c_star=c_star,
-        ),
-    )
+    _write_json(outdir / "stability.json", _artifact(cfg, **_fit(cfg, tr, c_star)))
     return EXIT_OK
 
 
@@ -760,18 +764,10 @@ def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
         term = build_term(row_cfg.reaction)
         # No audit gate here: a row fails with the solver error it actually
         # hits (e.g. NoPositiveRoot at the degenerate boundary).
-        bounds = reaction.slope_bounds(term)
-        bracket = linear_theory.speed_bracket(bounds, term.a, tol=row_cfg.solver.tol_phi)
+        _, bracket = _bracket(term, None, row_cfg.solver)
         row.update(_bracket_dict(bracket))
         if cmd == "speed":
-            row["c_star"] = shooting.find_speed(
-                term,
-                bracket,
-                row_cfg.solver.tol_c,
-                eps=row_cfg.solver.eps,
-                rtol=row_cfg.solver.ode_rtol,
-                check_monotone=False,
-            )
+            row["c_star"] = _speed(term, bracket, row_cfg.solver, check_monotone=False)
     except BistableWavesError as exc:
         row["status"] = type(exc).__name__
     return row
@@ -780,21 +776,14 @@ def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
 def sweep(cfg: RunConfig, parameter: str, values: Sequence[float], cmd: str = "speed") -> list[dict]:
     """Independent solves over a numeric config leaf, one row per value.
 
-    Rows are computed concurrently (BW_THREADS caps the pool) but returned
-    in input order; a failing row gets its error class in the status column.
+    Each row runs the bracket stage, and for ``speed`` the speed stage, on
+    the config with the leaf set to the value.  Rows run in input order;
+    a failing row gets its error class in the status column.
     """
     if cmd not in _SWEEPABLE:
         raise ConfigError([("sweep", f"command {cmd!r} is not sweepable; use one of {_SWEEPABLE}")])
     _set_by_path(cfg.to_dict(), parameter, 0.0)  # path must be a numeric leaf
-    values = list(values)
-    if not values:
-        return []
-    env_cap = os.environ.get("BW_THREADS")
-    workers = int(env_cap) if env_cap else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(values)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_row, cfg, cmd, parameter, v) for v in values]
-        return [f.result() for f in futures]
+    return [_sweep_row(cfg, cmd, parameter, v) for v in values]
 
 
 def _write_sweep(outdir: Path, cfg: RunConfig, rows: list[dict]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -22,6 +23,7 @@ EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 
 _BRANCH_RULES = ("left_closed", "right_closed", "average")
 _ENVELOPE_KINDS = ("f_lo", "f_hi", "g_lo", "g_hi")
+_H2_GRID = 2048  # sample points per branch for the H2 sign audit
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,12 @@ class ReactionTerm:
         if self.branch_rule not in _BRANCH_RULES:
             raise ValueError(f"unknown branch_rule {self.branch_rule!r}")
 
-    @property
+    @cached_property
     def slope_at_zero(self) -> float:
         """f0'(0), the decay rate of the 0 equilibrium."""
         return float(self.f0.derivative()(0.0))
 
-    @property
+    @cached_property
     def slope_at_one(self) -> float:
         """f1'(1), the decay rate of the 1 equilibrium."""
         return float(self.f1.derivative()(1.0))
@@ -107,11 +109,7 @@ class ReactionTerm:
         u = float(u)
         if not (0.0 <= u <= 1.0):
             raise ValueError(f"u={u} outside [0, 1]; use eval_extended")
-        if u < self.a:
-            return float(self.f0(u))
-        if u > self.a:
-            return float(self.f1(u))
-        return self.branch_value()
+        return self.eval_extended(u)
 
     def eval_extended(self, u: float) -> float:
         """f extended by its tangent lines at 0 and 1.
@@ -119,17 +117,12 @@ class ReactionTerm:
         The extension is continuous and keeps the restoring sign structure:
         positive below 0, negative above 1.
         """
-        u = float(u)
-        if u < 0.0:
-            return self.slope_at_zero * u
-        if u > 1.0:
-            return self.slope_at_one * (u - 1.0)
-        return self.eval(u)
+        return float(self.eval_extended_array(np.array([u], dtype=float))[0])
 
     def eval_extended_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized eval_extended, used by the PDE stepper."""
+        """Vectorized eval_extended, used by the PDE stepper; NaN stays NaN."""
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
+        out = np.full_like(u, np.nan)
         below = u < 0.0
         above = u > 1.0
         left = (~below) & (u < self.a)
@@ -192,67 +185,41 @@ def _ratio_polys(f: ReactionTerm) -> tuple[np.ndarray, np.ndarray]:
     return r0, np.asarray(r1, dtype=float)
 
 
-def _golden_extremum(
-    fn, lo: float, hi: float, *, find_max: bool, rel_tol: float = 1e-10
-) -> float:
-    """Golden-section search for an interior extremum value of fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sgn = -1.0 if find_max else 1.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = sgn * fn(c)
-    fd = sgn * fn(d)
-    scale = max(abs(lo), abs(hi), 1e-30)
-    while (b - a) > rel_tol * scale:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sgn * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sgn * fn(d)
-    return sgn * min(fc, fd)
+def _poly_range(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """Exact (min, max) of a polynomial on [lo, hi]: its values at the
+    endpoints and at the real critical points between them."""
+    candidates = [lo, hi]
+    der = npp.polyder(coeffs)
+    if len(der) >= 2:
+        for r in npp.polyroots(der):
+            if abs(r.imag) < 1e-10 and lo <= r.real <= hi:
+                candidates.append(float(r.real))
+    vals = npp.polyval(np.asarray(candidates), coeffs)
+    return float(np.min(vals)), float(np.max(vals))
 
 
-def _poly_extremes(coeffs: np.ndarray, lo: float, hi: float, n_grid: int) -> tuple[float, float]:
-    """(min, max) of a polynomial on [lo, hi]: grid scan plus golden
-    refinement over the cells bracketing each grid extremum (the true
-    extremum can hide inside an end cell, so endpoints are refined too)."""
-    grid = np.linspace(lo, hi, n_grid)
-    vals = npp.polyval(grid, coeffs)
-    fn = lambda u: float(npp.polyval(u, coeffs))
-    vmin = float(np.min(vals))
-    vmax = float(np.max(vals))
-    imin = int(np.argmin(vals))
-    imax = int(np.argmax(vals))
-    vmin = min(
-        vmin,
-        _golden_extremum(
-            fn, grid[max(imin - 1, 0)], grid[min(imin + 1, n_grid - 1)], find_max=False
-        ),
-    )
-    vmax = max(
-        vmax,
-        _golden_extremum(
-            fn, grid[max(imax - 1, 0)], grid[min(imax + 1, n_grid - 1)], find_max=True
-        ),
-    )
-    return vmin, vmax
+def max_abs_slopes(f: ReactionTerm) -> tuple[float, float]:
+    """(K0, K1): the largest |f0'| on [0, a] and |f1'| on [a, 1].
+
+    max(K0, K1) is the Lipschitz constant of f on either branch, which
+    bounds the explicit reaction step of the PDE solver.
+    """
+    k0_lo, k0_hi = _poly_range(f.f0.derivative().coefficients, 0.0, f.a)
+    k1_lo, k1_hi = _poly_range(f.f1.derivative().coefficients, f.a, 1.0)
+    return max(-k0_lo, k0_hi), max(-k1_lo, k1_hi)
 
 
-def slope_bounds(f: ReactionTerm, n_grid: int = 2048) -> SlopeBounds:
-    """Infimum/supremum of f0(u)/u on (0, a] and f1(u)/(u-1) on [a, 1).
+def slope_bounds(f: ReactionTerm) -> SlopeBounds:
+    """Infimum/supremum of f0(u)/u on (0, a] and f1(u)/(u-1) on [a, 1),
+    exactly: each ratio is a polynomial, evaluated at the interval ends and
+    at its exact critical points.
 
     Raises NonNegativeSlope when any bound reaches 0, which signals a sign
     hypothesis violation.
     """
-    if n_grid < 64:
-        raise ValueError(f"n_grid={n_grid} too coarse; need >= 64")
     r0, r1 = _ratio_polys(f)
-    alpha_lo, alpha_hi = _poly_extremes(r0, 0.0, f.a, n_grid)
-    beta_lo, beta_hi = _poly_extremes(r1, f.a, 1.0, n_grid)
+    alpha_lo, alpha_hi = _poly_range(r0, 0.0, f.a)
+    beta_lo, beta_hi = _poly_range(r1, f.a, 1.0)
     if alpha_hi >= 0.0 or beta_hi >= 0.0:
         raise NonNegativeSlope(
             f"secant-slope bounds must be negative, got "
@@ -266,7 +233,7 @@ def potential_integral(f: ReactionTerm) -> float:
     return f.f0.integral() + f.f1.integral()
 
 
-def check_hypotheses(f: ReactionTerm, tol: float = 1e-9, n_grid: int = 2048) -> HypothesisReport:
+def check_hypotheses(f: ReactionTerm, tol: float = 1e-9) -> HypothesisReport:
     """Audit the term: endpoint behaviour, sign conditions on a dense grid,
     the positivity of the potential integral, and the square-root ordering
     chain that underpins the speed bracket.
@@ -299,12 +266,12 @@ def check_hypotheses(f: ReactionTerm, tol: float = 1e-9, n_grid: int = 2048) -> 
     # Sign conditions: f0 < 0 on (0, a], f1 > 0 on [a, 1).  The grids skip
     # the endpoints where the branches vanish by H1.
     h2_ok = True
-    u0_grid = np.linspace(0.0, f.a, n_grid + 1)[1:]
+    u0_grid = np.linspace(0.0, f.a, _H2_GRID + 1)[1:]
     v0 = npp.polyval(u0_grid, f.f0.coefficients)
     for u, v in zip(u0_grid[v0 >= -tol], v0[v0 >= -tol]):
         violations.append(("H2", float(u), float(v)))
         h2_ok = False
-    u1_grid = np.linspace(f.a, 1.0, n_grid + 1)[:-1]
+    u1_grid = np.linspace(f.a, 1.0, _H2_GRID + 1)[:-1]
     v1 = npp.polyval(u1_grid, f.f1.coefficients)
     for u, v in zip(u1_grid[v1 <= tol], v1[v1 <= tol]):
         violations.append(("H2", float(u), float(v)))
@@ -317,7 +284,7 @@ def check_hypotheses(f: ReactionTerm, tol: float = 1e-9, n_grid: int = 2048) -> 
     remark2_ok = False
     if h1_ok and h2_ok:
         try:
-            bounds = slope_bounds(f, n_grid=n_grid)
+            bounds = slope_bounds(f)
         except NonNegativeSlope:
             bounds = None
         if bounds is not None:
@@ -341,7 +308,7 @@ def check_hypotheses(f: ReactionTerm, tol: float = 1e-9, n_grid: int = 2048) -> 
     )
 
 
-def envelope(f: ReactionTerm, kind: EnvelopeKind, n_grid: int = 2048) -> ReactionTerm:
+def envelope(f: ReactionTerm, kind: EnvelopeKind) -> ReactionTerm:
     """Piecewise-linear term bounding f, built from the secant-slope extremes.
 
     Slope pairings (left branch rate, right branch rate):
@@ -350,7 +317,7 @@ def envelope(f: ReactionTerm, kind: EnvelopeKind, n_grid: int = 2048) -> Reactio
     """
     if kind not in _ENVELOPE_KINDS:
         raise ValueError(f"unknown envelope kind {kind!r}")
-    b = slope_bounds(f, n_grid=n_grid)
+    b = slope_bounds(f)
     left, right = {
         "f_lo": (b.alpha_lo, b.beta_lo),
         "f_hi": (b.alpha_hi, b.beta_hi),

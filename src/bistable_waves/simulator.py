@@ -27,13 +27,15 @@ from .errors import (
     NoFront,
     NonPositiveDistance,
 )
-from .reaction import ReactionTerm
+from .reaction import ReactionTerm, max_abs_slopes
 from .shooting import WaveSolution
 
 BoundaryKind = Literal["dirichlet01", "neumann"]
 
 _STATE_LO = -0.5
 _STATE_HI = 1.5
+# The explicit reaction step is stable for dt <= DT_STABILITY_FACTOR / max|f'|.
+DT_STABILITY_FACTOR = 1.9
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,12 @@ class Grid1D:
         if self.dx <= 0.0 or self.dt <= 0.0:
             raise ValueError("dx and dt must be positive")
         if self.x_min >= self.x_max:
-            raise ValueError(f"empty domain [{self.x_min}, {self.x_max}]")
+            raise ValueError(f"domain [{self.x_min}, {self.x_max}] is empty")
         if self.bc not in ("dirichlet01", "neumann"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         cells = (self.x_max - self.x_min) / self.dx
         if abs(cells - round(cells)) > 1e-6 * max(1.0, cells) or round(cells) < 16:
-            raise ValueError(
-                f"(x_max-x_min)/dx = {cells} must be an integer >= 16"
-            )
+            raise ValueError(f"(x_max-x_min)/dx = {cells:.6g} must be an integer >= 16")
 
     @property
     def n_nodes(self) -> int:
@@ -65,11 +65,12 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_nodes)
 
-    def dt_stability(self, reaction_lipschitz: float) -> float:
+    @staticmethod
+    def dt_stability(reaction_lipschitz: float) -> float:
         """Largest dt the explicit reaction treatment tolerates."""
         if reaction_lipschitz <= 0.0:
             return math.inf
-        return 1.9 / reaction_lipschitz
+        return DT_STABILITY_FACTOR / reaction_lipschitz
 
 
 @dataclass
@@ -288,7 +289,7 @@ def run(
         raise ValueError(f"initial data has shape {u_init.shape}, grid needs {x.shape}")
     state = SimState(t=0.0, u=u_init, grid=g)
 
-    lipschitz = _reaction_lipschitz(f)
+    lipschitz = max(max_abs_slopes(f))
     if g.dt > g.dt_stability(lipschitz):
         warnings.warn(
             f"dt={g.dt} exceeds the explicit-reaction stability bound "
@@ -438,26 +439,6 @@ def reaction_ode(
     return sol.t, sol.y[0]
 
 
-def _reaction_lipschitz(f: ReactionTerm) -> float:
-    """max(K0, K1): the largest |f'| over both closed branch domains."""
-    k0 = _max_abs_poly(f.f0.derivative().coefficients, 0.0, f.a)
-    k1 = _max_abs_poly(f.f1.derivative().coefficients, f.a, 1.0)
-    return max(k0, k1)
-
-
-def _max_abs_poly(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    """Exact max of |p| on [lo, hi]: endpoints plus real critical points."""
-    candidates = [lo, hi]
-    der = npp.polyder(coeffs)
-    if len(der) >= 2:
-        roots = npp.polyroots(der)
-        for r in roots:
-            if abs(r.imag) < 1e-10 and lo <= r.real <= hi:
-                candidates.append(float(r.real))
-    vals = npp.polyval(np.asarray(candidates), coeffs)
-    return float(np.max(np.abs(vals)))
-
-
 @dataclass(frozen=True)
 class SuperSubParams:
     """Explicit constants of the perturbation envelopes around the wave."""
@@ -538,8 +519,7 @@ def supersub_params(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
 
-    k0 = _max_abs_poly(f.f0.derivative().coefficients, 0.0, a)
-    k1 = _max_abs_poly(f.f1.derivative().coefficients, a, 1.0)
+    k0, k1 = max_abs_slopes(f)
     k2 = _k2_separated(f, rho)
     gamma = 0.5 * min(-f.slope_at_zero, -f.slope_at_one)
 

@@ -13,7 +13,14 @@ import pytest
 
 import bistable_waves as bw
 from bistable_waves import cli
-from bistable_waves.errors import ConfigError, Divergence
+from bistable_waves.errors import (
+    BracketFailure,
+    ConfigError,
+    Divergence,
+    InsufficientData,
+    NoPositiveRoot,
+    PathCollapse,
+)
 from conftest import closed_form_speed
 
 
@@ -87,6 +94,30 @@ def test_validation_aggregates_all_violations():
     paths = {path for path, _ in exc.value.violations}
     assert {"reaction", "grid.bc", "grid.dx", "experiment.t_end",
             "experiment.initial_condition", "output.directory"} <= paths
+
+
+def test_unknown_fields_reported_in_sorted_order():
+    # sorted, so the stderr report does not depend on the string hash seed
+    doc = {"reaction": "quadratic_demo", "grid": {"zz": 1, "aa": 2, "mm": 3}, "b": 1, "a": 2}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps(doc))
+    assert [path for path, _ in exc.value.violations] == ["a", "b", "grid.aa", "grid.mm", "grid.zz"]
+
+
+@pytest.mark.parametrize(
+    "grid, path",
+    [
+        ({"x_min": 0.0, "x_max": 1.0, "dx": 0.3}, "grid.dx"),  # 3.33 cells
+        ({"x_min": 0.0, "x_max": 1.0, "dx": 0.1}, "grid.dx"),  # 10 cells
+        ({"x_min": 1.0, "x_max": 0.0, "dx": 0.01}, "grid.x_min"),  # empty domain
+    ],
+)
+def test_grid_cell_count_validated(grid, path):
+    doc = {"reaction": "quadratic_demo", "grid": grid, "experiment": {"t_end": -1.0}}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps(doc))
+    paths = [p for p, _ in exc.value.violations]
+    assert paths.count(path) == 1 and "experiment.t_end" in paths
 
 
 def test_solver_limits_validated():
@@ -292,12 +323,16 @@ def test_sweep_speed_matches_closed_form(tmp_path):
     assert rows[-1]["c_star"] is None
 
 
-def test_sweep_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("BW_THREADS", "1")
-    cfg = cli.parse_config('{"reaction": "piecewise_linear(-1, 0.3)"}')
+def test_sweep_rows_share_the_speed_stage(tmp_path):
+    cfg = cli.parse_config('{"reaction": "quadratic_demo"}')
     rows = cli.sweep(cfg, "reaction.a", [0.2, 0.3], cmd="speed")
-    assert [r["value"] for r in rows] == [0.2, 0.3]
-    assert all(r["status"] == "ok" for r in rows)
+    for row in rows:
+        assert row["status"] == "ok"
+        demo = {"a": row["value"], "f0": [0, -1, -1], "f1": [0.2, 0.8, -1]}
+        out = tmp_path / f"a{row['value']}"
+        cfgp = write_config(tmp_path, {"reaction": demo}, f"a{row['value']}.json")
+        assert cli.main(["speed", "--config", cfgp, "--out", str(out)]) == 0
+        assert json.loads((out / "speed.json").read_text())["c_star"] == row["c_star"]
 
 
 def test_sweep_empty_values(tmp_path):
@@ -331,6 +366,33 @@ def test_deterministic_artifacts(tmp_path):
     # 17 significant digits in the artifact: c_check, the matched speed of
     # (-1.3, -0.5, 0.3), which the Brent solve returns to within 1e-16
     assert b"0.32470162523637836" in first
+
+
+@pytest.mark.parametrize(
+    "cmd, module, call, failure",
+    [
+        ("bounds", "linear_theory", "speed_bracket", NoPositiveRoot),
+        ("speed", "shooting", "find_speed", BracketFailure),
+        ("profile", "shooting", "reconstruct_profile", PathCollapse),
+        ("stability", "simulator", "estimate_speed", InsufficientData),
+    ],
+)
+def test_solver_failure_exit_code_per_stage(tmp_path, monkeypatch, capsys, cmd, module, call, failure):
+    assert failure in cli._SOLVER_FAILURES
+    doc = {
+        "reaction": "quadratic_demo",
+        "grid": {"x_min": -20.0, "x_max": 20.0, "dx": 0.1, "dt": 0.02},
+        "experiment": {"t_end": 1.0, "observe_every": 0.5},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfgp = write_config(tmp_path, doc)
+
+    def fail(*args, **kwargs):
+        raise failure("stage failed")
+
+    monkeypatch.setattr(getattr(cli, module), call, fail)
+    assert cli.main([cmd, "--config", cfgp]) == 4
+    assert "solver failure: stage failed" in capsys.readouterr().err
 
 
 def test_validation_exit_code(tmp_path):

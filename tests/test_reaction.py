@@ -74,6 +74,18 @@ def test_eval_extended_array_matches_scalar(demo):
     vec = demo.eval_extended_array(u)
     scal = np.array([demo.eval_extended(v) for v in u])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-15)
+    # branch by branch: tangent line, f0, f0, f1 at a (right_closed), f1, f1, tangent line
+    branches = [-1.0 * -0.2, demo.f0(0.0), demo.f0(0.1), demo.f1(0.3), demo.f1(0.7),
+                demo.f1(1.0), -1.2 * (1.3 - 1.0)]
+    np.testing.assert_allclose(vec, branches, rtol=0, atol=1e-15)
+
+
+def test_cached_endpoint_slopes_keep_equality_and_hash():
+    term, twin = bw.quadratic_demo(), bw.quadratic_demo()
+    h = hash(term)
+    assert (term.slope_at_zero, term.slope_at_one) == (-1.0, pytest.approx(-1.2, abs=1e-15))
+    assert term == twin
+    assert hash(term) == h == hash(twin)
 
 
 def test_slope_bounds_demo(demo):
@@ -100,14 +112,9 @@ def test_slope_bounds_rejects_positive_slope():
         bw.slope_bounds(bad)
 
 
-def test_slope_bounds_grid_guard(demo):
-    with pytest.raises(ValueError):
-        bw.slope_bounds(demo, n_grid=32)
-
-
 def test_slope_bounds_refines_end_cell_extremum():
-    # ratio r(u) = -0.5 - s*(u - u0)^2 with its maximum hidden inside the
-    # last grid cell; the refinement must still find the exact -0.5
+    # ratio r(u) = -0.5 - s*(u - u0)^2 with a sharp maximum just inside the
+    # end of the branch, within 1/2048 of a; the bound must still be the exact -0.5
     a = 0.3
     u0 = a - (a / 2047) / 2.0
     s = 1e4
