@@ -3,12 +3,15 @@ super/sub-solution machinery."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import bistable_waves as bw
+from bistable_waves import simulator
 from bistable_waves.errors import (
     DegenerateProfile,
     Divergence,
@@ -67,6 +70,98 @@ def test_step_divergence():
         for _ in range(50):
             s = bw.step(stiff, s, g)
     assert exc.value.t > 0.0
+
+
+def _reference_step(f, s, g):
+    """The IMEX step written with a fresh banded matrix and solve_banded,
+    as the stepper did before it factored the matrix once per grid."""
+    u = s.u
+    n = g.n_nodes
+    mu = g.dt / (2.0 * g.dx * g.dx)
+    reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
+    rhs = np.empty_like(u)
+    rhs[1:-1] = u[1:-1] + mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) + g.dt * reaction[1:-1]
+    ab = np.zeros((3, n))
+    ab[0, 2:] = -mu
+    ab[1, :] = 1.0 + 2.0 * mu
+    ab[2, :-2] = -mu
+    if g.bc == "dirichlet01":
+        ab[1, 0] = 1.0
+        ab[0, 1] = 0.0
+        ab[1, -1] = 1.0
+        ab[2, -2] = 0.0
+        rhs[0] = u[0]
+        rhs[-1] = u[-1]
+    else:
+        ab[0, 1] = -2.0 * mu
+        ab[2, -2] = -2.0 * mu
+        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + g.dt * reaction[0]
+        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + g.dt * reaction[-1]
+    return bw.SimState(t=s.t + g.dt, u=solve_banded((1, 1), ab, rhs), grid=g)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
+def test_step_matches_banded_solve_bitwise(demo, bc):
+    """Two grids with the same node count but different dx and dt, stepped
+    in turn: a factorization cached under the wrong key, or shared between
+    grids, changes the result."""
+    grids = (bw.Grid1D(-30.0, 30.0, 0.05, 0.01, bc=bc), bw.Grid1D(-15.0, 15.0, 0.025, 0.004, bc=bc))
+    assert grids[0].n_nodes == grids[1].n_nodes
+    states = [bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g) for g in grids]
+    refs = list(states)
+    for _ in range(500):
+        for i, g in enumerate(grids):
+            states[i] = bw.step(demo, states[i], g)
+            refs[i] = _reference_step(demo, refs[i], g)
+            assert states[i].t == refs[i].t
+            np.testing.assert_array_equal(states[i].u, refs[i].u)
+    for s in states:  # the fronts have moved by ten cells or more
+        assert abs(bw.front_position(s, demo.a)) >= 10.0 * s.grid.dx
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
+def test_step_non_finite_state_diverges(demo, bad, bc):
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.02, bc=bc)
+    u = np.where(g.x >= 0.0, 1.0, 0.0)
+    u[g.n_nodes // 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence) as exc:
+        bw.step(demo, bw.SimState(0.0, u, g), g)
+    assert exc.value.t == pytest.approx(g.dt)
+
+
+def test_grid_factorization_cache_keeps_dataclass_contract():
+    g, twin = bw.Grid1D(-1.0, 1.0, 0.05, 0.01), bw.Grid1D(-1.0, 1.0, 0.05, 0.01)
+    before = (dataclasses.asdict(g), repr(g), hash(g))
+    bw.step(None, bw.SimState(0.0, np.zeros(g.n_nodes), g), g)
+    assert "_imex_lu" in vars(g) and "_imex_lu" not in vars(twin)
+    assert (dataclasses.asdict(g), repr(g), hash(g)) == before
+    assert g == twin and hash(g) == hash(twin)
+
+
+def test_run_and_comparison_step_through_module_globals(monkeypatch, demo, demo_wave):
+    """run and comparison_check look step and shift_distance up on the
+    module at call time, once per step and once per observation."""
+    calls = {"step": 0, "shift_distance": 0}
+
+    def counting(name):
+        original = getattr(simulator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulator, name, counting(name))
+    g = bw.Grid1D(-20.0, 20.0, 0.1, 0.02)
+    u0 = np.where(g.x >= 0.0, 1.0, 0.0)
+    tr = bw.run(demo, u0, g, t_end=1.0, observe_every=0.25, reference=demo_wave)
+    assert calls == {"step": 50, "shift_distance": 5}
+    assert tr.times.size == 5
+    bw.comparison_check(demo, u0, u0, g, t_end=0.5)
+    assert calls["step"] == 50 + 2 * 25
 
 
 def test_run_propagates_divergence():
@@ -286,6 +381,89 @@ def test_shift_distance_flat_zero_state(demo_wave, grid):
     dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
     assert dist >= 0.99  # sup of the profile over the window, near 1
     assert z_best == pytest.approx(0.0, abs=25.0)  # scan stays near center
+
+
+def _reference_shift_distance(s, ws, c, scan_radius=20.0):
+    """shift_distance with the coarse scan as a plain loop over every
+    shift, keeping the first minimum, then the same golden-section
+    refinement."""
+    profile = bw.WaveProfile(ws)
+    g = s.grid
+    n = g.n_nodes
+    margin = max(1, int(round(0.05 * n)))
+    x_int = g.x[margin : n - margin]
+    u_int = s.u[margin : n - margin]
+    n_int = x_int.size
+    try:
+        center = -bw.front_position(s, profile.a)
+    except NoFront:
+        center = c * s.t
+    center = round(center / g.dx) * g.dx
+    k_max = max(1, int(round(scan_radius / g.dx)))
+    table = profile((x_int[0] + center - k_max * g.dx) + g.dx * np.arange(n_int + 2 * k_max))
+    best_k, best_val = 0, math.inf
+    for k in range(2 * k_max + 1):
+        val = float(np.max(np.abs(u_int - table[k : k + n_int])))
+        if val < best_val:
+            best_val, best_k = val, k
+    zeta0 = center + (best_k - k_max) * g.dx
+
+    def objective(zeta):
+        return float(np.max(np.abs(u_int - profile(x_int + zeta))))
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = zeta0 - g.dx, zeta0 + g.dx
+    best_zeta, best = zeta0, best_val
+    p = hi - invphi * (hi - lo)
+    q = lo + invphi * (hi - lo)
+    fp, fq = objective(p), objective(q)
+    while (hi - lo) > 1e-3 * g.dx:
+        if fp < fq:
+            hi, q, fq = q, p, fp
+            p = hi - invphi * (hi - lo)
+            fp = objective(p)
+        else:
+            lo, p, fp = p, q, fq
+            q = lo + invphi * (hi - lo)
+            fq = objective(q)
+        for zeta, val in ((p, fp), (q, fq)):
+            if val < best:
+                best, best_zeta = val, zeta
+    return best, best_zeta - c * s.t
+
+
+@pytest.mark.parametrize("kind", ["shifted_wave", "noisy_wave", "step", "two_fronts", "flat_zero"])
+def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid, kind):
+    x = grid.x
+    if kind == "shifted_wave":
+        u = demo_profile(x - 2.0)
+    elif kind == "noisy_wave":
+        u = demo_profile(x + 1.3) + np.random.default_rng(11).normal(0.0, 0.02, x.size)
+    elif kind == "step":
+        u = np.where(x >= 0.0, 1.0, 0.0)
+    elif kind == "two_fronts":
+        u = np.minimum(demo_profile(x + 8.0), demo_profile(8.0 - x))
+    else:  # many shifts tie at the profile's upper value
+        u = np.zeros(x.size)
+    s = bw.SimState(2.0, u, grid)
+    c = demo_wave.c_star
+    assert bw.shift_distance(s, demo_wave, c) == _reference_shift_distance(s, demo_wave, c)
+
+
+def test_first_best_shift_matches_loop_on_ties():
+    """Small integer data make exact ties in both the strided bounds and
+    the full norms; the pruned scan keeps the loop's first minimum."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 80))
+        u = rng.integers(0, 4, n).astype(float)
+        table = rng.integers(0, 4, n + int(rng.integers(0, 60))).astype(float)
+        best_k, best_val = 0, math.inf
+        for k in range(table.size - n + 1):
+            val = float(np.max(np.abs(u - table[k : k + n])))
+            if val < best_val:
+                best_val, best_k = val, k
+        assert simulator._first_best_shift(u, table) == (best_k, best_val)
 
 
 def test_run_wave_residual_stays_small(demo, demo_wave, demo_profile, grid):
