@@ -383,10 +383,20 @@ def test_shift_distance_flat_zero_state(demo_wave, grid):
     assert z_best == pytest.approx(0.0, abs=25.0)  # scan stays near center
 
 
+def _loop_first_best_shift(u, table):
+    """The coarse scan as a plain loop over every shift, keeping the first
+    minimum: (k, max|u - table[k : k + u.size]|)."""
+    best_k, best_val = 0, math.inf
+    for k in range(table.size - u.size + 1):
+        val = float(np.max(np.abs(u - table[k : k + u.size])))
+        if val < best_val:
+            best_val, best_k = val, k
+    return best_k, best_val
+
+
 def _reference_shift_distance(s, ws, c, scan_radius=20.0):
-    """shift_distance with the coarse scan as a plain loop over every
-    shift, keeping the first minimum, then the same golden-section
-    refinement."""
+    """shift_distance with the looped coarse scan, then the same
+    golden-section refinement."""
     profile = bw.WaveProfile(ws)
     g = s.grid
     n = g.n_nodes
@@ -401,11 +411,7 @@ def _reference_shift_distance(s, ws, c, scan_radius=20.0):
     center = round(center / g.dx) * g.dx
     k_max = max(1, int(round(scan_radius / g.dx)))
     table = profile((x_int[0] + center - k_max * g.dx) + g.dx * np.arange(n_int + 2 * k_max))
-    best_k, best_val = 0, math.inf
-    for k in range(2 * k_max + 1):
-        val = float(np.max(np.abs(u_int - table[k : k + n_int])))
-        if val < best_val:
-            best_val, best_k = val, k
+    best_k, best_val = _loop_first_best_shift(u_int, table)
     zeta0 = center + (best_k - k_max) * g.dx
 
     def objective(zeta):
@@ -443,7 +449,7 @@ def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid,
         u = np.where(x >= 0.0, 1.0, 0.0)
     elif kind == "two_fronts":
         u = np.minimum(demo_profile(x + 8.0), demo_profile(8.0 - x))
-    else:  # many shifts tie at the profile's upper value
+    else:  # near-ties: each shift's norm is the profile at its window's right end
         u = np.zeros(x.size)
     s = bw.SimState(2.0, u, grid)
     c = demo_wave.c_star
@@ -458,12 +464,7 @@ def test_first_best_shift_matches_loop_on_ties():
         n = int(rng.integers(1, 80))
         u = rng.integers(0, 4, n).astype(float)
         table = rng.integers(0, 4, n + int(rng.integers(0, 60))).astype(float)
-        best_k, best_val = 0, math.inf
-        for k in range(table.size - n + 1):
-            val = float(np.max(np.abs(u - table[k : k + n])))
-            if val < best_val:
-                best_val, best_k = val, k
-        assert simulator._first_best_shift(u, table) == (best_k, best_val)
+        assert simulator._first_best_shift(u, table) == _loop_first_best_shift(u, table)
 
 
 def test_run_wave_residual_stays_small(demo, demo_wave, demo_profile, grid):
