@@ -8,6 +8,7 @@ returned exactly at the branch point is a configurable convention.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +25,27 @@ EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 _BRANCH_RULES = ("left_closed", "right_closed", "average")
 _ENVELOPE_KINDS = ("f_lo", "f_hi", "g_lo", "g_hi")
 _H2_GRID = 2048  # sample points per branch for the H2 sign audit
+
+
+def _horner(u: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """npp.polyval(u, coefficients) in one buffer, bit for bit.
+
+    polyval starts from c[-1] + u*0 and then takes c[-i] + c0*u; the same
+    products and sums, commuted, are exact.  For finite u a nonzero c[-1]
+    absorbs the u*0 term, so the first step is a single product (at u = ±inf
+    the two differ; eval_extended_array overwrites those nodes).
+    """
+    *rest, top = coefficients
+    if rest and top != 0.0:
+        out = u * top
+        out += rest.pop()
+    else:
+        out = u * 0.0
+        out += top
+    for c in reversed(rest):
+        out *= u
+        out += c
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,19 +142,29 @@ class ReactionTerm:
         return float(self.eval_extended_array(np.array([u], dtype=float))[0])
 
     def eval_extended_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized eval_extended, used by the PDE stepper; NaN stays NaN."""
+        """Vectorized eval_extended, used by the PDE stepper; NaN stays NaN.
+
+        Both branches are evaluated on every node by an in-place Horner
+        scheme (_horner, bit-identical to npp.polyval) and selected with
+        np.where(u < a, ...).  The rare nodes are then patched in place: the
+        tangent lines where u < 0 or u > 1, and branch_value() where u == a.
+        One min/max test decides whether any node lies outside [0, 1] and
+        one equality test whether any sits at a.  Outside [0, 1] the branch
+        values are overwritten, so overflow or 0*inf there is not reported.
+        """
         u = np.asarray(u, dtype=float)
-        out = np.full_like(u, np.nan)
-        below = u < 0.0
-        above = u > 1.0
-        left = (~below) & (u < self.a)
-        right = (~above) & (u > self.a)
+        # NaN fails both comparisons, so it counts as outside and stays NaN.
+        inside = u.size == 0 or (u.min() >= 0.0 and u.max() <= 1.0)
+        quiet = contextlib.nullcontext() if inside else np.errstate(over="ignore", invalid="ignore")
+        with quiet:
+            out = np.where(u < self.a, _horner(u, self.f0.coefficients), _horner(u, self.f1.coefficients))
+        if not inside:
+            below = u < 0.0
+            above = u > 1.0
+            out[below] = self.slope_at_zero * u[below]
+            out[above] = self.slope_at_one * (u[above] - 1.0)
         at_a = u == self.a
-        out[below] = self.slope_at_zero * u[below]
-        out[above] = self.slope_at_one * (u[above] - 1.0)
-        out[left] = npp.polyval(u[left], self.f0.coefficients)
-        out[right] = npp.polyval(u[right], self.f1.coefficients)
-        if np.any(at_a):
+        if at_a.any():
             out[at_a] = self.branch_value()
         return out
 

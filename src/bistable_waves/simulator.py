@@ -3,10 +3,17 @@
 Time stepping is IMEX: trapezoidal (semi-implicit) diffusion, explicit
 reaction.  The tridiagonal matrix of the implicit half depends on the grid
 alone, so its LU factorization is made once per grid and each step is one
-pair of triangular solves.  On top of the stepper sit the
-front tracker, the best-shift sup-norm distance to a reference wave, the
-exponential decay fit, and the super/sub-solution envelope machinery with
-its explicit constants.
+pair of triangular solves, after one reaction evaluation and a right-hand
+side built in place.  On top of the stepper sit the front tracker, the
+best-shift sup-norm distance to a reference wave, the exponential decay fit,
+and the super/sub-solution envelope machinery with its explicit constants.
+
+The distance is observed in two passes.  A coarse scan over whole-cell
+shifts bounds every shift from below in one strided reduction, with the
+absolute value taken in place, and takes full norms only where the bound
+leaves a shift in contention.  A golden-section refinement then runs on the
+nodes that can attain the max within its bracket.  Both prunings are exact:
+the trajectories and distances are those of the full scan and refinement.
 """
 
 from __future__ import annotations
@@ -132,19 +139,24 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     mu, lu = g._imex_lu
 
     reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
+    reaction *= g.dt
 
+    # rhs_i = u_i + mu*(u_{i-1} - 2u_i + u_{i+1}) + dt*r_i, built in place in
+    # the same order; a - b == (-b) + a exactly in IEEE arithmetic.
     rhs = np.empty_like(u)
-    rhs[1:-1] = (
-        u[1:-1]
-        + mu * (u[:-2] - 2.0 * u[1:-1] + u[2:])
-        + g.dt * reaction[1:-1]
-    )
+    inner = rhs[1:-1]
+    np.multiply(u[1:-1], -2.0, out=inner)
+    inner += u[:-2]
+    inner += u[2:]
+    inner *= mu
+    inner += u[1:-1]
+    inner += reaction[1:-1]
     if g.bc == "dirichlet01":
         rhs[0] = u[0]
         rhs[-1] = u[-1]
     else:  # neumann: reflected ghost nodes, reaction acts at the ends too
-        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + g.dt * reaction[0]
-        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + g.dt * reaction[-1]
+        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + reaction[0]
+        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + reaction[-1]
 
     u_new, _info = dgttrs(*lu, rhs, overwrite_b=True)
     t_new = s.t + g.dt
@@ -222,9 +234,8 @@ def _first_best_shift(u: np.ndarray, table: np.ndarray) -> tuple[int, float]:
     the smaller k.
     """
     n = u.size
-    bounds = np.max(
-        np.abs(u[::_SCAN_STRIDE] - sliding_window_view(table, n)[:, ::_SCAN_STRIDE]), axis=1
-    )
+    gaps = u[::_SCAN_STRIDE] - sliding_window_view(table, n)[:, ::_SCAN_STRIDE]
+    bounds = np.abs(gaps, out=gaps).max(axis=1)
     best_k = 0
     best_val = math.inf
     for k in np.argsort(bounds).tolist():
@@ -234,6 +245,32 @@ def _first_best_shift(u: np.ndarray, table: np.ndarray) -> tuple[int, float]:
         if val < best_val or (val == best_val and k < best_k):
             best_val, best_k = val, k
     return best_k, best_val
+
+
+def _refinement_nodes(
+    u: np.ndarray, x: np.ndarray, profile: WaveProfile, lo: float, hi: float
+) -> np.ndarray:
+    """Indices of the nodes that can attain max_i |u_i - U(x_i + zeta)| for
+    some zeta in [lo, hi].
+
+    U is monotone, so each error e_i(zeta) = u_i - U(x_i + zeta) is monotone
+    on the bracket: |e_i| is at most max(|e_i(lo)|, |e_i(hi)|) there, and at
+    least min(|e_i(lo)|, |e_i(hi)|) unless e_i changes sign.  The max over
+    all nodes is at least the largest of these lower bounds, so a node whose
+    upper bound falls below it never attains the max.  A max over the kept
+    nodes is therefore the same float as the max over all of them.
+    """
+    e_lo = u - profile(x + lo)
+    e_hi = u - profile(x + hi)
+    a_lo = np.abs(e_lo)
+    a_hi = np.abs(e_hi)
+    upper = np.maximum(a_lo, a_hi)
+    lower = np.where(e_lo * e_hi > 0.0, np.minimum(a_lo, a_hi), 0.0)
+    # The 1e-12 slack absorbs rounding: the evaluated profile need not be
+    # monotone in its last bits, and a golden-section point may fall a
+    # rounding step outside [lo, hi].  Both move an error by a few units
+    # in the last place, orders of magnitude below the slack.
+    return np.flatnonzero(upper >= lower.max() - 1e-12)
 
 
 def shift_distance(
@@ -254,9 +291,18 @@ def shift_distance(
 
     The coarse scan is pruned exactly: the max over every 16th node is a
     lower bound on each shift's full sup norm, computed for all shifts in
-    one reduction.  Full norms are taken in ascending order of that bound
-    until the next bound exceeds the best norm found, and ties go to the
-    leftmost shift, so the winner is the first minimum of the full scan.
+    one reduction whose absolute value is taken in place.  Full norms are
+    taken in ascending order of that bound until the next bound exceeds the
+    best norm found, and ties go to the leftmost shift, so the winner is the
+    first minimum of the full scan.
+
+    The refinement is pruned exactly too.  The profile is monotone, so each
+    node's error is monotone in the shift; its values at the two bracket
+    ends bound it above and below on the whole bracket.  Only the nodes whose
+    upper bound reaches the largest lower bound (less a 1e-12 rounding slack)
+    can attain the max, and the golden-section steps evaluate the objective
+    on those alone.  A max over a superset of the maximizing nodes is the
+    same float, so every step, and the result, is that of the full objective.
     """
     if profile is None:
         profile = WaveProfile(ws)
@@ -279,13 +325,17 @@ def shift_distance(
     best_k, best_val = _first_best_shift(u_int, table)
     zeta0 = center + (best_k - k_max) * g.dx
 
-    def objective(zeta: float) -> float:
-        return float(np.max(np.abs(u_int - profile(x_int + zeta))))
-
     # Golden-section refinement around the coarse winner, keeping the best
-    # evaluated point (the objective is only piecewise smooth).
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    # evaluated point (the objective is only piecewise smooth).  Only the
+    # nodes that can attain the max anywhere in the bracket enter it.
     lo, hi = zeta0 - g.dx, zeta0 + g.dx
+    keep = _refinement_nodes(u_int, x_int, profile, lo, hi)
+    u_keep, x_keep = u_int[keep], x_int[keep]
+
+    def objective(zeta: float) -> float:
+        return float(np.max(np.abs(u_keep - profile(x_keep + zeta))))
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     best_zeta, best = zeta0, best_val
     p = hi - invphi * (hi - lo)
     q = lo + invphi * (hi - lo)

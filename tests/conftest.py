@@ -2,7 +2,8 @@
 
 The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
-adaptive Simpson quadrature, and closed forms for the equal-slope case.
+adaptive Simpson quadrature, closed forms for the equal-slope case, and the
+reaction term written out branch by branch.
 """
 
 from __future__ import annotations
@@ -74,6 +75,26 @@ def adaptive_simpson(fn, lo: float, hi: float, tol: float = 1e-13, depth: int = 
     mid = 0.5 * (lo + hi)
     f0, f1, f2 = fn(lo), fn(mid), fn(hi)
     return recurse(lo, hi, f0, f1, f2, simpson(f0, f1, f2, hi - lo), depth)
+
+
+def written_out_reaction(f: bw.ReactionTerm, u) -> np.ndarray:
+    """f extended by its tangent lines, written out branch by branch with
+    boolean masks, a NaN fill and npp.polyval: the vectorized evaluator as
+    it was first written, kept apart from the library's in-place one."""
+    u = np.asarray(u, dtype=float)
+    out = np.full_like(u, np.nan)
+    below = u < 0.0
+    above = u > 1.0
+    left = (~below) & (u < f.a)
+    right = (~above) & (u > f.a)
+    at_a = u == f.a
+    out[below] = f.slope_at_zero * u[below]
+    out[above] = f.slope_at_one * (u[above] - 1.0)
+    out[left] = np.polynomial.polynomial.polyval(u[left], f.f0.coefficients)
+    out[right] = np.polynomial.polynomial.polyval(u[right], f.f1.coefficients)
+    if np.any(at_a):
+        out[at_a] = f.branch_value()
+    return out
 
 
 def random_admissible_quartic(rng: np.random.Generator) -> bw.ReactionTerm:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bistable_waves as bw
+from bistable_waves import reaction
 from bistable_waves.errors import NonNegativeSlope
-from conftest import adaptive_simpson
+from conftest import adaptive_simpson, written_out_reaction
 
 DEMO_H3 = 0.459 - 1.0 / 3.0  # closed-form antiderivative value for the demo
 
@@ -78,6 +81,98 @@ def test_eval_extended_array_matches_scalar(demo):
     branches = [-1.0 * -0.2, demo.f0(0.0), demo.f0(0.1), demo.f1(0.3), demo.f1(0.7),
                 demo.f1(1.0), -1.2 * (1.3 - 1.0)]
     np.testing.assert_allclose(vec, branches, rtol=0, atol=1e-15)
+
+
+def _with_rule(f, rule):
+    return bw.ReactionTerm(f.a, f.f0, f.f1, branch_rule=rule)
+
+
+def _assert_bitwise(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # tells -0.0 from 0.0
+
+
+def _oracle_terms(quartic):
+    """The demo, an equal-slope linear term, a quartic, a term with one
+    degree-1 branch, and one whose branches end in a zero coefficient."""
+    demo = bw.quadratic_demo()
+    return {
+        "demo": demo,
+        "linear_a0.45": bw.piecewise_linear(-1.0, 0.45),
+        "quartic": quartic,
+        "degree1_branch": bw.ReactionTerm(demo.a, bw.BranchPoly((0.0, -1.5), 0.0, demo.a), demo.f1),
+        "zero_top": bw.ReactionTerm(
+            0.4, bw.BranchPoly((0.0, -1.0, 0.0), 0.0, 0.4), bw.BranchPoly((0.6, -0.6, 0.0), 0.4, 1.0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("rule", ["left_closed", "right_closed", "average"])
+@pytest.mark.parametrize(
+    "name", ["demo", "linear_a0.45", "quartic", "degree1_branch", "zero_top"]
+)
+def test_eval_extended_array_matches_written_out_oracle(name, rule, quartic_terms):
+    """Bitwise equal to the branch-by-branch evaluator on special values,
+    u == a, an empty array, all-inside data and dense data on [-0.5, 1.5],
+    with no warning raised."""
+    f = _with_rule(_oracle_terms(quartic_terms[0])[name], rule)
+    special = np.array([
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, f.a, 0.5,
+        np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), np.nextafter(f.a, 0.0),
+        np.nextafter(f.a, 1.0), -1e-50, 1.05, 1e300, -1e300,
+    ])
+    rng = np.random.default_rng(17)
+    inside = np.concatenate([rng.uniform(0.0, 1.0, 3001), [0.0, f.a, 1.0]])
+    cases = [special, np.empty(0), inside, rng.uniform(-0.5, 1.5, 4001), special.reshape(4, 4)]
+    for u in cases:
+        want = written_out_reaction(f, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.eval_extended_array(u)
+        assert got.shape == u.shape and got.dtype == np.float64
+        _assert_bitwise(got, want)
+    assert f.eval_extended(f.a) == f.branch_value()
+    assert math.isnan(f.eval_extended(math.nan))
+
+
+def test_horner_matches_polyval_on_signed_zero_coefficients():
+    """The in-place Horner keeps polyval's sign of zero when the leading
+    coefficients are zeros of either sign."""
+    u = np.array([-0.0, 0.0, 1e-300, 0.3, 1.0, -0.2, -1e-300, 1.7])
+    for coeffs in [(-0.0,), (0.0,), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0, -0.0), (1.0, -0.0),
+                   (-0.0, 2.0, -0.0), (-0.0, -0.0, -0.0, -0.0), (0.5, -1.0, 0.0)]:
+        _assert_bitwise(reaction._horner(u, coeffs), np.polynomial.polynomial.polyval(u, coeffs))
+
+
+_COEFFS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5).map(tuple)
+_NODES = st.lists(
+    st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0])),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.05, 0.95),
+    c0=_COEFFS,
+    c1=_COEFFS,
+    rule=st.sampled_from(["left_closed", "right_closed", "average"]),
+    nodes=_NODES,
+)
+def test_eval_extended_array_oracle_property(a, c0, c1, rule, nodes):
+    """Random branches, constant ones included.  A zero end slope makes the
+    tangent line at ±inf an invalid 0*inf in both evaluators, so the check
+    is that the library warns of nothing the written-out one does not."""
+    f = bw.ReactionTerm(a, bw.BranchPoly(c0, 0.0, a), bw.BranchPoly(c1, a, 1.0), branch_rule=rule)
+    u = np.array([*nodes, a], dtype=float)
+    with warnings.catch_warnings(record=True) as oracle_warnings:
+        warnings.simplefilter("always")
+        want = written_out_reaction(f, u)
+    with warnings.catch_warnings(record=True) as library_warnings:
+        warnings.simplefilter("always")
+        got = f.eval_extended_array(u)
+    assert {str(w.message) for w in library_warnings} <= {str(w.message) for w in oracle_warnings}
+    _assert_bitwise(got, want)
 
 
 def test_cached_endpoint_slopes_keep_equality_and_hash():

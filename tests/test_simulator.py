@@ -19,6 +19,7 @@ from bistable_waves.errors import (
     NoFront,
     NonPositiveDistance,
 )
+from conftest import written_out_reaction
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +75,12 @@ def test_step_divergence():
 
 def _reference_step(f, s, g):
     """The IMEX step written with a fresh banded matrix and solve_banded,
-    as the stepper did before it factored the matrix once per grid."""
+    as the stepper did before it factored the matrix once per grid, and
+    with the reaction written out branch by branch."""
     u = s.u
     n = g.n_nodes
     mu = g.dt / (2.0 * g.dx * g.dx)
-    reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
+    reaction = written_out_reaction(f, u) if f is not None else np.zeros_like(u)
     rhs = np.empty_like(u)
     rhs[1:-1] = u[1:-1] + mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) + g.dt * reaction[1:-1]
     ab = np.zeros((3, n))
@@ -100,14 +102,25 @@ def _reference_step(f, s, g):
     return bw.SimState(t=s.t + g.dt, u=solve_banded((1, 1), ab, rhs), grid=g)
 
 
+def _initial_state(kind, g, profile, a):
+    if kind == "wave_plus_delta":  # the right boundary node starts (dirichlet01: stays) at 1.05
+        return profile(g.x) + 0.05
+    u = np.where(g.x >= 0.0, 1.0, 0.0)
+    if kind == "node_at_a":  # a boundary node and an interior node start exactly at a
+        u[0] = u[g.n_nodes // 3] = a
+    return u
+
+
+@pytest.mark.parametrize("kind", ["step", "wave_plus_delta", "node_at_a"])
 @pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
-def test_step_matches_banded_solve_bitwise(demo, bc):
+def test_step_matches_banded_solve_bitwise(demo, demo_profile, bc, kind):
     """Two grids with the same node count but different dx and dt, stepped
     in turn: a factorization cached under the wrong key, or shared between
-    grids, changes the result."""
+    grids, changes the result.  The wave + 0.05 and node-at-a states send
+    nodes through the evaluator's u > 1 and u == a patches."""
     grids = (bw.Grid1D(-30.0, 30.0, 0.05, 0.01, bc=bc), bw.Grid1D(-15.0, 15.0, 0.025, 0.004, bc=bc))
     assert grids[0].n_nodes == grids[1].n_nodes
-    states = [bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g) for g in grids]
+    states = [bw.SimState(0.0, _initial_state(kind, g, demo_profile, demo.a), g) for g in grids]
     refs = list(states)
     for _ in range(500):
         for i, g in enumerate(grids):
@@ -117,6 +130,8 @@ def test_step_matches_banded_solve_bitwise(demo, bc):
             np.testing.assert_array_equal(states[i].u, refs[i].u)
     for s in states:  # the fronts have moved by ten cells or more
         assert abs(bw.front_position(s, demo.a)) >= 10.0 * s.grid.dx
+    if bc == "dirichlet01" and kind == "wave_plus_delta":  # u > 1 on every step
+        assert all(s.u[-1] > 1.0 for s in states)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -394,10 +409,9 @@ def _loop_first_best_shift(u, table):
     return best_k, best_val
 
 
-def _reference_shift_distance(s, ws, c, scan_radius=20.0):
-    """shift_distance with the looped coarse scan, then the same
-    golden-section refinement."""
-    profile = bw.WaveProfile(ws)
+def _reference_coarse_scan(s, profile, c, scan_radius=20.0):
+    """The interior nodes and the looped coarse scan's winner:
+    (u_int, x_int, zeta0, its full norm)."""
     g = s.grid
     n = g.n_nodes
     margin = max(1, int(round(0.05 * n)))
@@ -412,18 +426,19 @@ def _reference_shift_distance(s, ws, c, scan_radius=20.0):
     k_max = max(1, int(round(scan_radius / g.dx)))
     table = profile((x_int[0] + center - k_max * g.dx) + g.dx * np.arange(n_int + 2 * k_max))
     best_k, best_val = _loop_first_best_shift(u_int, table)
-    zeta0 = center + (best_k - k_max) * g.dx
+    return u_int, x_int, center + (best_k - k_max) * g.dx, best_val
 
-    def objective(zeta):
-        return float(np.max(np.abs(u_int - profile(x_int + zeta))))
 
+def _golden_section(objective, zeta0, best_val, dx):
+    """Golden-section refinement on [zeta0 - dx, zeta0 + dx], keeping the
+    best evaluated point: (best, zeta_best)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = zeta0 - g.dx, zeta0 + g.dx
+    lo, hi = zeta0 - dx, zeta0 + dx
     best_zeta, best = zeta0, best_val
     p = hi - invphi * (hi - lo)
     q = lo + invphi * (hi - lo)
     fp, fq = objective(p), objective(q)
-    while (hi - lo) > 1e-3 * g.dx:
+    while (hi - lo) > 1e-3 * dx:
         if fp < fq:
             hi, q, fq = q, p, fp
             p = hi - invphi * (hi - lo)
@@ -435,25 +450,90 @@ def _reference_shift_distance(s, ws, c, scan_radius=20.0):
         for zeta, val in ((p, fp), (q, fq)):
             if val < best:
                 best, best_zeta = val, zeta
+    return best, best_zeta
+
+
+def _reference_shift_distance(s, ws, c, scan_radius=20.0):
+    """shift_distance with the looped coarse scan, then the golden-section
+    refinement over every interior node."""
+    profile = bw.WaveProfile(ws)
+    u_int, x_int, zeta0, best_val = _reference_coarse_scan(s, profile, c, scan_radius)
+
+    def objective(zeta):
+        return float(np.max(np.abs(u_int - profile(x_int + zeta))))
+
+    best, best_zeta = _golden_section(objective, zeta0, best_val, s.grid.dx)
     return best, best_zeta - c * s.t
 
 
-@pytest.mark.parametrize("kind", ["shifted_wave", "noisy_wave", "step", "two_fronts", "flat_zero"])
-def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid, kind):
+@pytest.fixture(scope="module")
+def demo_run_states(demo, grid):
+    """The 81 observed states of a demo run from step data to t = 40."""
+    u0 = np.where(grid.x >= 0.0, 1.0, 0.0)
+    tr = bw.run(demo, u0, grid, t_end=40.0, observe_every=0.5, snapshot_times=0.5 * np.arange(1, 81))
+    states = [bw.SimState(0.0, u0, grid), *tr.snapshots]
+    assert [s.t for s in states] == pytest.approx(list(tr.times), abs=1e-9)
+    return states
+
+
+def _shift_distance_state(kind, profile, grid, run_states):
     x = grid.x
+    if kind.startswith("late_run_t"):  # small sets of nodes enter the refinement
+        t = float(kind.removeprefix("late_run_t"))
+        return next(s for s in run_states if abs(s.t - t) < 1e-9)
     if kind == "shifted_wave":
-        u = demo_profile(x - 2.0)
+        u = profile(x - 2.0)
     elif kind == "noisy_wave":
-        u = demo_profile(x + 1.3) + np.random.default_rng(11).normal(0.0, 0.02, x.size)
+        u = profile(x + 1.3) + np.random.default_rng(11).normal(0.0, 0.02, x.size)
     elif kind == "step":
         u = np.where(x >= 0.0, 1.0, 0.0)
     elif kind == "two_fronts":
-        u = np.minimum(demo_profile(x + 8.0), demo_profile(8.0 - x))
-    else:  # near-ties: each shift's norm is the profile at its window's right end
+        u = np.minimum(profile(x + 8.0), profile(8.0 - x))
+    elif kind == "flat_zero":  # near-ties: each shift's norm is the profile at its window's right end
         u = np.zeros(x.size)
-    s = bw.SimState(2.0, u, grid)
+    elif kind == "tail_bumps":  # the sup sits where x + zeta is past the sampled profile
+        assert 18.0 > profile.z_hi and -18.0 < profile.z_lo
+        u = profile(x) + 0.03 * np.exp(-((x - 20.0) / 1.5) ** 2) - 0.02 * np.exp(-((x + 20.0) / 1.5) ** 2)
+    else:  # noisy_ties: values on a 1/32 lattice, and equal spikes in both flat tails
+        rng = np.random.default_rng(23)
+        u = np.round((profile(x + 1.3) + rng.normal(0.0, 0.01, x.size)) * 32.0) / 32.0
+        u[np.abs(x + 20.0) < 2.0] = 0.125
+        u[np.abs(x - 20.0) < 2.0] = 0.875
+    return bw.SimState(2.0, u, grid)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["shifted_wave", "noisy_wave", "step", "two_fronts", "flat_zero",
+     "late_run_t20", "late_run_t30", "late_run_t40", "tail_bumps", "noisy_ties"],
+)
+def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid, demo_run_states, kind):
+    s = _shift_distance_state(kind, demo_profile, grid, demo_run_states)
     c = demo_wave.c_star
     assert bw.shift_distance(s, demo_wave, c) == _reference_shift_distance(s, demo_wave, c)
+
+
+def test_refinement_nodes_keep_every_argmax(demo_wave, demo_profile, grid, demo_run_states):
+    """Over the 81 observations of a demo run, the node at which the full
+    objective attains its max, at every point the refinement evaluates and
+    on a dense grid of the bracket, is among the kept nodes."""
+    kept_share = []
+    for s in demo_run_states:
+        u_int, x_int, zeta0, best_val = _reference_coarse_scan(s, demo_profile, demo_wave.c_star)
+        lo, hi = zeta0 - grid.dx, zeta0 + grid.dx
+        keep = simulator._refinement_nodes(u_int, x_int, demo_profile, lo, hi)
+        kept_share.append(keep.size / u_int.size)
+        seen = []
+
+        def objective(zeta):
+            seen.append(zeta)
+            return float(np.max(np.abs(u_int - demo_profile(x_int + zeta))))
+
+        _golden_section(objective, zeta0, best_val, grid.dx)
+        for zeta in [*seen, *np.linspace(lo, hi, 33)]:
+            assert int(np.argmax(np.abs(u_int - demo_profile(x_int + zeta)))) in keep
+    assert len(kept_share) == 81
+    assert max(kept_share) < 0.75  # every observation prunes a quarter of the nodes or more
 
 
 def test_first_best_shift_matches_loop_on_ties():
