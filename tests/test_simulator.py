@@ -103,7 +103,7 @@ def _reference_step(f, s, g):
 
 
 def _initial_state(kind, g, profile, a):
-    if kind == "wave_plus_delta":  # the right boundary node starts (dirichlet01: stays) at 1.05
+    if kind == "wave_plus_delta":  # the right boundary node starts at 1.05 (dirichlet01: stays above 1)
         return profile(g.x) + 0.05
     u = np.where(g.x >= 0.0, 1.0, 0.0)
     if kind == "node_at_a":  # a boundary node and an interior node start exactly at a
@@ -111,8 +111,14 @@ def _initial_state(kind, g, profile, a):
     return u
 
 
-@pytest.mark.parametrize("kind", ["step", "wave_plus_delta", "node_at_a"])
-@pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
+@pytest.mark.parametrize(
+    ("bc", "kind"),
+    [
+        pytest.param(bc, kind, id=bc if kind == "step" else f"{bc}-{kind}")
+        for kind in ("step", "wave_plus_delta", "node_at_a")
+        for bc in ("dirichlet01", "neumann")
+    ],
+)
 def test_step_matches_banded_solve_bitwise(demo, demo_profile, bc, kind):
     """Two grids with the same node count but different dx and dt, stepped
     in turn: a factorization cached under the wrong key, or shared between
@@ -478,7 +484,7 @@ def demo_run_states(demo, grid):
 
 def _shift_distance_state(kind, profile, grid, run_states):
     x = grid.x
-    if kind.startswith("late_run_t"):  # small sets of nodes enter the refinement
+    if kind.startswith("late_run_t"):  # a third to a half of the nodes enter the refinement
         t = float(kind.removeprefix("late_run_t"))
         return next(s for s in run_states if abs(s.t - t) < 1e-9)
     if kind == "shifted_wave":
