@@ -27,13 +27,15 @@ _ENVELOPE_KINDS = ("f_lo", "f_hi", "g_lo", "g_hi")
 _H2_GRID = 2048  # sample points per branch for the H2 sign audit
 
 
-def _horner(u: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarray | float:
     """npp.polyval(u, coefficients) in one buffer, bit for bit.
 
     polyval starts from c[-1] + u*0 and then takes c[-i] + c0*u; the same
     products and sums, commuted, are exact.  For finite u a nonzero c[-1]
     absorbs the u*0 term, so the first step is a single product (at u = ±inf
-    the two differ; eval_extended_array overwrites those nodes).
+    the two differ; eval_extended_array overwrites those nodes).  An array u
+    is updated in place in a new buffer; a Python float u takes the same
+    steps in float arithmetic and returns a float.
     """
     *rest, top = coefficients
     if rest and top != 0.0:

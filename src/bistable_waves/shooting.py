@@ -6,7 +6,10 @@ dw/du = c - f(u)/w.  The left half path starts on the unstable manifold of
 manifold of (1, 0); both equilibria are singular points of the ODE, so the
 integrations are seeded a distance eps away with the linearized slope.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
-c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).
+c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
+monotone spot check reuses the speeds the solve already evaluated in the
+envelope bracket (both ends and the Brent iterates) and adds five evenly
+spaced probes only when fewer than five distinct speeds lie there.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
-from .reaction import ReactionTerm
+from .reaction import ReactionTerm, _horner
 from .roots import EXPANSION_CAP, bracketed_root
 
 PathSide = Literal["left", "right"]
@@ -81,18 +84,20 @@ def shoot_half(
         raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/100]")
 
     if side == "left":
-        poly = f.f0
+        coefficients = f.f0.coefficients
         u0, u1 = eps, f.a
         w0 = lambda0_plus(c, f.slope_at_zero) * eps
     elif side == "right":
-        poly = f.f1
+        coefficients = f.f1.coefficients
         u0, u1 = 1.0 - eps, f.a
         w0 = -lambda1_minus(c, f.slope_at_one) * eps
     else:
         raise ValueError(f"unknown side {side!r}")
 
     def rhs(u, w):
-        return c - poly(u) / w[0]
+        # Horner on a Python float: npp.polyval's arithmetic without its
+        # per-call array set-up, bit for bit.
+        return c - _horner(float(u), coefficients) / w[0]
 
     def collapse(u, w):
         return w[0] - _W_FLOOR
@@ -182,13 +187,23 @@ def find_speed(
     ordered, else [0, expanding].  Raises NoPositiveRoot when S(0) >= 0
     (the root sits at or left of zero) and BracketFailure when no sign
     change appears up to c = 2**10.
+
+    With check_monotone (and an envelope bracket of positive width), the
+    values of S at every speed evaluated in [c_check, c_hat], sorted by c,
+    must not fall by more than 1e-8 from one speed to the next; otherwise a
+    RuntimeWarning is issued and details["monotone_ok"] is False.  Those
+    speeds are the bracket ends and the Brent iterates.  When fewer than
+    five distinct ones lie in the bracket (a fallback bracket or a root
+    found at once), the five interior points of linspace(c_check, c_hat, 7)
+    are evaluated first.  The check runs after the root is found and never
+    moves it; details["evaluations"] counts its probes too.
     """
-    n_evals = 0
+    evaluated: list[tuple[float, float]] = []  # every (c, S(c)) computed
 
     def S(c: float) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        return speed_mismatch(f, c, eps=eps, rtol=rtol)
+        s = speed_mismatch(f, c, eps=eps, rtol=rtol)
+        evaluated.append((c, s))
+        return s
 
     if bracket is not None and bracket.ordering_ok:
         lo, hi = bracket.c_check, bracket.c_hat
@@ -224,10 +239,16 @@ def find_speed(
 
     monotone_ok = True
     if check_monotone and bracket is not None and bracket.c_hat > bracket.c_check + 1e-9:
-        probes = np.linspace(bracket.c_check, bracket.c_hat, 7)[1:-1]
-        values = [S(float(p)) for p in probes]
-        diffs = np.diff(values)
-        if np.any(diffs < -1e-8):
+        c_lo, c_hi = bracket.c_check, bracket.c_hat
+
+        def in_bracket() -> dict[float, float]:
+            return {c: s for c, s in evaluated if c_lo <= c <= c_hi}
+
+        if len(in_bracket()) < 5:
+            for p in np.linspace(c_lo, c_hi, 7)[1:-1]:
+                S(float(p))
+        values = [s for _, s in sorted(in_bracket().items())]
+        if np.any(np.diff(values) < -1e-8):
             monotone_ok = False
             warnings.warn(
                 "shooting mismatch not monotone at spot-check speeds; "
@@ -237,7 +258,7 @@ def find_speed(
 
     if details is not None:
         details["iterations"] = iterations
-        details["evaluations"] = n_evals
+        details["evaluations"] = len(evaluated)
         details["residual"] = s_star
         details["monotone_ok"] = monotone_ok
     return c_star

@@ -89,9 +89,10 @@ class Grid1D:
         d = np.full(n, 1.0 + 2.0 * mu)
         du = np.full(n - 1, -mu)  # super-diagonal
         if self.bc == "dirichlet01":
-            # Boundary nodes are held at their current values (0 on the left
-            # and 1 on the right for canonical front data), so both constant
-            # states are exact fixed points.
+            # Boundary rows are identity rows, so the boundary nodes keep
+            # their current values (0 on the left and 1 on the right for
+            # canonical front data) to within rounding, and both constant
+            # states are fixed to within rounding (C8 prints the drift).
             d[0] = d[-1] = 1.0
             du[0] = dl[-1] = 0.0
         else:  # neumann: reflected ghost nodes
@@ -129,7 +130,8 @@ class Trajectory:
 def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     """One IMEX step; f=None evolves pure diffusion.
 
-    Constant states 0 and 1 are exact fixed points under dirichlet01.
+    Constant states 0 and 1 are fixed points under dirichlet01 to within
+    rounding (C8 prints the drift).
     Raises Divergence when any node leaves [-0.5, 1.5].
     """
     u = s.u

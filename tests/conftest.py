@@ -2,8 +2,9 @@
 
 The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
-adaptive Simpson quadrature, closed forms for the equal-slope case, and the
-reaction term written out branch by branch.
+adaptive Simpson quadrature, closed forms for the equal-slope case, the
+reaction term written out branch by branch, and the phase paths integrated
+with an npp.polyval right-hand side.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import bistable_waves as bw
+from bistable_waves.errors import PathCollapse
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,54 @@ def written_out_reaction(f: bw.ReactionTerm, u) -> np.ndarray:
     if np.any(at_a):
         out[at_a] = f.branch_value()
     return out
+
+
+def reference_shoot_half(
+    f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """One phase-plane half path as shoot_half first integrated it: solve_ivp
+    with an npp.polyval right-hand side, the same seeds, tolerances, dense
+    output and collapse event.  Returns the ascending (u, w) samples and
+    raises PathCollapse where the library does."""
+    if eps is None:
+        eps = bw.shooting.default_eps(f)
+    if side == "left":
+        coefficients, u0, w0 = f.f0.coefficients, eps, bw.lambda0_plus(c, f.slope_at_zero) * eps
+    else:
+        coefficients, u0 = f.f1.coefficients, 1.0 - eps
+        w0 = -bw.lambda1_minus(c, f.slope_at_one) * eps
+
+    def rhs(u, w):
+        return c - np.polynomial.polynomial.polyval(u, coefficients) / w[0]
+
+    def collapse(u, w):
+        return w[0] - 1e-12
+
+    collapse.terminal = True
+    collapse.direction = -1.0
+    sol = solve_ivp(
+        rhs, (u0, f.a), [w0], method="RK45", rtol=rtol, atol=1e-16,
+        dense_output=True, events=collapse,
+    )
+    if sol.status == 1:
+        raise PathCollapse("reference collapse", u_at=float(sol.t_events[0][0]))
+    if not sol.success:
+        if side == "right" and sol.y[0][-1] <= 1e-6:
+            raise PathCollapse("reference collapse", u_at=float(sol.t[-1]))
+        raise RuntimeError(sol.message)
+    if side == "left":
+        return sol.t, sol.y[0]
+    return sol.t[::-1], sol.y[0][::-1]
+
+
+def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
+    """S(c) from the reference half paths, a right collapse counting as 0."""
+    w_left = reference_shoot_half(f, "left", c)[1][-1]
+    try:
+        w_right = reference_shoot_half(f, "right", c)[1][0]
+    except PathCollapse:
+        w_right = 0.0
+    return float(w_left - w_right)
 
 
 def random_admissible_quartic(rng: np.random.Generator) -> bw.ReactionTerm:

@@ -8,7 +8,7 @@ import pytest
 
 import bistable_waves as bw
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
-from conftest import closed_form_speed
+from conftest import closed_form_speed, reference_shoot_half, reference_speed_mismatch
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
@@ -55,22 +55,64 @@ def test_speed_mismatch_linear():
     assert bw.speed_mismatch(lin, 0.0) == pytest.approx(-0.4, abs=1e-9)
 
 
+# A right branch that turns negative mid-interval starves the backward path.
+_STARVED = bw.ReactionTerm(
+    0.3,
+    bw.BranchPoly((0.0, -1.0), 0.0, 0.3),
+    bw.BranchPoly((-1.8, 3.8, -2.0), 0.3, 1.0),  # -2(u-1)(u-0.9)
+)
+
+
 def test_right_path_collapse_maps_to_zero():
     """A term whose right branch turns negative mid-interval starves the
     backward path: shoot_half raises PathCollapse and speed_mismatch
     treats the collapsed side as w(a) = 0."""
-    bad = bw.ReactionTerm(
-        0.3,
-        bw.BranchPoly((0.0, -1.0), 0.0, 0.3),
-        bw.BranchPoly((-1.8, 3.8, -2.0), 0.3, 1.0),  # -2(u-1)(u-0.9)
-    )
     with pytest.raises(PathCollapse) as exc:
-        bw.shoot_half(bad, "right", 0.0)
+        bw.shoot_half(_STARVED, "right", 0.0)
     assert exc.value.u_at is not None and 0.3 < exc.value.u_at < 1.0
-    s = bw.speed_mismatch(bad, 0.0)
-    left = bw.shoot_half(bad, "left", 0.0)
+    s = bw.speed_mismatch(_STARVED, 0.0)
+    left = bw.shoot_half(_STARVED, "left", 0.0)
     assert s == pytest.approx(left.w_at_a, abs=1e-12)
     assert s > 0.0
+
+
+def _phase_oracle_terms(quartic):
+    """The demo, an equal-slope linear term, a quartic, and a term whose
+    branches end in a zero coefficient."""
+    return {
+        "demo": bw.quadratic_demo(),
+        "linear_a0.3": bw.piecewise_linear(-1.0, 0.3),
+        "quartic": quartic,
+        "zero_top": bw.ReactionTerm(
+            0.3,
+            bw.BranchPoly((0.0, -1.0, 0.5, 0.0), 0.0, 0.3),
+            bw.BranchPoly((0.5, 0.5, -1.0, 0.0), 0.3, 1.0),  # (1-u)(0.5+u)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
+def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
+    """The float-Horner right-hand side takes the same RK45 steps as an
+    npp.polyval one: samples, w(a) and S(c) are bit-identical."""
+    f = _phase_oracle_terms(quartic_terms[0])[name]
+    for c in (0.0, 0.55, 1.2):
+        for side in ("left", "right"):
+            path = bw.shoot_half(f, side, c)
+            u_ref, w_ref = reference_shoot_half(f, side, c)
+            np.testing.assert_array_equal(path.u, u_ref)
+            np.testing.assert_array_equal(path.w, w_ref)
+            assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
+        assert bw.speed_mismatch(f, c) == reference_speed_mismatch(f, c)
+
+
+def test_collapsing_path_matches_polyval_reference():
+    with pytest.raises(PathCollapse) as got:
+        bw.shoot_half(_STARVED, "right", 0.0)
+    with pytest.raises(PathCollapse) as want:
+        reference_shoot_half(_STARVED, "right", 0.0)
+    assert got.value.u_at == want.value.u_at
+    assert bw.speed_mismatch(_STARVED, 0.0) == reference_speed_mismatch(_STARVED, 0.0)
 
 
 def test_mismatch_sign_at_bracket_ends(demo, demo_bracket, quartic_terms):
@@ -140,11 +182,70 @@ def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypa
 
 
 def test_find_speed_demo_evaluation_budget(demo, demo_bracket):
-    """Brent's method on [c_check, c_hat]: bisection needed 32 evaluations
-    plus the 5 spot-check probes."""
-    det = {}
+    """Brent's method on [c_check, c_hat] takes 6 evaluations where
+    bisection needed 32, and the spot check reuses them: no probe is added,
+    so switching the check off saves nothing."""
+    det, det_off = {}, {}
     bw.find_speed(demo, demo_bracket, details=det)
-    assert det["evaluations"] <= 25
+    bw.find_speed(demo, demo_bracket, check_monotone=False, details=det_off)
+    assert det["evaluations"] <= 8
+    assert det["evaluations"] == det_off["evaluations"]
+    assert det["monotone_ok"]
+
+
+def test_find_speed_quartic_evaluation_budget(quartic_terms):
+    for f in quartic_terms:
+        det = {}
+        bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=det)
+        assert det["evaluations"] <= 8
+        assert det["monotone_ok"]
+
+
+def _stub_mismatch(monkeypatch, s_of_c):
+    """Replace S by s_of_c and return the list of speeds it is called at."""
+    calls = []
+
+    def stub(f, c, eps=None, rtol=1e-10):
+        calls.append(c)
+        return s_of_c(c)
+
+    monkeypatch.setattr(bw.shooting, "speed_mismatch", stub)
+    return calls
+
+
+def test_spot_check_warns_on_a_dip_at_an_evaluated_speed(demo, demo_bracket, monkeypatch):
+    """A cubic S makes Brent evaluate many speeds; S dips to just above
+    zero at c_hat, below the iterates right of the root, so the check
+    fails on the search's own points without adding probes."""
+    lo, hi = demo_bracket.c_check, demo_bracket.c_hat
+    c0 = lo + 0.3 * (hi - lo)
+    calls = _stub_mismatch(monkeypatch, lambda c: 1e-9 if c == hi else (c - c0) ** 3)
+    det = {}
+    with pytest.warns(RuntimeWarning, match="not monotone"):
+        bw.find_speed(demo, demo_bracket, details=det)
+    assert det["monotone_ok"] is False
+    assert det["evaluations"] == len(calls) >= 5
+    assert not set(np.linspace(lo, hi, 7)[1:-1].tolist()) & set(calls)
+
+
+def test_spot_check_tops_up_a_short_search(demo, demo_bracket, monkeypatch):
+    """A linear S: the secant step lands on the root, leaving three
+    speeds in the bracket, so the check adds the five evenly spaced probes,
+    counts them and passes; without the check they are not evaluated."""
+    lo, hi = demo_bracket.c_check, demo_bracket.c_hat
+    c0 = lo + 0.3 * (hi - lo)
+    calls = _stub_mismatch(monkeypatch, lambda c: c - c0)
+    det = {}
+    c = bw.find_speed(demo, demo_bracket, details=det)
+    assert abs(c - c0) <= 1e-10
+    assert calls[-5:] == np.linspace(lo, hi, 7)[1:-1].tolist()
+    assert det["evaluations"] == len(calls) == 8
+    assert det["monotone_ok"]
+
+    calls.clear()
+    det_off = {}
+    assert bw.find_speed(demo, demo_bracket, check_monotone=False, details=det_off) == c
+    assert det_off["evaluations"] == len(calls) == 3
 
 
 def test_find_speed_without_bracket(demo, demo_bracket):
