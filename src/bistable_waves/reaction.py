@@ -25,6 +25,7 @@ EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 _BRANCH_RULES = ("left_closed", "right_closed", "average")
 _ENVELOPE_KINDS = ("f_lo", "f_hi", "g_lo", "g_hi")
 _H2_GRID = 2048  # sample points per branch for the H2 sign audit
+_AUDIT_TOL = 1e-9  # margin of the audit's strict inequalities
 
 
 def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarray | float:
@@ -73,9 +74,10 @@ class BranchPoly:
         object.__setattr__(self, "domain_hi", float(self.domain_hi))
 
     def __call__(self, u):
-        """Evaluate at u (scalar or array).  No domain enforcement here;
-        callers that need the domain contract go through ReactionTerm."""
-        return npp.polyval(u, self.coefficients)
+        """Evaluate at a finite float or array u by _horner, bit for bit
+        npp.polyval.  No domain enforcement here; callers that need the
+        domain contract go through ReactionTerm."""
+        return _horner(u, self.coefficients)
 
     def derivative(self) -> "BranchPoly":
         der = npp.polyder(self.coefficients)
@@ -267,16 +269,14 @@ def potential_integral(f: ReactionTerm) -> float:
     return f.f0.integral() + f.f1.integral()
 
 
-def check_hypotheses(f: ReactionTerm, tol: float = 1e-9) -> HypothesisReport:
+def check_hypotheses(f: ReactionTerm) -> HypothesisReport:
     """Audit the term: endpoint behaviour, sign conditions on a dense grid,
     the positivity of the potential integral, and the square-root ordering
     chain that underpins the speed bracket.
 
-    Strict inequalities are tested with the margin ``tol``.  Failures are
-    reported, never raised.
+    Strict inequalities are tested with the margin _AUDIT_TOL.  Failures
+    are reported, never raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     violations: list[tuple[str, float, float]] = []
 
     f0_at_0 = float(f.f0(0.0))
@@ -284,16 +284,16 @@ def check_hypotheses(f: ReactionTerm, tol: float = 1e-9) -> HypothesisReport:
     d0 = f.slope_at_zero
     d1 = f.slope_at_one
     h1_ok = True
-    if abs(f0_at_0) > tol:
+    if abs(f0_at_0) > _AUDIT_TOL:
         violations.append(("H1", 0.0, f0_at_0))
         h1_ok = False
-    if not d0 < -tol:
+    if not d0 < -_AUDIT_TOL:
         violations.append(("H1", 0.0, d0))
         h1_ok = False
-    if abs(f1_at_1) > tol:
+    if abs(f1_at_1) > _AUDIT_TOL:
         violations.append(("H1", 1.0, f1_at_1))
         h1_ok = False
-    if not d1 < -tol:
+    if not d1 < -_AUDIT_TOL:
         violations.append(("H1", 1.0, d1))
         h1_ok = False
 
@@ -301,18 +301,18 @@ def check_hypotheses(f: ReactionTerm, tol: float = 1e-9) -> HypothesisReport:
     # the endpoints where the branches vanish by H1.
     h2_ok = True
     u0_grid = np.linspace(0.0, f.a, _H2_GRID + 1)[1:]
-    v0 = npp.polyval(u0_grid, f.f0.coefficients)
-    for u, v in zip(u0_grid[v0 >= -tol], v0[v0 >= -tol]):
+    v0 = f.f0(u0_grid)
+    for u, v in zip(u0_grid[v0 >= -_AUDIT_TOL], v0[v0 >= -_AUDIT_TOL]):
         violations.append(("H2", float(u), float(v)))
         h2_ok = False
     u1_grid = np.linspace(f.a, 1.0, _H2_GRID + 1)[:-1]
-    v1 = npp.polyval(u1_grid, f.f1.coefficients)
-    for u, v in zip(u1_grid[v1 <= tol], v1[v1 <= tol]):
+    v1 = f.f1(u1_grid)
+    for u, v in zip(u1_grid[v1 <= _AUDIT_TOL], v1[v1 <= _AUDIT_TOL]):
         violations.append(("H2", float(u), float(v)))
         h2_ok = False
 
     h3_integral = potential_integral(f)
-    h3_ok = h3_integral > tol
+    h3_ok = h3_integral > _AUDIT_TOL
 
     bounds: SlopeBounds | None = None
     remark2_ok = False

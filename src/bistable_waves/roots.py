@@ -1,10 +1,12 @@
-"""The one bracketed root finder behind both speed searches.
+"""The one bracketed root finder, behind both speed searches and the
+best-shift search.
 
-Both the envelope matching residual (linear_theory.match_speed) and the
-phase-plane mismatch (shooting.find_speed) are monotone in c, so once a
-sign change is bracketed Brent's method (Brent, *Algorithms for
-Minimization without Derivatives*, 1973) converges superlinearly while
-never leaving the bracket.
+The envelope matching residual (linear_theory.match_speed) and the
+phase-plane mismatch (shooting.find_speed) are monotone in c, and the
+balance of the two halves of the sup norm (simulator.shift_distance) is
+monotone in the shift.  Once a sign change is bracketed, Brent's method
+(Brent, *Algorithms for Minimization without Derivatives*, 1973) converges
+superlinearly while never leaving the bracket.
 """
 
 from __future__ import annotations
@@ -45,4 +47,7 @@ def bracketed_root(
         return 0.0 if abs(v) <= tol_f else v
 
     x, res = brentq(g, lo, hi, xtol=xtol, maxiter=200, full_output=True, disp=False)
+    # brentq wraps g in a self-referencing closure, a cycle that would hold
+    # fn, and whatever fn holds, until the cyclic collector runs.
+    del fn
     return x, values[x], res.iterations

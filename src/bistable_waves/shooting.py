@@ -44,10 +44,6 @@ class PhasePath:
     w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.u.tolist(), self.w.tolist()))
-
-    @property
     def w_at_a(self) -> float:
         # Samples are ascending in u; the branch point is the right end of
         # the left path and the left end of the right path.

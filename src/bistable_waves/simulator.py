@@ -8,12 +8,11 @@ side built in place.  On top of the stepper sit the front tracker, the
 best-shift sup-norm distance to a reference wave, the exponential decay fit,
 and the super/sub-solution envelope machinery with its explicit constants.
 
-The distance is observed in two passes.  A coarse scan over whole-cell
-shifts bounds every shift from below in one strided reduction, with the
-absolute value taken in place, and takes full norms only where the bound
-leaves a shift in contention.  A golden-section refinement then runs on the
-nodes that can attain the max within its bracket.  Both prunings are exact:
-the trajectories and distances are those of the full scan and refinement.
+The distance is one bracketed root.  The wave is monotone, so the two
+halves of the sup norm, max(u - u*) and max(u* - u), are monotone in the
+shift in opposite directions for any state, and the best shift is where
+they balance.  roots.bracketed_root finds that balance point in about ten
+evaluations of the profile on the interior nodes.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -39,6 +36,7 @@ from .errors import (
     NonPositiveDistance,
 )
 from .reaction import ReactionTerm, max_abs_slopes
+from .roots import bracketed_root
 from .shooting import WaveSolution
 
 BoundaryKind = Literal["dirichlet01", "neumann"]
@@ -47,9 +45,10 @@ _STATE_LO = -0.5
 _STATE_HI = 1.5
 # The explicit reaction step is stable for dt <= DT_STABILITY_FACTOR / max|f'|.
 DT_STABILITY_FACTOR = 1.9
-# The coarse shift scan bounds each shift's sup norm from below by the max
-# over every _SCAN_STRIDE-th node.
-_SCAN_STRIDE = 16
+# shift_distance searches the shifts within this distance of the front.
+_SCAN_RADIUS = 20.0
+# Points per axis of each _k2_separated grid round.
+_K2_GRID = 400
 
 
 @dataclass(frozen=True)
@@ -226,85 +225,28 @@ class WaveProfile:
         return float(out[0]) if scalar else out
 
 
-def _first_best_shift(u: np.ndarray, table: np.ndarray) -> tuple[int, float]:
-    """The first k minimizing max|u - table[k : k + u.size]|, and that minimum.
-
-    The max over every _SCAN_STRIDE-th node bounds each shift's norm from
-    below.  Full norms are taken in ascending order of the bound until the
-    next bound exceeds the best norm found.  Every shift that attains the
-    minimum has a bound no greater than it and so is evaluated; ties go to
-    the smaller k.
-    """
-    n = u.size
-    gaps = u[::_SCAN_STRIDE] - sliding_window_view(table, n)[:, ::_SCAN_STRIDE]
-    bounds = np.abs(gaps, out=gaps).max(axis=1)
-    best_k = 0
-    best_val = math.inf
-    for k in np.argsort(bounds).tolist():
-        if bounds[k] > best_val:
-            break
-        val = float(np.max(np.abs(u - table[k : k + n])))
-        if val < best_val or (val == best_val and k < best_k):
-            best_val, best_k = val, k
-    return best_k, best_val
-
-
-def _refinement_nodes(
-    u: np.ndarray, x: np.ndarray, profile: WaveProfile, lo: float, hi: float
-) -> np.ndarray:
-    """Indices of the nodes that can attain max_i |u_i - U(x_i + zeta)| for
-    some zeta in [lo, hi].
-
-    U is monotone, so each error e_i(zeta) = u_i - U(x_i + zeta) is monotone
-    on the bracket: |e_i| is at most max(|e_i(lo)|, |e_i(hi)|) there, and at
-    least min(|e_i(lo)|, |e_i(hi)|) unless e_i changes sign.  The max over
-    all nodes is at least the largest of these lower bounds, so a node whose
-    upper bound falls below it never attains the max.  A max over the kept
-    nodes is therefore the same float as the max over all of them.
-    """
-    e_lo = u - profile(x + lo)
-    e_hi = u - profile(x + hi)
-    a_lo = np.abs(e_lo)
-    a_hi = np.abs(e_hi)
-    upper = np.maximum(a_lo, a_hi)
-    lower = np.where(e_lo * e_hi > 0.0, np.minimum(a_lo, a_hi), 0.0)
-    # The 1e-12 slack absorbs rounding: the evaluated profile need not be
-    # monotone in its last bits, and a golden-section point may fall a
-    # rounding step outside [lo, hi].  Both move an error by a few units
-    # in the last place, orders of magnitude below the slack.
-    return np.flatnonzero(upper >= lower.max() - 1e-12)
-
-
 def shift_distance(
     s: SimState,
     ws: WaveSolution,
     c: float,
     *,
-    scan_radius: float = 20.0,
     profile: WaveProfile | None = None,
 ) -> tuple[float, float]:
     """Best-shift sup-norm distance between the state and the reference wave.
 
-    Minimizes sup_x |u(x) - u*(x + zeta)| over shifts zeta near the front
-    (coarse scan at step dx, then golden-section refinement to 1e-3*dx),
-    excluding a 5% boundary margin from the norm.  The scan is centered at
-    -front_position(s) when a front exists, else at the co-moving shift
-    c*t.  Returns (distance, zeta_best - c*t), the co-moving residual shift.
+    Minimizes F(zeta) = max_i |u_i - u*(x_i + zeta)| over the shifts within
+    _SCAN_RADIUS of a lattice shift near the front, excluding a 5% boundary
+    margin from the norm.  The window is centred at -front_position(s) when
+    a front exists, else at the co-moving shift c*t.  Returns
+    (distance, zeta_best - c*t), the co-moving residual shift.
 
-    The coarse scan is pruned exactly: the max over every 16th node is a
-    lower bound on each shift's full sup norm, computed for all shifts in
-    one reduction whose absolute value is taken in place.  Full norms are
-    taken in ascending order of that bound until the next bound exceeds the
-    best norm found, and ties go to the leftmost shift, so the winner is the
-    first minimum of the full scan.
-
-    The refinement is pruned exactly too.  The profile is monotone, so each
-    node's error is monotone in the shift; its values at the two bracket
-    ends bound it above and below on the whole bracket.  Only the nodes whose
-    upper bound reaches the largest lower bound (less a 1e-12 rounding slack)
-    can attain the max, and the golden-section steps evaluate the objective
-    on those alone.  A max over a superset of the maximizing nodes is the
-    same float, so every step, and the result, is that of the full objective.
+    u* is nondecreasing, so for any state each error
+    e_i(zeta) = u_i - u*(x_i + zeta) is nonincreasing in zeta: max_i e_i
+    falls, -min_i e_i rises, and F, the larger of the two, is least where
+    phi = max_i e_i + min_i e_i changes sign.  phi is evaluated at both
+    window ends; when it falls through zero between them, bracketed_root
+    finds the crossing to 1e-12*dx, and otherwise F is least at an end.
+    The result is the smallest F among the evaluated shifts.
     """
     if profile is None:
         profile = WaveProfile(ws)
@@ -313,48 +255,28 @@ def shift_distance(
     margin = max(1, int(round(0.05 * n)))
     x_int = g.x[margin : n - margin]
     u_int = s.u[margin : n - margin]
-    n_int = x_int.size
 
     try:
         center = -front_position(s, profile.a)
     except NoFront:
         center = c * s.t
     center = round(center / g.dx) * g.dx
+    radius = max(1, int(round(_SCAN_RADIUS / g.dx))) * g.dx
 
-    k_max = max(1, int(round(scan_radius / g.dx)))
-    table_x = (x_int[0] + center - k_max * g.dx) + g.dx * np.arange(n_int + 2 * k_max)
-    table = profile(table_x)
-    best_k, best_val = _first_best_shift(u_int, table)
-    zeta0 = center + (best_k - k_max) * g.dx
+    sup_norms: dict[float, float] = {}
 
-    # Golden-section refinement around the coarse winner, keeping the best
-    # evaluated point (the objective is only piecewise smooth).  Only the
-    # nodes that can attain the max anywhere in the bracket enter it.
-    lo, hi = zeta0 - g.dx, zeta0 + g.dx
-    keep = _refinement_nodes(u_int, x_int, profile, lo, hi)
-    u_keep, x_keep = u_int[keep], x_int[keep]
+    def phi(zeta: float) -> float:
+        e = u_int - profile(x_int + zeta)
+        e_max, e_min = float(e.max()), float(e.min())
+        sup_norms[zeta] = max(e_max, -e_min)
+        return e_max + e_min
 
-    def objective(zeta: float) -> float:
-        return float(np.max(np.abs(u_keep - profile(x_keep + zeta))))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_zeta, best = zeta0, best_val
-    p = hi - invphi * (hi - lo)
-    q = lo + invphi * (hi - lo)
-    fp, fq = objective(p), objective(q)
-    while (hi - lo) > 1e-3 * g.dx:
-        if fp < fq:
-            hi, q, fq = q, p, fp
-            p = hi - invphi * (hi - lo)
-            fp = objective(p)
-        else:
-            lo, p, fp = p, q, fq
-            q = lo + invphi * (hi - lo)
-            fq = objective(q)
-        for zeta, val in ((p, fp), (q, fq)):
-            if val < best:
-                best, best_zeta = val, zeta
-    return best, best_zeta - c * s.t
+    lo, hi = center - radius, center + radius
+    phi_lo, phi_hi = phi(lo), phi(hi)
+    if phi_lo > 0.0 > phi_hi:
+        bracketed_root(phi, lo, hi, phi_lo, phi_hi, 0.0, xtol=1e-12 * g.dx)
+    best_zeta = min(sup_norms, key=sup_norms.__getitem__)
+    return sup_norms[best_zeta], best_zeta - c * s.t
 
 
 def run(
@@ -365,9 +287,7 @@ def run(
     observe_every: float,
     *,
     reference: WaveSolution | None = None,
-    ref_speed: float | None = None,
     snapshot_times: Sequence[float] = (),
-    scan_radius: float = 20.0,
 ) -> Trajectory:
     """Evolve u0 to t_end, observing front position (and, with a reference
     wave attached, the best-shift distance) every observe_every time units."""
@@ -390,7 +310,6 @@ def run(
         )
 
     profile = WaveProfile(reference) if reference is not None else None
-    c_ref = ref_speed if ref_speed is not None else (reference.c_star if reference else 0.0)
 
     times: list[float] = []
     fronts: list[float] = []
@@ -413,9 +332,7 @@ def run(
                 )
             fronts.append(float(np.median(crossings)))
         if profile is not None:
-            d, zb = shift_distance(
-                st, reference, c_ref, scan_radius=scan_radius, profile=profile
-            )
+            d, zb = shift_distance(st, reference, reference.c_star, profile=profile)
             dists.append(d)
             shifts.append(zb)
 
@@ -501,7 +418,6 @@ def reaction_ode(
     f: ReactionTerm,
     branch: Literal["q0", "q1"],
     t_end: float,
-    n_samples: int = 513,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the scalar comparison ODE q' = f_branch(q) from q(0) = a.
 
@@ -516,7 +432,7 @@ def reaction_ode(
         poly = f.f1
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    t_eval = np.linspace(0.0, t_end, 513)
     sol = solve_ivp(
         lambda t, q: poly(q[0]),
         (0.0, t_end),
@@ -546,37 +462,36 @@ class SuperSubParams:
     rho: float
 
 
-def _k2_separated(f: ReactionTerm, rho: float, n_grid: int = 400) -> float:
+def _k2_separated(f: ReactionTerm, rho: float) -> float:
     """max of (f1(y) - f0(x)) / (y - x) over x in [0, a], y in [a, 1] with
     y - x >= rho, by grid search with two zoom rounds."""
     a = f.a
 
-    def scan(x_lo, x_hi, y_lo, y_hi, n):
-        xs = np.linspace(x_lo, x_hi, n)
-        ys = np.linspace(y_lo, y_hi, n)
-        fx = npp.polyval(xs, f.f0.coefficients)
-        fy = npp.polyval(ys, f.f1.coefficients)
+    def scan(x_lo, x_hi, y_lo, y_hi):
+        xs = np.linspace(x_lo, x_hi, _K2_GRID)
+        ys = np.linspace(y_lo, y_hi, _K2_GRID)
+        fx = f.f0(xs)
+        fy = f.f1(ys)
         sep = ys[None, :] - xs[:, None]
         ratio = np.where(sep >= rho, (fy[None, :] - fx[:, None]) / np.maximum(sep, rho), -np.inf)
         idx = np.unravel_index(np.argmax(ratio), ratio.shape)
         return float(ratio[idx]), float(xs[idx[0]]), float(ys[idx[1]])
 
-    best, x_at, y_at = scan(0.0, a, a, 1.0, n_grid)
+    best, x_at, y_at = scan(0.0, a, a, 1.0)
     if not math.isfinite(best):
         raise ValueError(f"separation rho={rho} leaves no admissible (x, y) pairs")
-    hx = a / (n_grid - 1)
-    hy = (1.0 - a) / (n_grid - 1)
+    hx = a / (_K2_GRID - 1)
+    hy = (1.0 - a) / (_K2_GRID - 1)
     for _ in range(2):
         val, x_at, y_at = scan(
             max(0.0, x_at - 2 * hx),
             min(a, x_at + 2 * hx),
             max(a, y_at - 2 * hy),
             min(1.0, y_at + 2 * hy),
-            n_grid,
         )
         best = max(best, val)
-        hx *= 4.0 / (n_grid - 1)
-        hy *= 4.0 / (n_grid - 1)
+        hx *= 4.0 / (_K2_GRID - 1)
+        hy *= 4.0 / (_K2_GRID - 1)
     return best
 
 
@@ -644,13 +559,10 @@ def envelope_value(
     t: float,
     z0: float = 0.0,
     delta: float | None = None,
-    *,
-    profile: WaveProfile | None = None,
 ):
     """Perturbation envelope u*(x + c t + z0 +/- sigma*delta*(1 - e^{-gamma t}))
     +/- delta*e^{-gamma t}."""
-    if profile is None:
-        profile = WaveProfile(ws)
+    profile = WaveProfile(ws)
     a = profile.a
     if delta is None:
         delta = min(p.delta0, a / 4.0, (1.0 - a) / 4.0)

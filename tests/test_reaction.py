@@ -137,11 +137,18 @@ def test_eval_extended_array_matches_written_out_oracle(name, rule, quartic_term
 
 def test_horner_matches_polyval_on_signed_zero_coefficients():
     """The in-place Horner keeps polyval's sign of zero when the leading
-    coefficients are zeros of either sign."""
+    coefficients are zeros of either sign, on arrays and, through
+    BranchPoly, on Python and NumPy floats."""
     u = np.array([-0.0, 0.0, 1e-300, 0.3, 1.0, -0.2, -1e-300, 1.7])
     for coeffs in [(-0.0,), (0.0,), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0, -0.0), (1.0, -0.0),
-                   (-0.0, 2.0, -0.0), (-0.0, -0.0, -0.0, -0.0), (0.5, -1.0, 0.0)]:
-        _assert_bitwise(reaction._horner(u, coeffs), np.polynomial.polynomial.polyval(u, coeffs))
+                   (-0.0, 2.0, -0.0), (-0.0, -0.0, -0.0, -0.0), (0.5, -1.0, 0.0), (0.2, 0.8, -1.0)]:
+        want = np.polynomial.polynomial.polyval(u, coeffs)
+        _assert_bitwise(reaction._horner(u, coeffs), want)
+        branch = bw.BranchPoly(coeffs, 0.0, 1.0)
+        _assert_bitwise(branch(u), want)
+        for x, w in zip(u.tolist(), want):
+            _assert_bitwise(branch(x), w)
+            _assert_bitwise(branch(np.float64(x)), w)
 
 
 _COEFFS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5).map(tuple)

@@ -404,43 +404,54 @@ def test_shift_distance_flat_zero_state(demo_wave, grid):
     assert z_best == pytest.approx(0.0, abs=25.0)  # scan stays near center
 
 
-def _loop_first_best_shift(u, table):
-    """The coarse scan as a plain loop over every shift, keeping the first
-    minimum: (k, max|u - table[k : k + u.size]|)."""
-    best_k, best_val = 0, math.inf
-    for k in range(table.size - u.size + 1):
-        val = float(np.max(np.abs(u - table[k : k + u.size])))
-        if val < best_val:
-            best_val, best_k = val, k
-    return best_k, best_val
-
-
-def _reference_coarse_scan(s, profile, c, scan_radius=20.0):
-    """The interior nodes and the looped coarse scan's winner:
-    (u_int, x_int, zeta0, its full norm)."""
-    g = s.grid
-    n = g.n_nodes
+def _interior(s):
+    """The nodes inside the 5% boundary margin: (u_int, x_int)."""
+    n = s.grid.n_nodes
     margin = max(1, int(round(0.05 * n)))
-    x_int = g.x[margin : n - margin]
-    u_int = s.u[margin : n - margin]
-    n_int = x_int.size
+    return s.u[margin : n - margin], s.grid.x[margin : n - margin]
+
+
+def _sup_norm(u_int, x_int, profile, zeta):
+    return float(np.max(np.abs(u_int - profile(x_int + zeta))))
+
+
+def _window(s, profile, c):
+    """The front-centred lattice shift and the window's half-width in cells."""
+    dx = s.grid.dx
     try:
         center = -bw.front_position(s, profile.a)
     except NoFront:
         center = c * s.t
-    center = round(center / g.dx) * g.dx
-    k_max = max(1, int(round(scan_radius / g.dx)))
-    table = profile((x_int[0] + center - k_max * g.dx) + g.dx * np.arange(n_int + 2 * k_max))
-    best_k, best_val = _loop_first_best_shift(u_int, table)
-    return u_int, x_int, center + (best_k - k_max) * g.dx, best_val
+    return round(center / dx) * dx, int(round(20.0 / dx))
 
 
-def _golden_section(objective, zeta0, best_val, dx):
-    """Golden-section refinement on [zeta0 - dx, zeta0 + dx], keeping the
-    best evaluated point: (best, zeta_best)."""
+def _reference_shift_distance(s, ws, c):
+    """The best shift as a loop over every lattice shift within 20 of the
+    front-centred lattice shift, keeping the first minimum, then a
+    golden-section refinement over every interior node on the two cells
+    around it, keeping the best evaluated point: (distance, zeta_best - c*t).
+
+    The refinement is clipped to the window.  Unclipped, as shift_distance
+    once ran it, it reached a cell past the window when the lattice winner
+    sat at an end, as on the flat-zero state."""
+    profile = bw.WaveProfile(ws)
+    u_int, x_int = _interior(s)
+    dx = s.grid.dx
+    center, k_max = _window(s, profile, c)
+    table = profile((x_int[0] + center - k_max * dx) + dx * np.arange(u_int.size + 2 * k_max))
+    best_k, best = 0, math.inf
+    for k in range(2 * k_max + 1):
+        val = float(np.max(np.abs(u_int - table[k : k + u_int.size])))
+        if val < best:
+            best, best_k = val, k
+    best_zeta = center + (best_k - k_max) * dx
+
+    def objective(zeta):
+        return _sup_norm(u_int, x_int, profile, zeta)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = zeta0 - dx, zeta0 + dx
-    best_zeta, best = zeta0, best_val
+    lo = max(best_zeta - dx, center - k_max * dx)
+    hi = min(best_zeta + dx, center + k_max * dx)
     p = hi - invphi * (hi - lo)
     q = lo + invphi * (hi - lo)
     fp, fq = objective(p), objective(q)
@@ -456,35 +467,39 @@ def _golden_section(objective, zeta0, best_val, dx):
         for zeta, val in ((p, fp), (q, fq)):
             if val < best:
                 best, best_zeta = val, zeta
-    return best, best_zeta
-
-
-def _reference_shift_distance(s, ws, c, scan_radius=20.0):
-    """shift_distance with the looped coarse scan, then the golden-section
-    refinement over every interior node."""
-    profile = bw.WaveProfile(ws)
-    u_int, x_int, zeta0, best_val = _reference_coarse_scan(s, profile, c, scan_radius)
-
-    def objective(zeta):
-        return float(np.max(np.abs(u_int - profile(x_int + zeta))))
-
-    best, best_zeta = _golden_section(objective, zeta0, best_val, s.grid.dx)
     return best, best_zeta - c * s.t
+
+
+def _run_states(f, grid, times):
+    """States of a run of f from step data, at t = 0 and at the given times."""
+    u0 = np.where(grid.x >= 0.0, 1.0, 0.0)
+    tr = bw.run(f, u0, grid, t_end=max(times), observe_every=max(times), snapshot_times=times)
+    assert [s.t for s in tr.snapshots] == pytest.approx(list(times), abs=1e-9)
+    return [bw.SimState(0.0, u0, grid), *tr.snapshots]
 
 
 @pytest.fixture(scope="module")
 def demo_run_states(demo, grid):
     """The 81 observed states of a demo run from step data to t = 40."""
-    u0 = np.where(grid.x >= 0.0, 1.0, 0.0)
-    tr = bw.run(demo, u0, grid, t_end=40.0, observe_every=0.5, snapshot_times=0.5 * np.arange(1, 81))
-    states = [bw.SimState(0.0, u0, grid), *tr.snapshots]
-    assert [s.t for s in states] == pytest.approx(list(tr.times), abs=1e-9)
-    return states
+    return _run_states(demo, grid, 0.5 * np.arange(1, 81))
+
+
+def _solve_wave(f):
+    bracket = bw.speed_bracket(bw.slope_bounds(f), f.a)
+    return bw.reconstruct_profile(f, bw.find_speed(f, bracket), bracket=bracket)
+
+
+@pytest.fixture(scope="module")
+def slow_run(grid):
+    """The wave of piecewise_linear(-1, 0.45), whose front moves at
+    c* ~ 0.2, and states of a run from step data."""
+    f = bw.piecewise_linear(-1.0, 0.45)
+    return _solve_wave(f), _run_states(f, grid, (20.0, 30.0, 40.0))
 
 
 def _shift_distance_state(kind, profile, grid, run_states):
     x = grid.x
-    if kind.startswith("late_run_t"):  # a third to a half of the nodes enter the refinement
+    if kind.startswith("late_run_t"):
         t = float(kind.removeprefix("late_run_t"))
         return next(s for s in run_states if abs(s.t - t) < 1e-9)
     if kind == "shifted_wave":
@@ -495,7 +510,7 @@ def _shift_distance_state(kind, profile, grid, run_states):
         u = np.where(x >= 0.0, 1.0, 0.0)
     elif kind == "two_fronts":
         u = np.minimum(profile(x + 8.0), profile(8.0 - x))
-    elif kind == "flat_zero":  # near-ties: each shift's norm is the profile at its window's right end
+    elif kind == "flat_zero":  # F is the profile at the window's right end: least at the left end
         u = np.zeros(x.size)
     elif kind == "tail_bumps":  # the sup sits where x + zeta is past the sampled profile
         assert 18.0 > profile.z_hi and -18.0 < profile.z_lo
@@ -511,46 +526,82 @@ def _shift_distance_state(kind, profile, grid, run_states):
 @pytest.mark.parametrize(
     "kind",
     ["shifted_wave", "noisy_wave", "step", "two_fronts", "flat_zero",
-     "late_run_t20", "late_run_t30", "late_run_t40", "tail_bumps", "noisy_ties"],
+     "late_run_t20", "late_run_t30", "late_run_t40", "tail_bumps", "noisy_ties",
+     "slow_late_run_t20", "slow_late_run_t30", "slow_late_run_t40"],
 )
-def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid, demo_run_states, kind):
-    s = _shift_distance_state(kind, demo_profile, grid, demo_run_states)
-    c = demo_wave.c_star
-    assert bw.shift_distance(s, demo_wave, c) == _reference_shift_distance(s, demo_wave, c)
+def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid, demo_run_states, slow_run, kind):
+    """The distance is the full sup norm at the returned shift, bit for bit,
+    and that shift is a minimum over the window: the distance is no worse
+    than the full lattice scan with golden-section refinement, nor than any
+    shift of the window on a dense grid within two cells of it.  The slow_
+    states come from a run of piecewise_linear(-1, 0.45)."""
+    if kind.startswith("slow_"):
+        ws, states = slow_run
+        s = _shift_distance_state(kind.removeprefix("slow_"), None, grid, states)
+    else:
+        ws = demo_wave
+        s = _shift_distance_state(kind, demo_profile, grid, demo_run_states)
+    profile = bw.WaveProfile(ws)
+    c = ws.c_star
+    dist, z_best = bw.shift_distance(s, ws, c)
+    zeta = z_best + c * s.t
+    u_int, x_int = _interior(s)
+    assert dist == _sup_norm(u_int, x_int, profile, zeta)
+    assert dist <= _reference_shift_distance(s, ws, c)[0] + 1e-12
+    center, k_max = _window(s, profile, c)
+    near = zeta + np.linspace(-2.0 * grid.dx, 2.0 * grid.dx, 401)
+    dense = np.clip(near, center - k_max * grid.dx, center + k_max * grid.dx)
+    assert dist <= min(_sup_norm(u_int, x_int, profile, z) for z in dense) + 1e-12
 
 
-def test_refinement_nodes_keep_every_argmax(demo_wave, demo_profile, grid, demo_run_states):
-    """Over the 81 observations of a demo run, the node at which the full
-    objective attains its max, at every point the refinement evaluates and
-    on a dense grid of the bracket, is among the kept nodes."""
-    kept_share = []
+class _RecordingProfile(bw.WaveProfile):
+    """A WaveProfile that keeps every array it returns."""
+
+    def __init__(self, ws):
+        super().__init__(ws)
+        self.outputs = []
+
+    def __call__(self, z):
+        out = super().__call__(z)
+        self.outputs.append(out)
+        return out
+
+
+def test_shift_distance_returns_the_best_evaluated_shift(demo_wave, demo_run_states):
+    """Over the 81 observations of a demo run, the distance is the smallest
+    sup norm among the shifts the search evaluated, one profile call each,
+    and the search takes at most 20 of them."""
     for s in demo_run_states:
-        u_int, x_int, zeta0, best_val = _reference_coarse_scan(s, demo_profile, demo_wave.c_star)
-        lo, hi = zeta0 - grid.dx, zeta0 + grid.dx
-        keep = simulator._refinement_nodes(u_int, x_int, demo_profile, lo, hi)
-        kept_share.append(keep.size / u_int.size)
-        seen = []
-
-        def objective(zeta):
-            seen.append(zeta)
-            return float(np.max(np.abs(u_int - demo_profile(x_int + zeta))))
-
-        _golden_section(objective, zeta0, best_val, grid.dx)
-        for zeta in [*seen, *np.linspace(lo, hi, 33)]:
-            assert int(np.argmax(np.abs(u_int - demo_profile(x_int + zeta)))) in keep
-    assert len(kept_share) == 81
-    assert max(kept_share) < 0.75  # every observation prunes a quarter of the nodes or more
+        profile = _RecordingProfile(demo_wave)
+        dist, _ = bw.shift_distance(s, demo_wave, demo_wave.c_star, profile=profile)
+        u_int, _x = _interior(s)
+        assert dist == min(float(np.max(np.abs(u_int - out))) for out in profile.outputs)
+        assert 2 <= len(profile.outputs) <= 20
 
 
-def test_first_best_shift_matches_loop_on_ties():
-    """Small integer data make exact ties in both the strided bounds and
-    the full norms; the pruned scan keeps the loop's first minimum."""
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(1, 80))
-        u = rng.integers(0, 4, n).astype(float)
-        table = rng.integers(0, 4, n + int(rng.integers(0, 60))).astype(float)
-        assert simulator._first_best_shift(u, table) == _loop_first_best_shift(u, table)
+def test_shift_distance_exact_off_lattice_shift(demo_wave, demo_profile, grid):
+    s = bw.SimState(0.0, demo_profile(grid.x - 1.37), grid)
+    dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
+    assert dist <= 1e-15
+    assert z_best == pytest.approx(-1.37, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", ["demo", "linear_0.1", "linear_0.3", "linear_0.45", "quartic0"])
+def test_wave_profile_is_nondecreasing(which, demo_wave, quartic_terms):
+    """The premise of shift_distance: the profile never decreases, on a
+    dense grid over both exponential tails and through the junctions at
+    z_lo and z_hi, down to single-ulp steps across them."""
+    if which == "demo":
+        ws = demo_wave
+    else:
+        ws = _solve_wave(quartic_terms[0] if which == "quartic0" else bw.piecewise_linear(-1.0, float(which[7:])))
+    profile = bw.WaveProfile(ws)
+    z = [np.linspace(profile.z_lo - 40.0, profile.z_hi + 40.0, 400_001)]
+    for end in (profile.z_lo, profile.z_hi):
+        z.append(np.linspace(end - 1e-6, end + 1e-6, 2001))
+        z.append(end + np.spacing(end) * np.arange(-50, 51))
+    z = np.sort(np.concatenate(z))
+    assert np.all(np.diff(profile(z)) >= 0.0)
 
 
 def test_run_wave_residual_stays_small(demo, demo_wave, demo_profile, grid):
