@@ -1,9 +1,14 @@
 """Configuration parsing, subcommands, and deterministic artifact emission.
 
-One JSON config document drives every subcommand.  All artifacts are
-byte-deterministic: floats are formatted with 17 significant digits, JSON
-field order is fixed, and every JSON artifact embeds the normalized config
-and a schema version.
+One JSON config document drives every subcommand.  Each config field
+declares its own parse rule, and the rules read the library's own choice
+sets and caps rather than restating them: branch rules and boundary kinds
+are the Literal types reaction.BranchRule and simulator.BoundaryKind, the
+u_eps and eps caps are shooting's, and presets are built, and checked, by
+the reaction module.  A number is a finite JSON number; booleans are not
+numbers.  All artifacts are byte-deterministic: floats are formatted with
+17 significant digits, JSON field order is fixed, and every JSON artifact
+embeds the normalized config and a schema version.
 
 Exit codes: 0 success, 2 validation failure, 3 hypothesis failure,
 4 solver failure, 5 simulation divergence.
@@ -18,25 +23,15 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Collection, Sequence, get_args
 
 import numpy as np
 
 from . import linear_theory, reaction, shooting, simulator
-from .errors import (
-    BistableWavesError,
-    BracketFailure,
-    ConfigError,
-    DegenerateProfile,
-    Divergence,
-    InsufficientData,
-    NonNegativeSlope,
-    NonPositiveDistance,
-    NoPositiveRoot,
-    PathCollapse,
-)
+from .errors import BistableWavesError, ConfigError, Divergence
 
 SCHEMA_VERSION = "1"
 
@@ -50,15 +45,113 @@ _COMMANDS = ("check", "bounds", "speed", "profile", "simulate", "stability")
 _SWEEPABLE = ("bounds", "speed")
 _PRESET_RE = re.compile(r"^piecewise_linear\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
 
-_SOLVER_FAILURES = (
-    NoPositiveRoot,
-    BracketFailure,
-    PathCollapse,
-    NonNegativeSlope,
-    DegenerateProfile,
-    InsufficientData,
-    NonPositiveDistance,
-)
+
+# ---------------------------------------------------------------------------
+# Field rules: each takes a field's JSON value and returns the field's value,
+# or raises ValueError with the message reported under the field's path.
+
+
+def _as_float(val: Any) -> float | None:
+    """The one number predicate: val as a float if it is an int or a float,
+    not a bool, and finite once converted (an int beyond the float range is
+    not); None otherwise."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _as_floats(val: Any) -> tuple[float, ...] | None:
+    """val as floats if it is a list of numbers; None otherwise."""
+    if not isinstance(val, list):
+        return None
+    xs = [_as_float(v) for v in val]
+    return None if None in xs else tuple(xs)
+
+
+def _finite(val: Any) -> float:
+    x = _as_float(val)
+    if x is None:
+        raise ValueError(f"{val!r} is not a finite number")
+    return x
+
+
+def _positive(val: Any) -> float:
+    x = _finite(val)
+    if x <= 0.0:
+        raise ValueError(f"{x} must be > 0")
+    return x
+
+
+def _u_eps(val: Any) -> float:
+    x = _positive(val)
+    if x > shooting.U_EPS_CAP:
+        raise ValueError(f"{x} exceeds the profile truncation cap {shooting.U_EPS_CAP:g}")
+    return x
+
+
+def _branch_point(val: Any) -> float:
+    x = _as_float(val)
+    if x is None or not 0.0 < x < 1.0:
+        raise ValueError(f"branch point {val!r} must be a number in (0, 1)")
+    return x
+
+
+def _numbers(val: Any, nonempty: bool = False) -> tuple[float, ...]:
+    xs = _as_floats(val)
+    if xs is None or (nonempty and not xs):
+        raise ValueError(f"must be a {'non-empty ' * nonempty}list of finite numbers")
+    return xs
+
+
+def _window(val: Any) -> tuple[float, ...]:
+    xs = _as_floats(val)
+    if xs is None or len(xs) != 2 or not xs[0] < xs[1]:
+        raise ValueError(f"{val!r} must be [lo, hi] with lo < hi")
+    return xs
+
+
+def _table(val: Any) -> tuple[tuple[float, ...], ...]:
+    rows = [_as_floats(p) for p in val] if isinstance(val, list) and len(val) >= 2 else [None]
+    if None in rows or any(len(r) != 2 for r in rows):
+        raise ValueError("must be a list of >= 2 [x, u] pairs")
+    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+        raise ValueError("x values must be strictly increasing")
+    return tuple(rows)
+
+
+def _directory(val: Any) -> str:
+    if not isinstance(val, str) or not val:
+        raise ValueError(f"{val!r} must be a non-empty string")
+    return val
+
+
+def _choice(kind: str, names: Collection[str]) -> Callable[[Any], str]:
+    """The rule for one of ``names``: a Literal's get_args, or a table's keys."""
+
+    def parse(val: Any) -> str:
+        if not isinstance(val, str) or val not in names:
+            raise ValueError(f"unknown {kind} {val!r}")
+        return val
+
+    return parse
+
+
+def _rule(parse: Callable[[Any], Any], default: Any = MISSING) -> Any:
+    """A config field read by ``parse``; one without a default is required."""
+    return field(default=default, metadata={"parse": parse})
+
+
+# Initial data u(x, 0) by name, from the experiment and the wave's profile.
+_INITIAL_DATA: dict[str, Callable[[Any, simulator.WaveProfile], Callable]] = {
+    "step": lambda ec, wave: lambda x: np.where(x >= 0.0, 1.0, 0.0),
+    "wave": lambda ec, wave: wave,
+    "wave_plus_delta": lambda ec, wave: lambda x: wave(x) + ec.delta,
+    "custom_table": lambda ec, wave: lambda x: np.interp(x, *np.transpose(ec.custom_table)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +160,30 @@ _SOLVER_FAILURES = (
 
 @dataclass(frozen=True)
 class ReactionConfig:
-    a: float
-    f0: tuple[float, ...]
-    f1: tuple[float, ...]
-    branch_rule: str = "right_closed"
-
-
-def _number(default: float | None, *, positive: bool = True) -> Any:
-    """A numeric config field: a finite number, and > 0 unless positive=False."""
-    return field(default=default, metadata={"positive": positive})
+    a: float = _rule(_branch_point)
+    f0: tuple[float, ...] = _rule(partial(_numbers, nonempty=True))
+    f1: tuple[float, ...] = _rule(partial(_numbers, nonempty=True))
+    branch_rule: str = _rule(_choice("branch rule", get_args(reaction.BranchRule)), "right_closed")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    eps: float | None = _number(None)
-    tol_phi: float = _number(1e-12)
-    tol_c: float = _number(1e-10)
-    c1_tol: float = _number(1e-6)
-    dz: float = _number(1e-2)
-    u_eps: float = _number(1e-4)
-    ode_rtol: float = _number(1e-10)
+    eps: float | None = _rule(_positive, None)
+    tol_phi: float = _rule(_positive, 1e-12)
+    tol_c: float = _rule(_positive, 1e-10)
+    c1_tol: float = _rule(_positive, 1e-6)
+    dz: float = _rule(_positive, 1e-2)
+    u_eps: float = _rule(_u_eps, 1e-4)
+    ode_rtol: float = _rule(_positive, 1e-10)
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    x_min: float = _number(-60.0, positive=False)
-    x_max: float = _number(60.0, positive=False)
-    dx: float = _number(0.05)
-    dt: float = _number(None)  # None: 0.2*dx
-    bc: str = "dirichlet01"
+    x_min: float = _rule(_finite, -60.0)
+    x_max: float = _rule(_finite, 60.0)
+    dx: float = _rule(_positive, 0.05)
+    dt: float = _rule(_positive, None)  # None: 0.2*dx
+    bc: str = _rule(_choice("boundary condition", get_args(simulator.BoundaryKind)), "dirichlet01")
 
     def __post_init__(self) -> None:
         if self.dt is None:
@@ -104,18 +192,18 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    t_end: float = _number(40.0)
-    observe_every: float = _number(0.5)
-    initial_condition: str = "step"
-    delta: float = _number(0.05)
-    window: tuple[float, float] | None = None
-    custom_table: tuple[tuple[float, float], ...] | None = None
+    t_end: float = _rule(_positive, 40.0)
+    observe_every: float = _rule(_positive, 0.5)
+    initial_condition: str = _rule(_choice("initial condition", _INITIAL_DATA), "step")
+    delta: float = _rule(_positive, 0.05)
+    window: tuple[float, float] | None = _rule(_window, None)
+    custom_table: tuple[tuple[float, float], ...] | None = _rule(_table, None)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
-    snapshot_times: tuple[float, ...] = ()
+    directory: str = _rule(_directory, "out")
+    snapshot_times: tuple[float, ...] = _rule(_numbers, ())
 
 
 @dataclass(frozen=True)
@@ -125,18 +213,6 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["reaction"]["f0"] = list(d["reaction"]["f0"])
-        d["reaction"]["f1"] = list(d["reaction"]["f1"])
-        exp = d["experiment"]
-        if exp["window"] is not None:
-            exp["window"] = list(exp["window"])
-        if exp["custom_table"] is not None:
-            exp["custom_table"] = [list(p) for p in exp["custom_table"]]
-        d["output"]["snapshot_times"] = list(d["output"]["snapshot_times"])
-        return d
 
 
 def build_term(rc: ReactionConfig) -> reaction.ReactionTerm:
@@ -152,87 +228,67 @@ def build_term(rc: ReactionConfig) -> reaction.ReactionTerm:
 # Parsing and validation
 
 
-def _expand_reaction(entry: Any, errs: list[tuple[str, str]]) -> ReactionConfig | None:
-    if isinstance(entry, str):
-        if entry == "quadratic_demo":
-            t = reaction.quadratic_demo()
-            return ReactionConfig(t.a, t.f0.coefficients, t.f1.coefficients, t.branch_rule)
-        m = _PRESET_RE.match(entry)
-        if m:
-            try:
-                k, a = float(m.group(1)), float(m.group(2))
-            except ValueError:
-                errs.append(("reaction", f"cannot parse preset arguments in {entry!r}"))
-                return None
-            if not k < 0:
-                errs.append(("reaction", f"piecewise_linear slope k={k} must be negative"))
-                return None
-            if not 0.0 < a < 1.0:
-                errs.append(("reaction", f"piecewise_linear a={a} must lie in (0, 1)"))
-                return None
-            t = reaction.piecewise_linear(k, a)
-            return ReactionConfig(t.a, t.f0.coefficients, t.f1.coefficients, t.branch_rule)
-        errs.append(("reaction", f"unknown preset {entry!r}"))
-        return None
-    if not isinstance(entry, dict):
-        errs.append(("reaction", "must be a preset string or an object"))
-        return None
-    ok = True
-    a = entry.get("a")
-    if not isinstance(a, (int, float)) or not 0.0 < float(a) < 1.0:
-        errs.append(("reaction.a", f"branch point {a!r} must be a number in (0, 1)"))
-        ok = False
-    coeffs: dict[str, tuple[float, ...]] = {}
-    for name in ("f0", "f1"):
-        c = entry.get(name)
-        if (
-            not isinstance(c, list)
-            or len(c) == 0
-            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in c)
-        ):
-            errs.append((f"reaction.{name}", "must be a non-empty list of finite numbers"))
-            ok = False
-        else:
-            coeffs[name] = tuple(float(v) for v in c)
-    rule = entry.get("branch_rule", "right_closed")
-    if rule not in ("left_closed", "right_closed", "average"):
-        errs.append(("reaction.branch_rule", f"unknown branch rule {rule!r}"))
-        ok = False
-    unknown = set(entry) - {"a", "f0", "f1", "branch_rule"}
-    if unknown:
-        errs.append(("reaction", f"unknown fields {sorted(unknown)}"))
-        ok = False
-    if not ok:
-        return None
-    return ReactionConfig(float(a), coeffs["f0"], coeffs["f1"], rule)
+def _section(sec: Any, path: str, cls: type, errs: list[tuple[str, str]]) -> Any:
+    """Read one config section into ``cls`` by the rule declared on each field.
 
-
-def _section(raw: dict, name: str, cls: type, errs: list[tuple[str, str]]) -> tuple[dict, dict]:
-    """Read one config section: its raw object, and the values of its
-    numeric fields checked against each field's declared limit.  A missing
-    field takes its default, as does null where the default is None; an
-    invalid one is reported and left out."""
-    sec = raw.get(name, {})
+    Unknown keys are reported first, sorted, then each field's violation in
+    declaration order, under ``path.field``.  A missing field takes its
+    default, as does null where the default is None; a field without a
+    default is required, and a missing one is read as null.  An invalid
+    field is reported and takes its default, so later checks see a whole
+    section; the result is None only if a required field is invalid.
+    """
     if not isinstance(sec, dict):
-        errs.append((name, "must be an object"))
+        errs.append((path, "must be an object"))
         sec = {}
     declared = fields(cls)
-    for key in sorted(set(sec) - {f.name for f in declared}):
-        errs.append((f"{name}.{key}", "unknown field"))
+    unknown = sorted(set(sec) - {f.name for f in declared})
+    errs.extend((f"{path}.{key}", "unknown field") for key in unknown)
     values: dict[str, Any] = {}
     for f in declared:
-        if "positive" not in f.metadata:
+        val = sec.get(f.name)
+        takes_default = f.default is None if f.name in sec else f.default is not MISSING
+        if val is None and takes_default:
             continue
-        val = sec.get(f.name, f.default)
-        if val is None and f.default is None:
-            values[f.name] = None
-        elif not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            errs.append((f"{name}.{f.name}", f"{val!r} is not a finite number"))
-        elif f.metadata["positive"] and val <= 0.0:
-            errs.append((f"{name}.{f.name}", f"{float(val)} must be > 0"))
-        else:
-            values[f.name] = float(val)
-    return sec, values
+        try:
+            values[f.name] = f.metadata["parse"](val)
+        except ValueError as exc:
+            errs.append((f"{path}.{f.name}", str(exc)))
+    if any(f.default is MISSING and f.name not in values for f in declared):
+        return None
+    return cls(**values)
+
+
+def _reaction(raw: dict, errs: list[tuple[str, str]]) -> ReactionConfig | None:
+    """The reaction section: an object of fields, or a preset string."""
+    if "reaction" not in raw:
+        errs.append(("reaction", "required section missing"))
+        return None
+    entry = raw["reaction"]
+    if isinstance(entry, dict):
+        return _section(entry, "reaction", ReactionConfig, errs)
+    try:
+        t = _preset(entry)
+    except ValueError as exc:
+        errs.append(("reaction", str(exc)))
+        return None
+    return ReactionConfig(t.a, t.f0.coefficients, t.f1.coefficients, t.branch_rule)
+
+
+def _preset(entry: Any) -> reaction.ReactionTerm:
+    """The library term that a preset string names.  ValueError if there is
+    none, or if the library rejects the preset's arguments."""
+    if not isinstance(entry, str):
+        raise ValueError("must be a preset string or an object")
+    if entry == "quadratic_demo":
+        return reaction.quadratic_demo()
+    m = _PRESET_RE.match(entry)
+    if m is None:
+        raise ValueError(f"unknown preset {entry!r}")
+    try:
+        return reaction.piecewise_linear(float(m.group(1)), float(m.group(2)))
+    except ValueError as exc:
+        raise ValueError(f"{entry}: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -241,116 +297,53 @@ def parse_config(text: str) -> RunConfig:
     Raises ConfigError carrying every violation found, each with its field
     path.  Defaults are filled in, so serialize(parse(text)) is stable.
     """
-    errs: list[tuple[str, str]] = []
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError([("<document>", f"not valid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be an object")])
 
-    known = {"reaction", "solver", "grid", "experiment", "output"}
-    for key in sorted(set(raw) - known):
-        errs.append((key, "unknown section"))
-    if "reaction" not in raw:
-        errs.append(("reaction", "required section missing"))
+    sections = {f.name for f in fields(RunConfig)}
+    errs = [(key, "unknown section") for key in sorted(set(raw) - sections)]
+    rc = _reaction(raw, errs)
+    solver = _section(raw.get("solver", {}), "solver", SolverConfig, errs)
 
-    rc = _expand_reaction(raw.get("reaction"), errs) if "reaction" in raw else None
-
-    _, solver_values = _section(raw, "solver", SolverConfig, errs)
-    solver = SolverConfig(**solver_values)
-
-    g, grid_values = _section(raw, "grid", GridConfig, errs)
-    bc = g.get("bc", GridConfig.bc)
-    if bc not in ("dirichlet01", "neumann"):
-        errs.append(("grid.bc", f"unknown boundary condition {bc!r}"))
-        bc = GridConfig.bc
-    grid = GridConfig(**grid_values, bc=bc)
-    if {"x_min", "x_max", "dx"} <= grid_values.keys():
+    grid = _section(raw.get("grid", {}), "grid", GridConfig, errs)
+    if not {"grid.x_min", "grid.x_max", "grid.dx"} & dict(errs).keys():
         try:
             simulator.Grid1D(**asdict(grid))
         except ValueError as exc:  # the domain is empty or not a whole number >= 16 of cells
             errs.append(("grid.dx" if grid.x_min < grid.x_max else "grid.x_min", str(exc)))
 
-    e, experiment_values = _section(raw, "experiment", ExperimentConfig, errs)
-    ic = e.get("initial_condition", ExperimentConfig.initial_condition)
-    if ic not in ("step", "wave", "wave_plus_delta", "custom_table"):
-        errs.append(("experiment.initial_condition", f"unknown initial condition {ic!r}"))
-        ic = ExperimentConfig.initial_condition
-    window_raw = e.get("window")
-    window: tuple[float, float] | None = None
-    if window_raw is not None:
-        if (
-            not isinstance(window_raw, list)
-            or len(window_raw) != 2
-            or not all(isinstance(v, (int, float)) for v in window_raw)
-            or not window_raw[0] < window_raw[1]
-        ):
-            errs.append(("experiment.window", f"{window_raw!r} must be [lo, hi] with lo < hi"))
-        else:
-            window = (float(window_raw[0]), float(window_raw[1]))
-    table_raw = e.get("custom_table")
-    custom_table: tuple[tuple[float, float], ...] | None = None
-    if table_raw is not None:
-        if (
-            not isinstance(table_raw, list)
-            or len(table_raw) < 2
-            or not all(
-                isinstance(p, list) and len(p) == 2
-                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in p)
-                for p in table_raw
-            )
-        ):
-            errs.append(("experiment.custom_table", "must be a list of >= 2 [x, u] pairs"))
-        else:
-            xs = [p[0] for p in table_raw]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                errs.append(("experiment.custom_table", "x values must be strictly increasing"))
-            else:
-                custom_table = tuple((float(p[0]), float(p[1])) for p in table_raw)
-    if ic == "custom_table" and custom_table is None and table_raw is None:
-        errs.append(("experiment.custom_table", "required when initial_condition=custom_table"))
-    experiment = ExperimentConfig(
-        **experiment_values, initial_condition=ic, window=window, custom_table=custom_table
-    )
+    experiment = _section(raw.get("experiment", {}), "experiment", ExperimentConfig, errs)
+    if experiment.initial_condition == "custom_table" and experiment.custom_table is None:
+        if "experiment.custom_table" not in dict(errs):  # else it is reported as invalid
+            errs.append(("experiment.custom_table", "required when initial_condition=custom_table"))
 
-    o, _ = _section(raw, "output", OutputConfig, errs)
-    directory = o.get("directory", OutputConfig.directory)
-    if not isinstance(directory, str) or not directory:
-        errs.append(("output.directory", f"{directory!r} must be a non-empty string"))
-        directory = OutputConfig.directory
-    snaps_raw = o.get("snapshot_times", [])
-    snapshot_times: tuple[float, ...] = ()
-    if not isinstance(snaps_raw, list) or not all(
-        isinstance(v, (int, float)) and math.isfinite(v) for v in snaps_raw
-    ):
-        errs.append(("output.snapshot_times", "must be a list of finite numbers"))
-    else:
-        snapshot_times = tuple(float(v) for v in snaps_raw)
-    output = OutputConfig(directory=directory, snapshot_times=snapshot_times)
-
-    if solver.u_eps > 1e-3:
-        errs.append(("solver.u_eps", f"{solver.u_eps} exceeds the profile truncation cap 1e-3"))
+    output = _section(raw.get("output", {}), "output", OutputConfig, errs)
 
     # Term-dependent limits: dt against the explicit-reaction stability
     # bound, eps against the singular-seed window.
     if rc is not None and not any(path.startswith("grid.d") for path, _ in errs):
-        bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
+        try:
+            bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
+        except ValueError as exc:  # a slope beyond the float range
+            errs.append(("reaction", f"slopes are not finite: {exc}"))
+            bound = math.inf
         if grid.dt > bound:
             errs.append((
                 "grid.dt",
                 f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} "
                 f"(={simulator.DT_STABILITY_FACTOR:g}/max(K0,K1))",
             ))
-        eps_cap = min(rc.a, 1.0 - rc.a) / 100.0
+        eps_cap = min(rc.a, 1.0 - rc.a) / shooting.EPS_CAP_DIVISOR
         if solver.eps is not None and solver.eps > eps_cap:
-            errs.append(
-                ("solver.eps", f"{solver.eps} exceeds the seed cap min(a, 1-a)/100 = {eps_cap:.6g}")
-            )
+            cap = f"min(a, 1-a)/{shooting.EPS_CAP_DIVISOR:g} = {eps_cap:.6g}"
+            errs.append(("solver.eps", f"{solver.eps} exceeds the seed cap {cap}"))
 
     if errs:
         raise ConfigError(errs)
-    assert rc is not None
     return RunConfig(reaction=rc, solver=solver, grid=grid, experiment=experiment, output=output)
 
 
@@ -396,7 +389,7 @@ def _json_text(obj: Any, indent: int = 0) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    return _json_text(cfg.to_dict()) + "\n"
+    return _json_text(asdict(cfg)) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -435,57 +428,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
 
 
 def _artifact(cfg: RunConfig, **payload: Any) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}
-    out.update(payload)
-    return out
-
-
-def _report_dict(rep: reaction.HypothesisReport) -> dict:
-    sb = rep.slope_bounds
-    return {
-        "h1_ok": rep.h1_ok,
-        "h2_ok": rep.h2_ok,
-        "h3_ok": rep.h3_ok,
-        "h3_integral": rep.h3_integral,
-        "remark2_ok": rep.remark2_ok,
-        "slope_bounds": None
-        if sb is None
-        else {
-            "alpha_lo": sb.alpha_lo,
-            "alpha_hi": sb.alpha_hi,
-            "beta_lo": sb.beta_lo,
-            "beta_hi": sb.beta_hi,
-        },
-        "violations": [[h, u, v] for h, u, v in rep.violations[:200]],
-    }
-
-
-def _bracket_dict(br: linear_theory.SpeedBracket) -> dict:
-    return {
-        "c_check": br.c_check,
-        "c_under": br.c_under,
-        "c_over": br.c_over,
-        "c_hat": br.c_hat,
-        "ordering_ok": br.ordering_ok,
-    }
-
-
-def _initial_profile(cfg: RunConfig, ws: shooting.WaveSolution) -> Any:
-    ic = cfg.experiment.initial_condition
-    if ic == "step":
-        return lambda x: np.where(x >= 0.0, 1.0, 0.0)
-    if ic == "wave":
-        prof = simulator.WaveProfile(ws)
-        return lambda x: prof(x)
-    if ic == "wave_plus_delta":
-        prof = simulator.WaveProfile(ws)
-        delta = cfg.experiment.delta
-        return lambda x: prof(x) + delta
-    table = cfg.experiment.custom_table
-    assert table is not None
-    xs = np.array([p[0] for p in table])
-    us = np.array([p[1] for p in table])
-    return lambda x: np.interp(x, xs, us)
+    return {"schema_version": SCHEMA_VERSION, "config": asdict(cfg), **payload}
 
 
 def _write_phase_csvs(
@@ -582,7 +525,7 @@ def _simulate(
         )
     tr = simulator.run(
         term,
-        _initial_profile(cfg, ws),
+        _INITIAL_DATA[ec.initial_condition](ec, simulator.WaveProfile(ws)),
         grid,
         ec.t_end,
         ec.observe_every,
@@ -625,12 +568,12 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         return _run_chain(cmd, cfg, outdir)
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except Divergence as exc:
         print(f"simulation divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except BistableWavesError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
@@ -638,7 +581,8 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
     term = build_term(cfg.reaction)
     report = reaction.check_hypotheses(term)
     if cmd == "check":
-        _write_json(outdir / "check.json", _artifact(cfg, report=_report_dict(report)))
+        shown = replace(report, violations=report.violations[:200])
+        _write_json(outdir / "check.json", _artifact(cfg, report=asdict(shown)))
         return EXIT_OK if report.admissible else EXIT_HYPOTHESIS
     if not report.admissible:
         print(
@@ -650,7 +594,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
 
     bounds, bracket = _bracket(term, report.slope_bounds, solver)
     if cmd == "bounds":
-        _write_json(outdir / "bounds.json", _artifact(cfg, bracket=_bracket_dict(bracket)))
+        _write_json(outdir / "bounds.json", _artifact(cfg, bracket=asdict(bracket)))
         _write_csv(
             outdir / "bounds.csv",
             ["c_check", "c_under", "c_over", "c_hat", "ordering_ok"],
@@ -666,7 +610,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
             _artifact(
                 cfg,
                 c_star=c_star,
-                bracket=_bracket_dict(bracket),
+                bracket=asdict(bracket),
                 derivative_jump=abs(details["residual"]),  # S(c*), where find_speed stopped
                 iterations=details.get("iterations", 0),
             ),
@@ -699,7 +643,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
             _artifact(
                 cfg,
                 c_star=c_star,
-                bracket=_bracket_dict(bracket),
+                bracket=asdict(bracket),
                 derivative_jump=ws.derivative_jump_at_0,
                 c1_ok=shooting.verify_c1(ws, solver.c1_tol),
                 z_min=float(ws.z_grid[0]),
@@ -750,7 +694,7 @@ def _set_by_path(doc: dict, path: str, value: float) -> None:
             raise ConfigError([(path, "not a numeric leaf of the configuration")])
         node = nxt
     leaf = parts[-1]
-    if leaf not in node or not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
+    if _as_float(node.get(leaf)) is None:
         raise ConfigError([(path, "not a numeric leaf of the configuration")])
     node[leaf] = value
 
@@ -758,14 +702,14 @@ def _set_by_path(doc: dict, path: str, value: float) -> None:
 def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
     row: dict[str, Any] = {"parameter": parameter, "value": value, "status": "ok"}
     try:
-        doc = cfg.to_dict()
+        doc = asdict(cfg)
         _set_by_path(doc, parameter, value)
         row_cfg = parse_config(_json_text(doc))
         term = build_term(row_cfg.reaction)
         # No audit gate here: a row fails with the solver error it actually
         # hits (e.g. NoPositiveRoot at the degenerate boundary).
         _, bracket = _bracket(term, None, row_cfg.solver)
-        row.update(_bracket_dict(bracket))
+        row.update(asdict(bracket))
         if cmd == "speed":
             row["c_star"] = _speed(term, bracket, row_cfg.solver, check_monotone=False)
     except BistableWavesError as exc:
@@ -782,7 +726,7 @@ def sweep(cfg: RunConfig, parameter: str, values: Sequence[float], cmd: str = "s
     """
     if cmd not in _SWEEPABLE:
         raise ConfigError([("sweep", f"command {cmd!r} is not sweepable; use one of {_SWEEPABLE}")])
-    _set_by_path(cfg.to_dict(), parameter, 0.0)  # path must be a numeric leaf
+    _set_by_path(asdict(cfg), parameter, 0.0)  # path must be a numeric leaf
     return [_sweep_row(cfg, cmd, parameter, v) for v in values]
 
 
@@ -823,33 +767,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VALIDATION
     try:
         cfg = parse_config(text)
-    except ConfigError as exc:
-        for path, msg in exc.violations:
-            print(f"config error at {path}: {msg}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.sweep is not None:
-        if "=" not in args.sweep:
+        if args.sweep is None:
+            return run_command(args.command, cfg, out_dir=args.out)
+        field_path, eq, raw_vals = args.sweep.partition("=")
+        if not eq:
             print("--sweep expects FIELD=V1,V2,...", file=sys.stderr)
             return EXIT_VALIDATION
-        field_path, _, raw_vals = args.sweep.partition("=")
         try:
             values = [float(v) for v in raw_vals.split(",") if v.strip() != ""]
         except ValueError:
             print(f"cannot parse sweep values {raw_vals!r}", file=sys.stderr)
             return EXIT_VALIDATION
-        try:
-            rows = sweep(cfg, field_path.strip(), values, cmd=args.command)
-        except ConfigError as exc:
-            for path, msg in exc.violations:
-                print(f"config error at {path}: {msg}", file=sys.stderr)
-            return EXIT_VALIDATION
-        outdir = Path(args.out or cfg.output.directory)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_sweep(outdir, cfg, rows)
-        return EXIT_OK
-
-    return run_command(args.command, cfg, out_dir=args.out)
+        rows = sweep(cfg, field_path.strip(), values, cmd=args.command)
+    except ConfigError as exc:
+        for path, msg in exc.violations:
+            print(f"config error at {path}: {msg}", file=sys.stderr)
+        return EXIT_VALIDATION
+    outdir = Path(args.out or cfg.output.directory)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_sweep(outdir, cfg, rows)
+    return EXIT_OK
 
 
 def entrypoint() -> None:

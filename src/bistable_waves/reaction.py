@@ -12,7 +12,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -22,8 +22,6 @@ from .errors import NonNegativeSlope
 BranchRule = Literal["left_closed", "right_closed", "average"]
 EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 
-_BRANCH_RULES = ("left_closed", "right_closed", "average")
-_ENVELOPE_KINDS = ("f_lo", "f_hi", "g_lo", "g_hi")
 _H2_GRID = 2048  # sample points per branch for the H2 sign audit
 _AUDIT_TOL = 1e-9  # margin of the audit's strict inequalities
 
@@ -107,7 +105,7 @@ class ReactionTerm:
             raise ValueError("f0 domain must be [0, a]")
         if abs(self.f1.domain_lo - self.a) > 1e-12 or abs(self.f1.domain_hi - 1.0) > 1e-12:
             raise ValueError("f1 domain must be [a, 1]")
-        if self.branch_rule not in _BRANCH_RULES:
+        if self.branch_rule not in get_args(BranchRule):
             raise ValueError(f"unknown branch_rule {self.branch_rule!r}")
 
     @cached_property
@@ -349,7 +347,7 @@ def envelope(f: ReactionTerm, kind: EnvelopeKind) -> ReactionTerm:
     f_lo = (alpha_lo, beta_lo), f_hi = (alpha_hi, beta_hi),
     g_lo = (alpha_lo, beta_hi), g_hi = (alpha_hi, beta_lo).
     """
-    if kind not in _ENVELOPE_KINDS:
+    if kind not in get_args(EnvelopeKind):
         raise ValueError(f"unknown envelope kind {kind!r}")
     b = slope_bounds(f)
     left, right = {

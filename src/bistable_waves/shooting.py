@@ -29,6 +29,10 @@ from .roots import EXPANSION_CAP, bracketed_root
 PathSide = Literal["left", "right"]
 
 _W_FLOOR = 1e-12
+# The seed distance eps lies in (0, min(a, 1 - a) / EPS_CAP_DIVISOR].
+EPS_CAP_DIVISOR = 100.0
+# reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, U_EPS_CAP].
+U_EPS_CAP = 1e-3
 # DOP853 clips rtol below 100 machine epsilons (2.2e-14) with a warning.
 _PROFILE_RTOL_FLOOR = 1e-13
 
@@ -76,8 +80,8 @@ def shoot_half(
         raise ValueError(f"speed c={c} must be >= 0")
     if eps is None:
         eps = default_eps(f)
-    if not (0.0 < eps <= min(f.a, 1.0 - f.a) / 100.0):
-        raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/100]")
+    if not (0.0 < eps <= min(f.a, 1.0 - f.a) / EPS_CAP_DIVISOR):
+        raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/{EPS_CAP_DIVISOR:g}]")
 
     if side == "left":
         coefficients = f.f0.coefficients
@@ -335,8 +339,8 @@ def reconstruct_profile(
     Marches forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid.
     """
-    if not (0.0 < u_eps <= 1e-3):
-        raise ValueError(f"u_eps={u_eps} outside (0, 1e-3]")
+    if not (0.0 < u_eps <= U_EPS_CAP):
+        raise ValueError(f"u_eps={u_eps} outside (0, {U_EPS_CAP:g}]")
     if dz <= 0.0:
         raise ValueError("dz must be positive")
     left = shoot_half(f, "left", c_star, eps=eps, rtol=rtol)

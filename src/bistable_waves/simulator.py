@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -64,10 +64,11 @@ class Grid1D:
             raise ValueError("dx and dt must be positive")
         if self.x_min >= self.x_max:
             raise ValueError(f"domain [{self.x_min}, {self.x_max}] is empty")
-        if self.bc not in ("dirichlet01", "neumann"):
+        if self.bc not in get_args(BoundaryKind):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         cells = (self.x_max - self.x_min) / self.dx
-        if abs(cells - round(cells)) > 1e-6 * max(1.0, cells) or round(cells) < 16:
+        whole = math.isfinite(cells) and abs(cells - round(cells)) <= 1e-6 * max(1.0, cells)
+        if not whole or round(cells) < 16:
             raise ValueError(f"(x_max-x_min)/dx = {cells:.6g} must be an integer >= 16")
 
     @property

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bistable_waves as bw
 from bistable_waves import cli
 from bistable_waves.errors import (
+    BistableWavesError,
     BracketFailure,
     ConfigError,
     Divergence,
     InsufficientData,
+    NoFront,
     NoPositiveRoot,
     PathCollapse,
 )
@@ -136,6 +142,138 @@ def test_invalid_json_document():
         cli.parse_config("{not json")
     with pytest.raises(ConfigError):
         cli.parse_config("[1, 2]")
+
+
+_HUGE = 10**400  # an integer literal beyond the float range
+_DEMO_OBJECT = {"a": 0.3, "f0": [0, -1, -1], "f1": [0.2, 0.8, -1]}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        pytest.param({"reaction": {**_DEMO_OBJECT, "f0": [0, True, -1]}}, "reaction.f0", id="bool_in_f0"),
+        pytest.param({"experiment": {"window": [True, 5]}}, "experiment.window", id="bool_in_window"),
+        pytest.param(
+            {"experiment": {"initial_condition": "custom_table", "custom_table": [[0, 0], [1, True]]}},
+            "experiment.custom_table",
+            id="bool_in_custom_table",
+        ),
+        pytest.param({"output": {"snapshot_times": [1, False]}}, "output.snapshot_times", id="bool_in_snapshots"),
+        pytest.param({"experiment": {"window": [-math.inf, 5]}}, "experiment.window", id="infinite_window"),
+        pytest.param({"grid": {"dx": _HUGE}}, "grid.dx", id="huge_int_dx"),
+        pytest.param({"reaction": {**_DEMO_OBJECT, "a": _HUGE}}, "reaction.a", id="huge_int_a"),
+        pytest.param({"experiment": {"window": [0, _HUGE]}}, "experiment.window", id="huge_int_window"),
+        pytest.param({"reaction": "piecewise_linear(-1e400, 0.3)"}, "reaction", id="overflowing_preset"),
+        pytest.param({"grid": {"x_min": -1e308, "x_max": 1e308}}, "grid.dx", id="overflowing_cell_count"),
+        pytest.param(
+            {"reaction": {"a": 0.3, "f0": [0, -1e308, -1e308], "f1": [1e308, -1e308]}},
+            "reaction",
+            id="overflowing_slope",
+        ),
+    ],
+)
+def test_input_defects_rejected_at_their_path(tmp_path, capsys, doc, path):
+    """Booleans in number lists, non-finite numbers, integers past the float
+    range and overflowing preset or grid arguments are validation errors
+    under their field's path, not accepted values or crashes."""
+    text = json.dumps({"reaction": "quadratic_demo", **doc})
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text)
+    assert [p for p, _ in exc.value.violations] == [path]
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(text)
+    assert cli.main(["check", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overlong_integer_literal_is_invalid_json():
+    # json.loads refuses integers of more than 4300 digits with a plain ValueError
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config('{"reaction": "quadratic_demo", "grid": {"dx": 1' + "0" * 5000 + "}}")
+    assert [p for p, _ in exc.value.violations] == ["<document>"]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 100),
+    st.sampled_from([_HUGE, -_HUGE, 10**20]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+_SMALL = st.floats(1e-9, 1e-3) | st.sampled_from([1e-4, 1e-3])
+# A plausible value per section field; whether the document is valid is left
+# to the cross-field checks (cell count, dt stability, eps cap, table).
+_PLAUSIBLE = {
+    "reaction": {
+        "a": st.floats(0.01, 0.99),
+        "f0": st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3), min_size=1, max_size=4),
+        "f1": st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3), min_size=1, max_size=4),
+        "branch_rule": st.sampled_from(get_args(bw.reaction.BranchRule)),
+    },
+    "solver": {f.name: _SMALL for f in fields(cli.SolverConfig)},
+    "grid": {
+        "x_min": st.sampled_from([-60, -20.0, -10]),
+        "x_max": st.sampled_from([20, 60.0]),
+        "dx": st.sampled_from([0.05, 0.1, 0.5]),
+        "dt": st.floats(1e-4, 2.0),
+        "bc": st.sampled_from(get_args(bw.simulator.BoundaryKind)),
+    },
+    "experiment": {
+        "t_end": st.floats(0.1, 100.0),
+        "observe_every": st.floats(0.1, 10.0),
+        "initial_condition": st.sampled_from(list(cli._INITIAL_DATA)),
+        "delta": st.floats(1e-3, 0.5),
+        "window": st.lists(st.floats(-1e6, 1e6) | st.integers(0, 9), min_size=2, max_size=2),
+        "custom_table": st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=4).map(
+            lambda xs: [[x, 0.5] for x in xs]
+        ),
+    },
+    "output": {
+        "directory": st.text(min_size=1, max_size=4),
+        "snapshot_times": st.lists(st.floats(-1e3, 1e3) | st.integers(0, 9), max_size=3),
+    },
+}
+
+
+@st.composite
+def _config_documents(draw):
+    """A document whose sections are drawn field by field: in about half
+    the documents from plausible values only, else also from any JSON value
+    (numbers, huge ints, +-Infinity, NaN, booleans, strings, lists, nulls)."""
+    junk = draw(st.booleans())
+    doc: dict = {}
+    for section, rules in _PLAUSIBLE.items():
+        values = {k: (v | _JSON_VALUES) if junk else v for k, v in rules.items()}
+        if junk:
+            values["unknown"] = _JSON_VALUES
+        doc[section] = draw(st.fixed_dictionaries({}, optional=values))
+    doc["reaction"] = draw(
+        st.sampled_from(["quadratic_demo", "piecewise_linear(-1, 0.3)", "piecewise_linear(-1e400, 0.3)", "x"])
+        | st.just(doc["reaction"])
+    )
+    if junk:
+        for section in draw(st.lists(st.sampled_from(list(_PLAUSIBLE)), max_size=2)):
+            doc[section] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_config_documents())
+def test_parse_config_rejects_only_with_config_error_and_round_trips(doc):
+    """Any JSON document either raises ConfigError or parses to a config
+    that its own serialization parses back to, with stable text."""
+    try:
+        cfg = cli.parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    text = cli.serialize_config(cfg)
+    again = cli.parse_config(text)
+    assert again == cfg
+    assert cli.serialize_config(again) == text
 
 
 def test_check_command_demo(tmp_path):
@@ -375,10 +513,11 @@ def test_deterministic_artifacts(tmp_path):
         ("speed", "shooting", "find_speed", BracketFailure),
         ("profile", "shooting", "reconstruct_profile", PathCollapse),
         ("stability", "simulator", "estimate_speed", InsufficientData),
+        ("simulate", "simulator", "run", NoFront),
     ],
 )
 def test_solver_failure_exit_code_per_stage(tmp_path, monkeypatch, capsys, cmd, module, call, failure):
-    assert failure in cli._SOLVER_FAILURES
+    assert issubclass(failure, BistableWavesError)
     doc = {
         "reaction": "quadratic_demo",
         "grid": {"x_min": -20.0, "x_max": 20.0, "dx": 0.1, "dt": 0.02},
