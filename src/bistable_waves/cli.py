@@ -23,7 +23,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence, get_args
@@ -94,10 +94,7 @@ def _u_eps(val: Any) -> float:
 
 
 def _branch_point(val: Any) -> float:
-    x = _as_float(val)
-    if x is None or not 0.0 < x < 1.0:
-        raise ValueError(f"branch point {val!r} must be a number in (0, 1)")
-    return x
+    return reaction._check_branch_point(_finite(val))
 
 
 def _numbers(val: Any, nonempty: bool = False) -> tuple[float, ...]:
@@ -324,19 +321,21 @@ def parse_config(text: str) -> RunConfig:
     output = _section(raw.get("output", {}), "output", OutputConfig, errs)
 
     # Term-dependent limits: dt against the explicit-reaction stability
-    # bound, eps against the singular-seed window.
-    if rc is not None and not any(path.startswith("grid.d") for path, _ in errs):
-        try:
-            bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
-        except ValueError as exc:  # a slope beyond the float range
-            errs.append(("reaction", f"slopes are not finite: {exc}"))
-            bound = math.inf
-        if grid.dt > bound:
-            errs.append((
-                "grid.dt",
-                f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} "
-                f"(={simulator.DT_STABILITY_FACTOR:g}/max(K0,K1))",
-            ))
+    # bound, once the grid's steps are valid, and eps against the
+    # singular-seed window, which needs no grid.
+    if rc is not None:
+        if not any(path.startswith("grid.d") for path, _ in errs):
+            try:
+                bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
+            except ValueError as exc:  # a slope beyond the float range
+                errs.append(("reaction", f"slopes are not finite: {exc}"))
+                bound = math.inf
+            if grid.dt > bound:
+                errs.append((
+                    "grid.dt",
+                    f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} "
+                    f"(={simulator.DT_STABILITY_FACTOR:g}/max(K0,K1))",
+                ))
         eps_cap = min(rc.a, 1.0 - rc.a) / shooting.EPS_CAP_DIVISOR
         if solver.eps is not None and solver.eps > eps_cap:
             cap = f"min(a, 1-a)/{shooting.EPS_CAP_DIVISOR:g} = {eps_cap:.6g}"
@@ -458,36 +457,22 @@ def _write_phase_csvs(
 
 
 def _bracket(
-    term: reaction.ReactionTerm, bounds: reaction.SlopeBounds | None, solver: SolverConfig
-) -> tuple[reaction.SlopeBounds, linear_theory.SpeedBracket]:
-    """Bracket stage: the speeds of the four envelope waves.
-
-    ``bounds`` are the audit's.  Without them (a sweep row runs no audit,
-    or the audit found a secant slope >= 0) they are computed here, which
-    raises NonNegativeSlope in the latter case.
-    """
-    if bounds is None:
-        bounds = reaction.slope_bounds(term)
-    return bounds, linear_theory.speed_bracket(bounds, term.a, tol=solver.tol_phi)
+    term: reaction.ReactionTerm, bounds: reaction.SlopeBounds, solver: SolverConfig
+) -> linear_theory.SpeedBracket:
+    """Bracket stage: the speeds of the four envelope waves of the term's
+    secant-slope bounds, the audit's in the chain."""
+    return linear_theory.speed_bracket(bounds, term.a, tol=solver.tol_phi)
 
 
 def _speed(
     term: reaction.ReactionTerm,
     bracket: linear_theory.SpeedBracket,
     solver: SolverConfig,
-    *,
-    check_monotone: bool = True,
     details: dict | None = None,
 ) -> float:
     """Speed stage: shoot for c* inside the bracket."""
     return shooting.find_speed(
-        term,
-        bracket,
-        solver.tol_c,
-        eps=solver.eps,
-        rtol=solver.ode_rtol,
-        check_monotone=check_monotone,
-        details=details,
+        term, bracket, solver.tol_c, eps=solver.eps, rtol=solver.ode_rtol, details=details
     )
 
 
@@ -581,8 +566,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
     term = build_term(cfg.reaction)
     report = reaction.check_hypotheses(term)
     if cmd == "check":
-        shown = replace(report, violations=report.violations[:200])
-        _write_json(outdir / "check.json", _artifact(cfg, report=asdict(shown)))
+        _write_json(outdir / "check.json", _artifact(cfg, report=asdict(report)))
         return EXIT_OK if report.admissible else EXIT_HYPOTHESIS
     if not report.admissible:
         print(
@@ -592,7 +576,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         )
         return EXIT_HYPOTHESIS
 
-    bounds, bracket = _bracket(term, report.slope_bounds, solver)
+    bracket = _bracket(term, report.slope_bounds, solver)
     if cmd == "bounds":
         _write_json(outdir / "bounds.json", _artifact(cfg, bracket=asdict(bracket)))
         _write_csv(
@@ -603,7 +587,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         return EXIT_OK
 
     details: dict[str, Any] = {}
-    c_star = _speed(term, bracket, solver, details=details)
+    c_star = _speed(term, bracket, solver, details)
     if cmd == "speed":
         _write_json(
             outdir / "speed.json",
@@ -627,7 +611,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         _write_phase_csvs(
             outdir,
             term,
-            bounds,
+            report.slope_bounds,
             {
                 "c0": 0.0,
                 "c_check": bracket.c_check,
@@ -707,11 +691,12 @@ def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
         row_cfg = parse_config(_json_text(doc))
         term = build_term(row_cfg.reaction)
         # No audit gate here: a row fails with the solver error it actually
-        # hits (e.g. NoPositiveRoot at the degenerate boundary).
-        _, bracket = _bracket(term, None, row_cfg.solver)
+        # hits (e.g. NonNegativeSlope, or NoPositiveRoot at the degenerate
+        # boundary).
+        bracket = _bracket(term, reaction.slope_bounds(term), row_cfg.solver)
         row.update(asdict(bracket))
         if cmd == "speed":
-            row["c_star"] = _speed(term, bracket, row_cfg.solver, check_monotone=False)
+            row["c_star"] = _speed(term, bracket, row_cfg.solver)
     except BistableWavesError as exc:
         row["status"] = type(exc).__name__
     return row

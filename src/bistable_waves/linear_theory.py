@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositiveRoot
-from .reaction import SlopeBounds
+from .reaction import SlopeBounds, _check_branch_point
 from .roots import EXPANSION_CAP, bracketed_root
 
 
@@ -62,8 +62,7 @@ class EnvelopeWave:
     a: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < 1.0):
-            raise ValueError(f"a={self.a} outside (0, 1)")
+        _check_branch_point(self.a)
         if not (self.rate_left > 0.0 > self.rate_right):
             raise ValueError(
                 f"need rate_left > 0 > rate_right, got {self.rate_left}, {self.rate_right}"
@@ -111,8 +110,7 @@ def match_speed(alpha: float, beta: float, a: float, tol: float = 1e-12) -> floa
     """
     if alpha >= 0.0 or beta >= 0.0:
         raise ValueError(f"branch slopes must be negative, got alpha={alpha}, beta={beta}")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a={a} outside (0, 1)")
+    _check_branch_point(a)
     phi0 = speed_residual(0.0, alpha, beta, a)
     if phi0 < -tol:
         raise NoPositiveRoot(

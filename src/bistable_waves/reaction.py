@@ -22,8 +22,14 @@ from .errors import NonNegativeSlope
 BranchRule = Literal["left_closed", "right_closed", "average"]
 EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 
-_H2_GRID = 2048  # sample points per branch for the H2 sign audit
 _AUDIT_TOL = 1e-9  # margin of the audit's strict inequalities
+
+
+def _check_branch_point(a: float) -> float:
+    """a if it lies in (0, 1), where every branch point lies; else ValueError."""
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"branch point a={a} must lie in (0, 1)")
+    return a
 
 
 def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarray | float:
@@ -99,8 +105,7 @@ class ReactionTerm:
     branch_rule: BranchRule = "right_closed"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < 1.0):
-            raise ValueError(f"branch point a={self.a} must lie in (0, 1)")
+        _check_branch_point(self.a)
         if abs(self.f0.domain_lo) > 1e-12 or abs(self.f0.domain_hi - self.a) > 1e-12:
             raise ValueError("f0 domain must be [0, a]")
         if abs(self.f1.domain_lo - self.a) > 1e-12 or abs(self.f1.domain_hi - 1.0) > 1e-12:
@@ -219,16 +224,27 @@ def _ratio_polys(f: ReactionTerm) -> tuple[np.ndarray, np.ndarray]:
     return r0, np.asarray(r1, dtype=float)
 
 
-def _poly_range(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """Exact (min, max) of a polynomial on [lo, hi]: its values at the
-    endpoints and at the real critical points between them."""
+def _poly_extremes(coeffs: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points where a polynomial takes its extremes on [lo, hi], the
+    endpoints and the real critical points between them, and its values
+    there."""
     candidates = [lo, hi]
+    # Top coefficients below 1e-13 of the largest only add roots far outside
+    # [0, 1], but they swamp polyroots' companion matrix, which then loses
+    # (or overflows on) the roots inside: the roots are found without them.
     der = npp.polyder(coeffs)
+    der = npp.polytrim(der, 1e-13 * np.max(np.abs(der)))
     if len(der) >= 2:
         for r in npp.polyroots(der):
             if abs(r.imag) < 1e-10 and lo <= r.real <= hi:
                 candidates.append(float(r.real))
-    vals = npp.polyval(np.asarray(candidates), coeffs)
+    points = np.asarray(candidates)
+    return points, npp.polyval(points, coeffs)
+
+
+def _poly_range(coeffs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """Exact (min, max) of a polynomial on [lo, hi], over _poly_extremes."""
+    _, vals = _poly_extremes(coeffs, lo, hi)
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -268,46 +284,46 @@ def potential_integral(f: ReactionTerm) -> float:
 
 
 def check_hypotheses(f: ReactionTerm) -> HypothesisReport:
-    """Audit the term: endpoint behaviour, sign conditions on a dense grid,
-    the positivity of the potential integral, and the square-root ordering
+    """Audit the term: endpoint behaviour, the sign conditions, the
+    positivity of the potential integral, and the square-root ordering
     chain that underpins the speed bracket.
 
-    Strict inequalities are tested with the margin _AUDIT_TOL.  Failures
-    are reported, never raised.
+    Strict inequalities are tested with the margin _AUDIT_TOL.  The sign
+    conditions are decided exactly, where each branch takes its extremes,
+    and a failing branch is reported once, at its worst point.  An
+    admissible report carries the slope bounds.  Failures are reported,
+    never raised.
     """
-    violations: list[tuple[str, float, float]] = []
+    # Endpoints: f0(0) = f1(1) = 0 and f0'(0), f1'(1) < 0.
+    f0_at_0, f1_at_1 = float(f.f0(0.0)), float(f.f1(1.0))
+    d0, d1 = f.slope_at_zero, f.slope_at_one
+    violations = [
+        ("H1", u, value)
+        for u, value, fails in (
+            (0.0, f0_at_0, abs(f0_at_0) > _AUDIT_TOL),
+            (0.0, d0, not d0 < -_AUDIT_TOL),
+            (1.0, f1_at_1, abs(f1_at_1) > _AUDIT_TOL),
+            (1.0, d1, not d1 < -_AUDIT_TOL),
+        )
+        if fails
+    ]
+    h1_ok = not violations
 
-    f0_at_0 = float(f.f0(0.0))
-    f1_at_1 = float(f.f1(1.0))
-    d0 = f.slope_at_zero
-    d1 = f.slope_at_one
-    h1_ok = True
-    if abs(f0_at_0) > _AUDIT_TOL:
-        violations.append(("H1", 0.0, f0_at_0))
-        h1_ok = False
-    if not d0 < -_AUDIT_TOL:
-        violations.append(("H1", 0.0, d0))
-        h1_ok = False
-    if abs(f1_at_1) > _AUDIT_TOL:
-        violations.append(("H1", 1.0, f1_at_1))
-        h1_ok = False
-    if not d1 < -_AUDIT_TOL:
-        violations.append(("H1", 1.0, d1))
-        h1_ok = False
-
-    # Sign conditions: f0 < 0 on (0, a], f1 > 0 on [a, 1).  The grids skip
-    # the endpoints where the branches vanish by H1.
+    # Sign conditions: f0 < 0 on (0, a], f1 > 0 on [a, 1).  With the sign s
+    # that makes the wanted value negative, a branch fails where s*f >= -tol,
+    # except at the end that H1 pins to 0, where it fails only if s*f > tol.
     h2_ok = True
-    u0_grid = np.linspace(0.0, f.a, _H2_GRID + 1)[1:]
-    v0 = f.f0(u0_grid)
-    for u, v in zip(u0_grid[v0 >= -_AUDIT_TOL], v0[v0 >= -_AUDIT_TOL]):
-        violations.append(("H2", float(u), float(v)))
-        h2_ok = False
-    u1_grid = np.linspace(f.a, 1.0, _H2_GRID + 1)[:-1]
-    v1 = f.f1(u1_grid)
-    for u, v in zip(u1_grid[v1 <= _AUDIT_TOL], v1[v1 <= _AUDIT_TOL]):
-        violations.append(("H2", float(u), float(v)))
-        h2_ok = False
+    for coeffs, lo, hi, pinned, sign in (
+        (f.f0.coefficients, 0.0, f.a, 0.0, 1.0),
+        (f.f1.coefficients, f.a, 1.0, 1.0, -1.0),
+    ):
+        points, values = _poly_extremes(coeffs, lo, hi)
+        signed = sign * values
+        failing = np.where(points == pinned, signed > _AUDIT_TOL, signed >= -_AUDIT_TOL)
+        if failing.any():
+            worst = np.argmax(np.where(failing, signed, -np.inf))
+            violations.append(("H2", float(points[worst]), float(values[worst])))
+            h2_ok = False
 
     h3_integral = potential_integral(f)
     h3_ok = h3_integral > _AUDIT_TOL
@@ -317,17 +333,17 @@ def check_hypotheses(f: ReactionTerm) -> HypothesisReport:
     if h1_ok and h2_ok:
         try:
             bounds = slope_bounds(f)
-        except NonNegativeSlope:
-            bounds = None
-        if bounds is not None:
-            chain = (
-                math.sqrt(-bounds.alpha_hi) * f.a,
-                math.sqrt(-bounds.alpha_lo) * f.a,
-                math.sqrt(-bounds.beta_hi) * (1.0 - f.a),
-                math.sqrt(-bounds.beta_lo) * (1.0 - f.a),
-            )
-            slack = 1e-12 * max(1.0, *chain)
-            remark2_ok = all(chain[i] <= chain[i + 1] + slack for i in range(3))
+        except NonNegativeSlope:  # only by rounding once H1 and H2 hold
+            h2_ok = False
+    if bounds is not None:
+        chain = (
+            math.sqrt(-bounds.alpha_hi) * f.a,
+            math.sqrt(-bounds.alpha_lo) * f.a,
+            math.sqrt(-bounds.beta_hi) * (1.0 - f.a),
+            math.sqrt(-bounds.beta_lo) * (1.0 - f.a),
+        )
+        slack = 1e-12 * max(1.0, *chain)
+        remark2_ok = all(chain[i] <= chain[i + 1] + slack for i in range(3))
 
     return HypothesisReport(
         h1_ok=h1_ok,
@@ -378,6 +394,7 @@ def piecewise_linear(k: float, a: float) -> ReactionTerm:
     """Linear branches f0(u) = k*u and f1(u) = k*(u-1) with common slope k < 0."""
     if not k < 0:
         raise ValueError(f"slope k={k} must be negative")
+    _check_branch_point(a)
     return ReactionTerm(
         a=a,
         f0=BranchPoly((0.0, k), 0.0, a),

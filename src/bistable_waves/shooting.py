@@ -54,6 +54,15 @@ class PhasePath:
         return float(self.w[-1] if self.side == "left" else self.w[0])
 
 
+def _collapse(u, w):
+    """Terminal event of the right half path: w falls through _W_FLOOR."""
+    return w[0] - _W_FLOOR
+
+
+_collapse.terminal = True
+_collapse.direction = -1.0
+
+
 def default_eps(f: ReactionTerm) -> float:
     """Seed distance from the singular equilibria."""
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
@@ -73,8 +82,10 @@ def shoot_half(
     right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
            stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
 
-    Raises PathCollapse if w falls below the floor 1e-12 before reaching a
-    (possible on the right side only; callers treat it as w(a) = 0).
+    Raises PathCollapse if the right path's w falls below the floor 1e-12
+    before reaching a (callers treat it as w(a) = 0).  Only that path
+    carries the collapse event: an admissible f0 < 0 keeps dw/du > 0 on the
+    left path.
     """
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
@@ -99,12 +110,6 @@ def shoot_half(
         # per-call array set-up, bit for bit.
         return c - _horner(float(u), coefficients) / w[0]
 
-    def collapse(u, w):
-        return w[0] - _W_FLOOR
-
-    collapse.terminal = True
-    collapse.direction = -1.0
-
     sol = solve_ivp(
         rhs,
         (u0, u1),
@@ -113,12 +118,12 @@ def shoot_half(
         rtol=rtol,
         atol=1e-16,
         dense_output=True,
-        events=collapse,
+        events=_collapse if side == "right" else None,
     )
-    if sol.status == 1:  # collapse event fired
+    if sol.status == 1:  # the right path's collapse event fired
         u_at = float(sol.t_events[0][0])
         raise PathCollapse(
-            f"{side} path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}", u_at=u_at
+            f"right path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}", u_at=u_at
         )
     if not sol.success:
         # A vanishing w makes dw/du ~ 1/w stiff enough that the step size
@@ -134,26 +139,19 @@ def shoot_half(
 
     dense = sol.sol
     lam_seed = w0 / eps  # signed slope magnitude of the seeded manifold
+    left = side == "left"
+    lo, hi = (u0, u1) if left else (u1, u0)
 
-    if side == "left":
+    def w_of_u(u):
+        # The path clipped to [lo, hi]; past the seed, the manifold it was
+        # seeded on.
+        u = np.asarray(u, dtype=float)
+        w = dense(np.clip(u, lo, hi))[0]
+        tail = lam_seed * u if left else lam_seed * (1.0 - u)
+        out = np.where(u < lo if left else u > hi, tail, w)
+        return float(out) if out.ndim == 0 else out
 
-        def w_of_u(u):
-            u = np.asarray(u, dtype=float)
-            inside = np.clip(u, u0, u1)
-            out = np.where(u < u0, lam_seed * u, dense(inside)[0])
-            return float(out) if out.ndim == 0 else out
-
-        u_samples, w_samples = sol.t, sol.y[0]
-    else:
-
-        def w_of_u(u):
-            u = np.asarray(u, dtype=float)
-            inside = np.clip(u, u1, u0)
-            out = np.where(u > u0, lam_seed * (1.0 - u), dense(inside)[0])
-            return float(out) if out.ndim == 0 else out
-
-        u_samples, w_samples = sol.t[::-1], sol.y[0][::-1]
-
+    u_samples, w_samples = (sol.t, sol.y[0]) if left else (sol.t[::-1], sol.y[0][::-1])
     return PhasePath(side=side, c=float(c), u=u_samples, w=w_samples, w_of_u=w_of_u)
 
 
@@ -177,7 +175,6 @@ def find_speed(
     *,
     eps: float | None = None,
     rtol: float = 1e-10,
-    check_monotone: bool = True,
     details: dict | None = None,
 ) -> float:
     """Solve the mismatch S for the unique speed with |S(c*)| <= tol_c, by
@@ -188,15 +185,15 @@ def find_speed(
     (the root sits at or left of zero) and BracketFailure when no sign
     change appears up to c = 2**10.
 
-    With check_monotone (and an envelope bracket of positive width), the
-    values of S at every speed evaluated in [c_check, c_hat], sorted by c,
-    must not fall by more than 1e-8 from one speed to the next; otherwise a
-    RuntimeWarning is issued and details["monotone_ok"] is False.  Those
-    speeds are the bracket ends and the Brent iterates.  When fewer than
-    five distinct ones lie in the bracket (a fallback bracket or a root
-    found at once), the five interior points of linspace(c_check, c_hat, 7)
-    are evaluated first.  The check runs after the root is found and never
-    moves it; details["evaluations"] counts its probes too.
+    With an envelope bracket of positive width, the values of S at every
+    speed evaluated in [c_check, c_hat], sorted by c, must not fall by more
+    than 1e-8 from one speed to the next; otherwise a RuntimeWarning is
+    issued and details["monotone_ok"] is False.  Those speeds are the
+    bracket ends and the Brent iterates.  When fewer than five distinct
+    ones lie in the bracket (a fallback bracket or a root found at once),
+    the five interior points of linspace(c_check, c_hat, 7) are evaluated
+    first.  The check runs after the root is found and never moves it;
+    details["evaluations"] counts its probes too.
     """
     evaluated: list[tuple[float, float]] = []  # every (c, S(c)) computed
 
@@ -238,7 +235,7 @@ def find_speed(
         )
 
     monotone_ok = True
-    if check_monotone and bracket is not None and bracket.c_hat > bracket.c_check + 1e-9:
+    if bracket is not None and bracket.c_hat > bracket.c_check + 1e-9:
         c_lo, c_hi = bracket.c_check, bracket.c_hat
 
         def in_bracket() -> dict[float, float]:

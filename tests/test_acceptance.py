@@ -82,7 +82,7 @@ def test_c2_bracket_containment(demo, demo_bracket, demo_wave, quartic_terms):
     n_contained = 0
     for f in quartic_terms:
         br = bw.speed_bracket(bw.slope_bounds(f), f.a)
-        c = bw.find_speed(f, br, check_monotone=False)
+        c = bw.find_speed(f, br)
         if br.c_check - 1e-6 <= c <= br.c_hat + 1e-6:
             n_contained += 1
     ok &= n_contained == len(quartic_terms)

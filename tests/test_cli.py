@@ -137,6 +137,22 @@ def test_solver_limits_validated():
     assert {"solver.u_eps", "solver.eps"} <= paths
 
 
+def test_eps_cap_reported_with_an_invalid_grid():
+    doc = {"reaction": "quadratic_demo", "grid": {"dx": -1}, "solver": {"eps": 0.5}}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps(doc))
+    assert [p for p, _ in exc.value.violations] == ["grid.dx", "solver.eps"]
+
+
+@pytest.mark.parametrize("preset", ["piecewise_linear(-1, 1.3)", "piecewise_linear(-1, 0)"])
+def test_preset_branch_point_named(preset):
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps({"reaction": preset}))
+    [(path, msg)] = exc.value.violations
+    assert path == "reaction"
+    assert "branch point a=" in msg and "domain" not in msg
+
+
 def test_invalid_json_document():
     with pytest.raises(ConfigError):
         cli.parse_config("{not json")
@@ -563,6 +579,25 @@ def test_hypothesis_exit_code_for_solver_commands(tmp_path):
         {"reaction": "piecewise_linear(-1, 0.5)", "output": {"directory": str(tmp_path / "o")}},
     )
     assert cli.main(["speed", "--config", cfgp]) == 3
+
+
+def test_h2_bump_between_samples_is_a_hypothesis_failure(tmp_path, capsys):
+    """f0 reaches +1.5e-7 on a bump narrower than any sample spacing: check
+    lists its worst point, and speed stops at the audit."""
+    out = tmp_path / "out"
+    doc = {
+        "reaction": {"a": 0.3, "f0": [0.0, -225.09900989000002, 3000.66, -10000.0], "f1": [20, -20]},
+        "grid": {"dt": 0.0005},
+        "output": {"directory": str(out)},
+    }
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["check", "--config", cfgp]) == 3
+    rep = json.loads((out / "check.json").read_text())["report"]
+    assert rep["h2_ok"] is False and rep["slope_bounds"] is None
+    [[h, u, v]] = rep["violations"]
+    assert h == "H2" and u == pytest.approx(0.150033, abs=1e-6) and v == pytest.approx(1.5e-7, rel=1e-3)
+    assert cli.main(["speed", "--config", cfgp]) == 3
+    assert "hypothesis audit failed" in capsys.readouterr().err
 
 
 def test_json_float_formatting():

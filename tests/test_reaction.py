@@ -273,8 +273,8 @@ def test_check_hypotheses_symmetric_linear():
 
 
 def test_check_hypotheses_h2_violation_listed():
-    # f0 = u(4u - 1) is positive on (0.25, 0.3]: every violating grid point
-    # must be reported
+    # f0 = u(4u - 1) is positive on (0.25, 0.3]: the worst point, u = a
+    # with f0(a) = 0.06, is reported, once
     bad = bw.ReactionTerm(
         a=0.3,
         f0=bw.BranchPoly((0.0, -1.0, 4.0), 0.0, 0.3),
@@ -282,10 +282,107 @@ def test_check_hypotheses_h2_violation_listed():
     )
     rep = bw.check_hypotheses(bad)
     assert not rep.h2_ok
-    h2_points = [u for h, u, v in rep.violations if h == "H2"]
-    assert h2_points
-    assert all(0.25 <= u <= 0.3 for u in h2_points)
-    assert any(u > 0.28 for u in h2_points)
+    assert [v for v in rep.violations if v[0] == "H2"] == [("H2", 0.3, pytest.approx(0.06, abs=1e-15))]
+
+
+# f0(u) = u (1e-6 - 1e4 (u - 0.150033)^2): a bump to +1.5e-7 at u = 0.150033,
+# 2e-5 wide, which a grid of 2,048 samples on [0, a] steps over
+DEFECT_F0 = (0.0, -225.09900989000002, 3000.66, -10000.0)
+
+
+def test_check_hypotheses_finds_a_bump_between_samples():
+    bad = bw.ReactionTerm(0.3, bw.BranchPoly(DEFECT_F0, 0.0, 0.3), bw.BranchPoly((20.0, -20.0), 0.3, 1.0))
+    rep = bw.check_hypotheses(bad)
+    assert rep.h1_ok and rep.h3_ok and not rep.h2_ok and not rep.admissible
+    assert rep.slope_bounds is None
+    [(h, u, v)] = rep.violations
+    assert h == "H2"
+    assert u == pytest.approx(0.150033, abs=1e-6)
+    assert v == pytest.approx(1.5e-7, rel=1e-3)
+    assert v == pytest.approx(float(bad.f0(u)), abs=1e-20)
+
+
+def test_check_hypotheses_wrong_sign_at_the_pinned_end():
+    # f0 = 0.1 - u starts positive: H1 fails at u = 0, and so does H2
+    bad = bw.ReactionTerm(0.3, bw.BranchPoly((0.1, -1.0), 0.0, 0.3), bw.BranchPoly((1.0, -1.0), 0.3, 1.0))
+    rep = bw.check_hypotheses(bad)
+    assert not rep.h1_ok and not rep.h2_ok
+    assert [v for v in rep.violations if v[0] == "H2"] == [("H2", 0.0, 0.1)]
+    # f1 = (1 - u) + 0.2 ends negative at u = 1 and is positive before it:
+    # its worst point is the pinned end
+    bad = bw.ReactionTerm(0.3, bw.BranchPoly((0.0, -1.0), 0.0, 0.3), bw.BranchPoly((0.8, -1.0), 0.3, 1.0))
+    rep = bw.check_hypotheses(bad)
+    assert [v for v in rep.violations if v[0] == "H2"] == [("H2", 1.0, pytest.approx(-0.2, abs=1e-15))]
+
+
+def test_admissible_reports_carry_bounds(demo, quartic_terms):
+    terms = [demo, *quartic_terms] + [bw.piecewise_linear(k, a) for k in (-1.0, -3.0) for a in (0.1, 0.3, 0.45)]
+    for f in terms:
+        rep = bw.check_hypotheses(f)
+        assert rep.admissible
+        assert rep.slope_bounds == bw.slope_bounds(f)
+
+
+def test_check_hypotheses_bounds_that_round_to_zero_fail_h2(demo, monkeypatch):
+    """Once H1 and H2 hold exactly, slope_bounds can raise only by rounding;
+    the report is then not admissible, never admissible without bounds."""
+
+    def raising(f):
+        raise NonNegativeSlope("alpha_hi rounded to 0")
+
+    monkeypatch.setattr(reaction, "slope_bounds", raising)
+    rep = bw.check_hypotheses(demo)
+    assert rep.h1_ok and rep.h3_ok
+    assert not rep.h2_ok and not rep.admissible and rep.slope_bounds is None
+
+
+def test_extremes_survive_a_negligible_top_coefficient():
+    """A top coefficient far below the others, tiny or subnormal, neither
+    hides a critical point nor makes the root finder raise."""
+    f1 = bw.BranchPoly(tuple(np.convolve([-1.0, 1.0], [0.0, 1.0, 5e-290])), 0.25, 1.0)  # ~ u (u - 1)
+    rep = bw.check_hypotheses(bw.ReactionTerm(0.25, bw.BranchPoly((0.0, -1.0), 0.0, 0.25), f1))
+    assert [v for v in rep.violations if v[0] == "H2"] == [("H2", pytest.approx(0.5), pytest.approx(-0.25))]
+    f0 = bw.BranchPoly((0.0, -1.0, 1.0, 1.0, 1e-320), 0.0, 0.3)
+    f = bw.ReactionTerm(0.3, f0, bw.BranchPoly((1.0, -1.0), 0.3, 1.0))
+    assert bw.check_hypotheses(f).admissible
+    assert reaction.max_abs_slopes(f) == (pytest.approx(1.0), pytest.approx(1.0))
+
+
+_GOOD_F0 = (0.0, -1.0)  # -u
+_GOOD_F1 = (1.0, -1.0)  # 1 - u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(0.05, 0.95),
+    g=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=4),
+    side=st.sampled_from(["f0", "f1"]),
+)
+def test_h2_is_decided_at_the_branch_extremes(a, g, side):
+    """A drawn cubic or quartic branch f0 = u g(u) or f1 = (u - 1) g(u),
+    paired with a linear branch that passes: when H2 fails, its one
+    reported value is no better than the worst value on a dense interior
+    grid, to the audit margin and rounding; when that grid value is wrong
+    by 1e-6 or more, H2 fails."""
+    if side == "f0":
+        coeffs, lo, hi, sign = (0.0, *g), 0.0, a, 1.0
+        f = bw.ReactionTerm(a, bw.BranchPoly(coeffs, 0.0, a), bw.BranchPoly(_GOOD_F1, a, 1.0))
+        u = np.linspace(lo, hi, 20_001)[1:]
+    else:
+        coeffs, lo, hi, sign = tuple(np.convolve([-1.0, 1.0], g)), a, 1.0, -1.0
+        f = bw.ReactionTerm(a, bw.BranchPoly(_GOOD_F0, 0.0, a), bw.BranchPoly(coeffs, a, 1.0))
+        u = np.linspace(lo, hi, 20_001)[:-1]
+    worst_on_grid = float(np.max(sign * np.asarray(bw.BranchPoly(coeffs, lo, hi)(u))))
+    rep = bw.check_hypotheses(f)
+    h2 = [v for h, _, v in rep.violations if h == "H2"]
+    rounding = 1e-12 * sum(abs(c) for c in coeffs)
+    if not rep.h2_ok:
+        [v] = h2
+        assert sign * v >= worst_on_grid - reaction._AUDIT_TOL - rounding
+    else:
+        assert h2 == []
+    if worst_on_grid >= 1e-6:
+        assert not rep.h2_ok
 
 
 def test_check_hypotheses_h1_violation():
@@ -358,3 +455,14 @@ def test_presets():
     assert lin.slope_at_one == pytest.approx(-2.0)
     with pytest.raises(ValueError):
         bw.piecewise_linear(1.0, 0.3)
+
+
+@pytest.mark.parametrize("a", [-0.2, 0.0, 1.0, 1.3, math.nan])
+def test_branch_point_checked_first(a):
+    """Every constructor names the branch point, not a branch domain built
+    from it."""
+    f0 = bw.BranchPoly((0.0, -1.0), 0.0, 0.3)
+    f1 = bw.BranchPoly((1.0, -1.0), 0.3, 1.0)
+    for build in (lambda: bw.piecewise_linear(-1.0, a), lambda: bw.ReactionTerm(a, f0, f1)):
+        with pytest.raises(ValueError, match=r"branch point a=.* must lie in \(0, 1\)"):
+            build()

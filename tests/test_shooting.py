@@ -181,15 +181,23 @@ def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypa
     assert det["residual"] == real(f, c)
 
 
-def test_find_speed_demo_evaluation_budget(demo, demo_bracket):
+def test_find_speed_demo_evaluation_budget(demo, demo_bracket, monkeypatch):
     """Brent's method on [c_check, c_hat] takes 6 evaluations where
-    bisection needed 32, and the spot check reuses them: no probe is added,
-    so switching the check off saves nothing."""
-    det, det_off = {}, {}
+    bisection needed 32, and the spot check reuses them: none of its
+    evenly spaced probes is evaluated."""
+    real = bw.shooting.speed_mismatch
+    calls = []
+
+    def recording(f, c, **kwargs):
+        calls.append(c)
+        return real(f, c, **kwargs)
+
+    monkeypatch.setattr(bw.shooting, "speed_mismatch", recording)
+    det = {}
     bw.find_speed(demo, demo_bracket, details=det)
-    bw.find_speed(demo, demo_bracket, check_monotone=False, details=det_off)
-    assert det["evaluations"] <= 8
-    assert det["evaluations"] == det_off["evaluations"]
+    assert det["evaluations"] == len(calls) <= 8
+    probes = np.linspace(demo_bracket.c_check, demo_bracket.c_hat, 7)[1:-1].tolist()
+    assert not set(probes) & set(calls)
     assert det["monotone_ok"]
 
 
@@ -231,7 +239,7 @@ def test_spot_check_warns_on_a_dip_at_an_evaluated_speed(demo, demo_bracket, mon
 def test_spot_check_tops_up_a_short_search(demo, demo_bracket, monkeypatch):
     """A linear S: the secant step lands on the root, leaving three
     speeds in the bracket, so the check adds the five evenly spaced probes,
-    counts them and passes; without the check they are not evaluated."""
+    counts them and passes."""
     lo, hi = demo_bracket.c_check, demo_bracket.c_hat
     c0 = lo + 0.3 * (hi - lo)
     calls = _stub_mismatch(monkeypatch, lambda c: c - c0)
@@ -241,11 +249,6 @@ def test_spot_check_tops_up_a_short_search(demo, demo_bracket, monkeypatch):
     assert calls[-5:] == np.linspace(lo, hi, 7)[1:-1].tolist()
     assert det["evaluations"] == len(calls) == 8
     assert det["monotone_ok"]
-
-    calls.clear()
-    det_off = {}
-    assert bw.find_speed(demo, demo_bracket, check_monotone=False, details=det_off) == c
-    assert det_off["evaluations"] == len(calls) == 3
 
 
 def test_find_speed_without_bracket(demo, demo_bracket):
@@ -347,7 +350,7 @@ def test_refinement_stability(demo, demo_bracket):
 def test_bracket_containment_quartics(quartic_terms):
     for f in quartic_terms[:6]:
         br = bw.speed_bracket(bw.slope_bounds(f), f.a)
-        c = bw.find_speed(f, br, check_monotone=False)
+        c = bw.find_speed(f, br)
         assert br.c_check - 1e-6 <= c <= br.c_hat + 1e-6
 
 
