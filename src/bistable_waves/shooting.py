@@ -10,16 +10,29 @@ c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
 envelope bracket (both ends and the Brent iterates) and adds five evenly
 spaced probes only when fewer than five distinct speeds lie there.
+
+Each half path is a scalar ODE whose right-hand side costs a few flops, so
+it is integrated by a dedicated Dormand-Prince 5(4) loop (_rk45) rather
+than through solve_ivp's generic machinery.  The loop performs exactly the
+float operations of solve_ivp(method="RK45", dense_output=True) on this
+problem, reading the tableau from scipy.integrate.RK45: its steps, samples,
+collapse points and step interpolants are bit-identical to solve_ivp's.
+scipy's weighted sums over the stages are np.dot calls, which BLAS may
+evaluate as fused multiply-adds; a sum in plain floats would round
+differently, so those reductions stay np.dot calls on the same shapes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, RK45
+from scipy.optimize import brentq
 
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
@@ -36,10 +49,164 @@ U_EPS_CAP = 1e-3
 # DOP853 clips rtol below 100 machine epsilons (2.2e-14) with a warning.
 _PROFILE_RTOL_FLOOR = 1e-13
 
+# The phase paths' RK45 settings and scipy's rules for them
+# (scipy.integrate._ivp: rk.py, common.py and ivp.py).
+_ATOL = 1e-16
+_EPS = float(np.finfo(float).eps)
+_RTOL_MIN = 100 * _EPS  # smaller rtols are clipped to this, with a warning
+_EVENT_TOL = 4 * _EPS  # brentq's xtol and rtol for an event root
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+
+
+def _norm(v: float) -> float:
+    """scipy's RMS norm of a one-element vector: sqrt of the one-term dot
+    x.x (a lone product rounds alike fused or not), over sqrt(1)."""
+    return math.sqrt(v * v)
+
+
+def _interpolate(t_old: float, h: float, y_old: float, Q: np.ndarray, t: float) -> float:
+    """RkDenseOutput at a scalar t: the quartic in x = (t - t_old)/h with
+    coefficients Q = K.T P, reduced by the same (1, 4).(4,) np.dot."""
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return float(h * np.dot(Q, np.array((x, x2, x3, x3 * x)))[0] + y_old)
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """The accepted steps of one _rk45 integration.
+
+    status follows solve_ivp: 0 reached t_bound, 1 the floor event fired
+    (the last node is its root), -1 the step size underflowed (the last node
+    is the last accepted step).  segments[i] = (t_old, h, y_old, Q) is the
+    step from ts[i] to ts[i + 1].
+    """
+
+    status: int
+    ts: list[float]
+    ys: list[float]
+    segments: list[tuple[float, float, float, np.ndarray]]
+
+
+def _rk45(
+    rhs: Callable[[float, float], float],
+    t0: float,
+    t_bound: float,
+    y0: float,
+    rtol: float,
+    floor_event: bool,
+) -> _Steps:
+    """Integrate the scalar ODE y' = rhs(t, y) from (t0, y0) to t_bound as
+    solve_ivp(rhs, (t0, t_bound), [y0], method="RK45", rtol=rtol,
+    atol=1e-16, dense_output=True) does, float operation for float
+    operation: scipy's initial step, step clamp at the bound, minimum step
+    of 10 ulps, accept/reject factor law and rtol floor.  With floor_event,
+    integration stops where y falls through _W_FLOOR, at the root brentq
+    finds on the step's interpolant (solve_ivp's terminal event with
+    direction -1).
+    """
+    if rtol < _RTOL_MIN:
+        warnings.warn(
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {_RTOL_MIN})`.",
+            UserWarning,
+            stacklevel=3,
+        )
+        rtol = _RTOL_MIN
+    direction = 1.0 if t_bound > t0 else -1.0
+
+    # select_initial_step
+    f = rhs(t0, y0)
+    interval = abs(t_bound - t0)
+    scale = _ATOL + abs(y0) * rtol
+    d0, d1 = _norm(y0 / scale), _norm(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f)
+    d2 = _norm((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
+    h_abs = min(100 * h0, h1, interval)
+
+    # The stage matrix K and the views scipy's rk_step reduces with np.dot.
+    K = np.empty((RK45.n_stages + 1, 1))
+    k = K[:, 0]
+    stages = [(float(RK45.C[s]), K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
+    K_B, K_all = K[:-1].T, K.T
+
+    t, y = t0, y0
+    ts, ys, segments = [t], [y], []
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _Steps(-1, ts, ys, segments)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            k[0] = f
+            for s, (c_s, K_s, a_s) in enumerate(stages, start=1):
+                k[s] = rhs(t + c_s * h, y + float(np.dot(K_s, a_s)[0]) * h)
+            y_new = y + h * float(np.dot(K_B, RK45.B)[0])
+            f_new = rhs(t + h, y_new)
+            k[-1] = f_new
+
+            y_mag, y_new_mag = abs(y), abs(y_new)
+            # np.maximum: a NaN y_new propagates
+            scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
+            error_norm = _norm(float(np.dot(K_all, RK45.E)[0]) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        segment = (t, h, y, K_all.dot(RK45.P))
+        segments.append(segment)
+        if floor_event and y - _W_FLOOR >= 0 and y_new - _W_FLOOR <= 0:
+            root = brentq(
+                lambda u: _interpolate(*segment, u) - _W_FLOOR,
+                t,
+                t_new,
+                xtol=_EVENT_TOL,
+                rtol=_EVENT_TOL,
+            )
+            ts.append(root)
+            ys.append(_interpolate(*segment, root))
+            return _Steps(1, ts, ys, segments)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        if direction * (t - t_bound) >= 0:
+            return _Steps(0, ts, ys, segments)
+
 
 @dataclass
 class PhasePath:
-    """One half of the heteroclinic connection, as w over u."""
+    """One half of the heteroclinic connection, as w over u.
+
+    u and w are the RK45 step nodes, ascending in u.  w_of_u evaluates the
+    path anywhere: between the nodes with the steps' quartic interpolants
+    (bit-identical to solve_ivp's OdeSolution, for scalar and array
+    queries alike), past u = a with the value at a, and past the seed with
+    the manifold line the path was seeded on.
+    """
 
     side: PathSide
     c: float
@@ -54,13 +221,63 @@ class PhasePath:
         return float(self.w[-1] if self.side == "left" else self.w[0])
 
 
-def _collapse(u, w):
-    """Terminal event of the right half path: w falls through _W_FLOOR."""
-    return w[0] - _W_FLOOR
+def _dense_w_of_u(
+    steps: _Steps, left: bool, lam_seed: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """w_of_u of a completed path: OdeSolution's segment lookup and
+    evaluation over the step interpolants, clipped to the path and
+    continued past the seed by w = lam_seed * (distance to the seed's
+    equilibrium).
 
+    OdeSolution bisects the nodes sorted ascending, with side "left" on an
+    ascending path and "right" on a descending one, and takes the lower
+    segment index.  An array query is sorted, grouped by segment and
+    reduced by one (1, 4).(4, m) np.dot per group, as OdeSolution.__call__
+    does; that product rounds differently from the scalar one in the last
+    bit, so the two paths are kept apart.
+    """
+    ts, segments = steps.ts, steps.segments
+    if not left:  # store both in ascending u
+        ts, segments = ts[::-1], segments[::-1]
+    nodes = np.array(ts)
+    lo, hi = ts[0], ts[-1]
+    last = len(segments) - 1
+    search = bisect_left if left else bisect_right
+    side = "left" if left else "right"
 
-_collapse.terminal = True
-_collapse.direction = -1.0
+    def w_of_u(u):
+        if isinstance(u, float):  # a Python float or NumPy float64
+            if left and u < lo:
+                return float(lam_seed * u)
+            if not left and u > hi:
+                return float(lam_seed * (1.0 - u))
+            q = lo if u < lo else hi if u > hi else u  # np.clip; NaN passes
+            return _interpolate(*segments[min(max(search(ts, q) - 1, 0), last)], q)
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            return w_of_u(float(u))
+        if u.size == 0:  # where OdeSolution raises
+            return np.empty_like(u)
+        q = np.clip(u, lo, hi)
+        order = np.argsort(q)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        q_sorted = q[order]
+        index = np.searchsorted(nodes, q_sorted, side=side) - 1
+        np.clip(index, 0, last, out=index)
+        cuts = np.flatnonzero(np.diff(index)) + 1
+        pieces = []
+        for start, stop in zip([0, *cuts], [*cuts, len(index)]):
+            t_old, h, y_old, Q = segments[index[start]]
+            x = (q_sorted[start:stop] - t_old) / h
+            y = h * np.dot(Q, np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0))
+            y += y_old
+            pieces.append(y)
+        w = np.hstack(pieces)[0, reverse]
+        tail = lam_seed * u if left else lam_seed * (1.0 - u)
+        return np.where(u < lo if left else u > hi, tail, w)
+
+    return w_of_u
 
 
 def default_eps(f: ReactionTerm) -> float:
@@ -81,6 +298,14 @@ def shoot_half(
            manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
     right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
            stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
+
+    The integration is Dormand-Prince 5(4) with atol = 1e-16, by a
+    dedicated loop that is bit-identical to solve_ivp(method="RK45",
+    dense_output=True): the same steps, samples, interpolants and collapse
+    points.  Its stage sums stay np.dot calls, since BLAS may fuse their
+    multiply-adds and plain float sums would not round alike.  An rtol
+    below 100 machine epsilons is clipped to that, with solve_ivp's
+    UserWarning.
 
     Raises PathCollapse if the right path's w falls below the floor 1e-12
     before reaching a (callers treat it as w(a) = 0).  Only that path
@@ -104,55 +329,41 @@ def shoot_half(
         w0 = -lambda1_minus(c, f.slope_at_one) * eps
     else:
         raise ValueError(f"unknown side {side!r}")
+    if not math.isfinite(w0):
+        raise ValueError(f"seed w={w0} of the {side} path at c={c} is not finite")
+    c = float(c)
 
-    def rhs(u, w):
+    def rhs(u: float, w: float) -> float:
         # Horner on a Python float: npp.polyval's arithmetic without its
-        # per-call array set-up, bit for bit.
-        return c - _horner(float(u), coefficients) / w[0]
+        # per-call array set-up, bit for bit.  At w == 0 the division takes
+        # NumPy's inf and RuntimeWarning, where a float one would raise.
+        p = _horner(u, coefficients)
+        return c - (p / w if w else np.float64(p) / w)
 
-    sol = solve_ivp(
-        rhs,
-        (u0, u1),
-        [w0],
-        method="RK45",
-        rtol=rtol,
-        atol=1e-16,
-        dense_output=True,
-        events=_collapse if side == "right" else None,
-    )
-    if sol.status == 1:  # the right path's collapse event fired
-        u_at = float(sol.t_events[0][0])
+    left = side == "left"
+    steps = _rk45(rhs, float(u0), float(u1), float(w0), rtol, floor_event=not left)
+    if steps.status == 1:
+        u_at = steps.ts[-1]
         raise PathCollapse(
             f"right path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}", u_at=u_at
         )
-    if not sol.success:
+    if steps.status == -1:
         # A vanishing w makes dw/du ~ 1/w stiff enough that the step size
         # can underflow before the floor event interpolates; that is still
         # a collapse, not an integrator defect.
-        if side == "right" and sol.y[0][-1] <= 1e-6:
-            u_at = float(sol.t[-1])
+        u_at, w_end = steps.ts[-1], steps.ys[-1]
+        if not left and w_end <= 1e-6:
             raise PathCollapse(
-                f"right path at c={c} collapsed to w={sol.y[0][-1]:.3g} at u={u_at:.6g}",
+                f"right path at c={c} collapsed to w={w_end:.3g} at u={u_at:.6g}",
                 u_at=u_at,
             )
-        raise RuntimeError(f"phase-path integration failed at c={c}: {sol.message}")
+        raise RuntimeError(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
 
-    dense = sol.sol
-    lam_seed = w0 / eps  # signed slope magnitude of the seeded manifold
-    left = side == "left"
-    lo, hi = (u0, u1) if left else (u1, u0)
-
-    def w_of_u(u):
-        # The path clipped to [lo, hi]; past the seed, the manifold it was
-        # seeded on.
-        u = np.asarray(u, dtype=float)
-        w = dense(np.clip(u, lo, hi))[0]
-        tail = lam_seed * u if left else lam_seed * (1.0 - u)
-        out = np.where(u < lo if left else u > hi, tail, w)
-        return float(out) if out.ndim == 0 else out
-
-    u_samples, w_samples = (sol.t, sol.y[0]) if left else (sol.t[::-1], sol.y[0][::-1])
-    return PhasePath(side=side, c=float(c), u=u_samples, w=w_samples, w_of_u=w_of_u)
+    u_samples, w_samples = np.array(steps.ts), np.array(steps.ys)
+    if not left:
+        u_samples, w_samples = u_samples[::-1], w_samples[::-1]
+    w_of_u = _dense_w_of_u(steps, left, lam_seed=w0 / eps)
+    return PhasePath(side=side, c=c, u=u_samples, w=w_samples, w_of_u=w_of_u)
 
 
 def speed_mismatch(

@@ -49,6 +49,8 @@ DT_STABILITY_FACTOR = 1.9
 _SCAN_RADIUS = 20.0
 # Points per axis of each _k2_separated grid round.
 _K2_GRID = 400
+# A grid has at most this many nodes: each state array is then at most 8 MB.
+_MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class Grid1D:
         whole = math.isfinite(cells) and abs(cells - round(cells)) <= 1e-6 * max(1.0, cells)
         if not whole or round(cells) < 16:
             raise ValueError(f"(x_max-x_min)/dx = {cells:.6g} must be an integer >= 16")
+        if round(cells) + 1 > _MAX_NODES:
+            raise ValueError(f"(x_max-x_min)/dx = {cells:.6g} gives more than {_MAX_NODES} nodes")
 
     @property
     def n_nodes(self) -> int:

@@ -4,7 +4,7 @@ The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
 reaction term written out branch by branch, and the phase paths integrated
-with an npp.polyval right-hand side.
+by solve_ivp with an npp.polyval right-hand side.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import PathCollapse
@@ -102,11 +102,13 @@ def written_out_reaction(f: bw.ReactionTerm, u) -> np.ndarray:
 
 def reference_shoot_half(
     f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
     """One phase-plane half path as shoot_half first integrated it: solve_ivp
     with an npp.polyval right-hand side, the same seeds, tolerances, dense
     output and collapse event.  Returns the ascending (u, w) samples and
-    raises PathCollapse where the library does."""
+    solve_ivp's OdeSolution, and raises PathCollapse where the library does,
+    with solve_ivp's status (1: the event fired, -1: the step underflowed)
+    in the message."""
     if eps is None:
         eps = bw.shooting.default_eps(f)
     if side == "left":
@@ -128,14 +130,37 @@ def reference_shoot_half(
         dense_output=True, events=collapse,
     )
     if sol.status == 1:
-        raise PathCollapse("reference collapse", u_at=float(sol.t_events[0][0]))
+        raise PathCollapse("reference collapse, status 1", u_at=float(sol.t_events[0][0]))
     if not sol.success:
         if side == "right" and sol.y[0][-1] <= 1e-6:
-            raise PathCollapse("reference collapse", u_at=float(sol.t[-1]))
+            raise PathCollapse(f"reference collapse, status {sol.status}", u_at=float(sol.t[-1]))
         raise RuntimeError(sol.message)
     if side == "left":
-        return sol.t, sol.y[0]
-    return sol.t[::-1], sol.y[0][::-1]
+        return sol.t, sol.y[0], sol.sol
+    return sol.t[::-1], sol.y[0][::-1], sol.sol
+
+
+def reference_phase_path(
+    f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
+) -> bw.PhasePath:
+    """A PhasePath backed by reference_shoot_half, with w_of_u as shoot_half
+    first wrote it over solve_ivp's OdeSolution: the path clipped to its
+    u range, and past the seed the manifold line it was seeded on."""
+    u_ref, w_ref, dense = reference_shoot_half(f, side, c, eps=eps, rtol=rtol)
+    if eps is None:
+        eps = bw.shooting.default_eps(f)
+    left = side == "left"
+    lam_seed = (w_ref[0] if left else w_ref[-1]) / eps
+    lo, hi = u_ref[0], u_ref[-1]
+
+    def w_of_u(u):
+        u = np.asarray(u, dtype=float)
+        w = dense(np.clip(u, lo, hi))[0]
+        tail = lam_seed * u if left else lam_seed * (1.0 - u)
+        out = np.where(u < lo if left else u > hi, tail, w)
+        return float(out) if out.ndim == 0 else out
+
+    return bw.PhasePath(side=side, c=float(c), u=u_ref, w=w_ref, w_of_u=w_of_u)
 
 
 def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:

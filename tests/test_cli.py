@@ -181,6 +181,9 @@ _DEMO_OBJECT = {"a": 0.3, "f0": [0, -1, -1], "f1": [0.2, 0.8, -1]}
         pytest.param({"experiment": {"window": [0, _HUGE]}}, "experiment.window", id="huge_int_window"),
         pytest.param({"reaction": "piecewise_linear(-1e400, 0.3)"}, "reaction", id="overflowing_preset"),
         pytest.param({"grid": {"x_min": -1e308, "x_max": 1e308}}, "grid.dx", id="overflowing_cell_count"),
+        pytest.param(  # 2e12 cells, which simulate would allocate
+            {"grid": {"x_min": -1e6, "x_max": 1e6, "dx": 1e-6, "dt": 1e-7}}, "grid.dx", id="oversized_grid"
+        ),
         pytest.param(
             {"reaction": {"a": 0.3, "f0": [0, -1e308, -1e308], "f1": [1e308, -1e308]}},
             "reaction",
@@ -190,8 +193,9 @@ _DEMO_OBJECT = {"a": 0.3, "f0": [0, -1, -1], "f1": [0.2, 0.8, -1]}
 )
 def test_input_defects_rejected_at_their_path(tmp_path, capsys, doc, path):
     """Booleans in number lists, non-finite numbers, integers past the float
-    range and overflowing preset or grid arguments are validation errors
-    under their field's path, not accepted values or crashes."""
+    range, overflowing preset or grid arguments and grids past the node cap
+    are validation errors under their field's path, not accepted values or
+    crashes."""
     text = json.dumps({"reaction": "quadratic_demo", **doc})
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(text)

@@ -3,12 +3,20 @@ Brent speed solve, and profile reconstruction."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
-from conftest import closed_form_speed, reference_shoot_half, reference_speed_mismatch
+from conftest import (
+    closed_form_speed,
+    reference_phase_path,
+    reference_shoot_half,
+    reference_speed_mismatch,
+)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
@@ -47,6 +55,8 @@ def test_shoot_half_eps_guard(demo):
         bw.shoot_half(demo, "left", 1.0, eps=0.1)
     with pytest.raises(ValueError):
         bw.shoot_half(demo, "left", -0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        bw.shoot_half(demo, "right", float("inf"))
 
 
 def test_speed_mismatch_linear():
@@ -99,7 +109,7 @@ def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
     for c in (0.0, 0.55, 1.2):
         for side in ("left", "right"):
             path = bw.shoot_half(f, side, c)
-            u_ref, w_ref = reference_shoot_half(f, side, c)
+            u_ref, w_ref, _ = reference_shoot_half(f, side, c)
             np.testing.assert_array_equal(path.u, u_ref)
             np.testing.assert_array_equal(path.w, w_ref)
             assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
@@ -107,12 +117,99 @@ def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
 
 
 def test_collapsing_path_matches_polyval_reference():
-    with pytest.raises(PathCollapse) as got:
-        bw.shoot_half(_STARVED, "right", 0.0)
-    with pytest.raises(PathCollapse) as want:
-        reference_shoot_half(_STARVED, "right", 0.0)
-    assert got.value.u_at == want.value.u_at
+    """Both ways a starved right path collapses give solve_ivp's collapse
+    point bitwise: the step-size underflow (solve_ivp status -1, every c in
+    [0, 0.3] at the default rtol) and the w = 1e-12 event, whose root brentq
+    finds on the step's interpolant (status 1, at rtol = 1e-3 and c = 0 and
+    at the default rtol and c = 1.2)."""
+    cases = [(0.0, 1e-10, -1), (0.15, 1e-10, -1), (0.3, 1e-10, -1), (0.0, 1e-3, 1), (1.2, 1e-10, 1)]
+    for c, rtol, status in cases:
+        with pytest.raises(PathCollapse) as got:
+            bw.shoot_half(_STARVED, "right", c, rtol=rtol)
+        with pytest.raises(PathCollapse) as want:
+            reference_shoot_half(_STARVED, "right", c, rtol=rtol)
+        assert str(want.value).endswith(f"status {status}")
+        assert ("w<=1e-12" in str(got.value)) == (status == 1)
+        assert got.value.u_at.hex() == want.value.u_at.hex()
     assert bw.speed_mismatch(_STARVED, 0.0) == reference_speed_mismatch(_STARVED, 0.0)
+
+
+def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):
+    """An rtol under 100 machine epsilons is clipped to that with
+    solve_ivp's UserWarning, and the path is solve_ivp's at the clipped
+    rtol."""
+    for side in ("left", "right"):
+        with pytest.warns(UserWarning) as got:
+            path = bw.shoot_half(demo, side, 0.55, rtol=1e-16)
+        with pytest.warns(UserWarning) as want:
+            u_ref, w_ref, _ = reference_shoot_half(demo, side, 0.55, rtol=1e-16)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert "rtol" in str(got[0].message)
+        assert path.u.tobytes() == u_ref.tobytes()
+        assert path.w.tobytes() == w_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
+def test_w_of_u_matches_ode_solution_bitwise(name, quartic_terms):
+    """w_of_u evaluates the steps' interpolants as solve_ivp's OdeSolution
+    does: a scalar query like OdeSolution._call_single, an array query
+    like OdeSolution.__call__ (sorted, grouped by step, unsorted again),
+    whose last bits differ from the scalar one's.  Checked at the step
+    nodes and between them, past the seed and past a, on Python floats,
+    NumPy scalars and ascending, descending and unsorted arrays.  An empty
+    query, on which OdeSolution raises, gives an empty array."""
+    f = _phase_oracle_terms(quartic_terms[0])[name]
+    rng = np.random.default_rng(11)
+    for c in (0.0, 0.55, 1.2):
+        for side in ("left", "right"):
+            path = bw.shoot_half(f, side, c)
+            ref = reference_phase_path(f, side, c)
+            lo, hi = path.u[0], path.u[-1]
+            span = hi - lo
+            ascending = np.concatenate(
+                [lo - span * np.array([0.5, 1e-3]), np.linspace(lo, hi, 1001),
+                 hi + span * np.array([1e-3, 0.5])]
+            )
+            arrays = [ascending, ascending[::-1], rng.permutation(ascending), path.u]
+            for q in arrays:
+                assert path.w_of_u(q).tobytes() == ref.w_of_u(q).tobytes()
+            for x in [*path.u, *ascending[::25], *ascending[-2:]]:
+                for query in (float(x), np.float64(x), np.array(x)):
+                    got, want = path.w_of_u(query), ref.w_of_u(query)
+                    assert type(got) is float and got.hex() == want.hex()
+            assert path.w_of_u(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic"])
+def test_profile_matches_reference_backed_paths_bytewise(name, quartic_terms, monkeypatch):
+    """reconstruct_profile over shoot_half's paths writes the same bytes as
+    over PhasePaths backed by solve_ivp's OdeSolution."""
+    f = _phase_oracle_terms(quartic_terms[0])[name]
+    c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
+    got = bw.reconstruct_profile(f, c)
+    monkeypatch.setattr(bw.shooting, "shoot_half", reference_phase_path)
+    want = bw.reconstruct_profile(f, c)
+    for attr in ("z_grid", "u_values", "w_values"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+    assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
+
+
+def test_solve_wave_never_calls_solve_ivp(demo, quartic_terms, monkeypatch):
+    """The phase paths have one integrator: no solve_ivp call and no RK45
+    solver object during a whole solve_wave."""
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("solve_ivp or RK45 used during solve_wave")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] in ("bistable_waves", "scipy") and getattr(module, "solve_ivp", None) is solve_ivp:
+            monkeypatch.setattr(module, "solve_ivp", forbidden)
+    monkeypatch.setattr(RK45, "__init__", forbidden)
+    for f in (demo, quartic_terms[3]):
+        assert bw.verify_c1(bw.solve_wave(f))
+    assert calls == []
 
 
 def test_mismatch_sign_at_bracket_ends(demo, demo_bracket, quartic_terms):

@@ -39,6 +39,10 @@ def test_grid_validation():
         bw.Grid1D(0.0, 1.0, 0.1, 0.01)  # only 10 cells
     with pytest.raises(ValueError):
         bw.Grid1D(1.0, -1.0, 0.05, 0.01)
+    cap = bw.simulator._MAX_NODES
+    assert bw.Grid1D(0.0, cap - 1.0, 1.0, 0.01).n_nodes == cap
+    with pytest.raises(ValueError, match="nodes"):
+        bw.Grid1D(0.0, float(cap), 1.0, 0.01)
     g = bw.Grid1D(-1.0, 1.0, 0.05, 0.01)
     assert g.n_nodes == 41
     assert g.dt_stability(1.6) == pytest.approx(1.9 / 1.6)
