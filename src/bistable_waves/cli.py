@@ -93,6 +93,16 @@ def _u_eps(val: Any) -> float:
     return x
 
 
+def _dz(val: Any) -> float:
+    x = _positive(val)
+    if not 1.0 <= shooting.MARCH_Z_RANGE / x <= shooting.MARCH_SAMPLE_CAP:
+        raise ValueError(
+            f"{x} must give between 1 and {shooting.MARCH_SAMPLE_CAP} profile samples "
+            f"per side over the z range {shooting.MARCH_Z_RANGE:g}"
+        )
+    return x
+
+
 def _branch_point(val: Any) -> float:
     return reaction._check_branch_point(_finite(val))
 
@@ -169,7 +179,7 @@ class SolverConfig:
     tol_phi: float = _rule(_positive, 1e-12)
     tol_c: float = _rule(_positive, 1e-10)
     c1_tol: float = _rule(_positive, 1e-6)
-    dz: float = _rule(_positive, 1e-2)
+    dz: float = _rule(_dz, 1e-2)
     u_eps: float = _rule(_u_eps, 1e-4)
     ode_rtol: float = _rule(_positive, 1e-10)
 

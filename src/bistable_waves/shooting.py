@@ -20,6 +20,13 @@ collapse points and step interpolants are bit-identical to solve_ivp's.
 scipy's weighted sums over the stages are np.dot calls, which BLAS may
 evaluate as fused multiply-adds; a sum in plain floats would round
 differently, so those reductions stay np.dot calls on the same shapes.
+
+The profile is rebuilt by marching du/dz = w(u) along the two paths at c*
+(_march), by a second dedicated loop: Dormand-Prince 8(5,3) with its
+7th-order dense output, doing exactly the float operations of scipy's
+DOP853 solver object, with the tableau read from scipy.integrate.DOP853.
+Both loops share scipy's initial-step rule (_initial_step) and its step
+control (_accepted_steps); each supplies only its own trial step.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 from scipy.integrate import DOP853, RK45
@@ -46,23 +53,109 @@ _W_FLOOR = 1e-12
 EPS_CAP_DIVISOR = 100.0
 # reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, U_EPS_CAP].
 U_EPS_CAP = 1e-3
-# DOP853 clips rtol below 100 machine epsilons (2.2e-14) with a warning.
+# The march runs at 1e-2 * rtol, but no tighter than this.  The floor sets
+# the march's tolerance, and so the profile bytes, for every rtol under
+# 1e-11, and it keeps the march above 100 machine epsilons (2.2e-14), where
+# scipy clips rtol with a warning that the march's loop does not carry.
 _PROFILE_RTOL_FLOOR = 1e-13
+# The profile march covers |z| <= MARCH_Z_RANGE, one sample every dz, so
+# MARCH_Z_RANGE / dz must lie in [1, MARCH_SAMPLE_CAP].
+MARCH_Z_RANGE = 400.0
+MARCH_SAMPLE_CAP = 40_000_000
 
-# The phase paths' RK45 settings and scipy's rules for them
+# The RK45 and DOP853 loops' settings and scipy's rules for them
 # (scipy.integrate._ivp: rk.py, common.py and ivp.py).
 _ATOL = 1e-16
 _EPS = float(np.finfo(float).eps)
 _RTOL_MIN = 100 * _EPS  # smaller rtols are clipped to this, with a warning
 _EVENT_TOL = 4 * _EPS  # brentq's xtol and rtol for an event root
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_RK45_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_DOP853_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 
 
 def _norm(v: float) -> float:
     """scipy's RMS norm of a one-element vector: sqrt of the one-term dot
     x.x (a lone product rounds alike fused or not), over sqrt(1)."""
     return math.sqrt(v * v)
+
+
+def _initial_step(
+    rhs: Callable[[float, float], float],
+    t0: float,
+    y0: float,
+    f0: float,
+    t_bound: float,
+    order: int,
+    rtol: float,
+) -> float:
+    """scipy's select_initial_step for the scalar ODE y' = rhs(t, y) with
+    y'(t0) = f0, atol = 1e-16 and no maximum step; order is the error
+    estimator's."""
+    interval = abs(t_bound - t0)
+    if interval == 0.0:
+        return 0.0
+    direction = 1.0 if t_bound > t0 else -1.0
+    scale = _ATOL + abs(y0) * rtol
+    d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval)
+
+
+def _accepted_steps(
+    attempt: Callable[[float, float, float, float], tuple[float, float, float]],
+    t: float,
+    y: float,
+    f: float,
+    h_abs: float,
+    t_bound: float,
+    exponent: float,
+) -> Iterator[tuple[float, float, float]]:
+    """scipy's RungeKutta stepping from (t, y), where y'(t) = f, toward
+    t_bound, from the suggested step size h_abs: the minimum step of 10
+    ulps, the clamp at t_bound and the accept/reject factor law, with
+    exponent = -1/(error estimator order + 1).  attempt(t, y, f, h) takes
+    one trial step and returns (y_new, f_new, error_norm).
+
+    Yields (t_new, y_new, f_new) for each accepted step.  Ends at t_bound,
+    or early when the step size falls below the minimum; a caller tells
+    the two apart by whether its last t is t_bound.
+    """
+    direction = 1.0 if t_bound > t else -1.0
+    while t != t_bound:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, error_norm = attempt(t, y, f, h)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
+            rejected = True
+        yield t_new, y_new, f_new
+        t, y, f = t_new, y_new, f_new
 
 
 def _interpolate(t_old: float, h: float, y_old: float, Q: np.ndarray, t: float) -> float:
@@ -101,11 +194,10 @@ def _rk45(
     """Integrate the scalar ODE y' = rhs(t, y) from (t0, y0) to t_bound as
     solve_ivp(rhs, (t0, t_bound), [y0], method="RK45", rtol=rtol,
     atol=1e-16, dense_output=True) does, float operation for float
-    operation: scipy's initial step, step clamp at the bound, minimum step
-    of 10 ulps, accept/reject factor law and rtol floor.  With floor_event,
-    integration stops where y falls through _W_FLOOR, at the root brentq
-    finds on the step's interpolant (solve_ivp's terminal event with
-    direction -1).
+    operation: scipy's initial step, step control (_accepted_steps) and
+    rtol floor.  With floor_event, integration stops where y falls through
+    _W_FLOOR, at the root brentq finds on the step's interpolant
+    (solve_ivp's terminal event with direction -1).
     """
     if rtol < _RTOL_MIN:
         warnings.warn(
@@ -115,22 +207,6 @@ def _rk45(
             stacklevel=3,
         )
         rtol = _RTOL_MIN
-    direction = 1.0 if t_bound > t0 else -1.0
-
-    # select_initial_step
-    f = rhs(t0, y0)
-    interval = abs(t_bound - t0)
-    scale = _ATOL + abs(y0) * rtol
-    d0, d1 = _norm(y0 / scale), _norm(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f)
-    d2 = _norm((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
-    h_abs = min(100 * h0, h1, interval)
 
     # The stage matrix K and the views scipy's rk_step reduces with np.dot.
     K = np.empty((RK45.n_stages + 1, 1))
@@ -138,46 +214,24 @@ def _rk45(
     stages = [(float(RK45.C[s]), K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
     K_B, K_all = K[:-1].T, K.T
 
+    def attempt(t: float, y: float, f: float, h: float) -> tuple[float, float, float]:
+        k[0] = f
+        for s, (c_s, K_s, a_s) in enumerate(stages, start=1):
+            k[s] = rhs(t + c_s * h, y + float(np.dot(K_s, a_s)[0]) * h)
+        y_new = y + h * float(np.dot(K_B, RK45.B)[0])
+        f_new = rhs(t + h, y_new)
+        k[-1] = f_new
+        y_mag, y_new_mag = abs(y), abs(y_new)
+        # np.maximum: a NaN y_new propagates
+        scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
+        return y_new, f_new, _norm(float(np.dot(K_all, RK45.E)[0]) * h / scale)
+
     t, y = t0, y0
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, RK45.error_estimator_order, rtol)
     ts, ys, segments = [t], [y], []
-    while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return _Steps(-1, ts, ys, segments)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            k[0] = f
-            for s, (c_s, K_s, a_s) in enumerate(stages, start=1):
-                k[s] = rhs(t + c_s * h, y + float(np.dot(K_s, a_s)[0]) * h)
-            y_new = y + h * float(np.dot(K_B, RK45.B)[0])
-            f_new = rhs(t + h, y_new)
-            k[-1] = f_new
-
-            y_mag, y_new_mag = abs(y), abs(y_new)
-            # np.maximum: a NaN y_new propagates
-            scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
-            error_norm = _norm(float(np.dot(K_all, RK45.E)[0]) * h / scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
-
-        segment = (t, h, y, K_all.dot(RK45.P))
+    for t_new, y_new, _ in _accepted_steps(attempt, t, y, f, h_abs, t_bound, _RK45_EXPONENT):
+        segment = (t, t_new - t, y, K_all.dot(RK45.P))
         segments.append(segment)
         if floor_event and y - _W_FLOOR >= 0 and y_new - _W_FLOOR <= 0:
             root = brentq(
@@ -190,11 +244,10 @@ def _rk45(
             ts.append(root)
             ys.append(_interpolate(*segment, root))
             return _Steps(1, ts, ys, segments)
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
-        if direction * (t - t_bound) >= 0:
-            return _Steps(0, ts, ys, segments)
+    return _Steps(0 if t == t_bound else -1, ts, ys, segments)
 
 
 @dataclass
@@ -491,44 +544,82 @@ def _march(
     z = dz, 2 dz, ... (or -dz, -2 dz, ...) up to the first sample past the
     target level.
 
-    Each sample is read from the dense output of the step that covers it,
-    and the solve stops with the step that holds the last sample, so
-    nothing is extrapolated past the solved interval.  The solve runs 100x
-    tighter than the phase paths it reads, which keeps its own error at the
-    paths' level (~1e-12 against the linear closed forms); DOP853 makes
-    that tolerance cheap.
+    The solve is Dormand-Prince 8(5,3) with atol = 1e-16, by a dedicated
+    loop that does the float operations of scipy's DOP853 solver object on
+    this scalar ODE, with its tableau read from scipy.integrate.DOP853, and
+    shares scipy's initial step and step control with _rk45.  Each sample
+    is read from the 7th-order dense output of the step that covers it:
+    three extra stages and a 7-row interpolant, built only for steps that
+    hold a sample.  The solve stops with the step that holds the last
+    sample, so nothing is extrapolated past the solved interval.  It runs
+    100x tighter than the phase paths it reads, which keeps its own error
+    at the paths' level (~1e-12 against the linear closed forms).
     """
-    sign = 1.0 if forward else -1.0
-    cap = int(round(400.0 / dz))
-    solver = DOP853(
-        lambda z, u: [w_of_u(u[0])],  # a scalar query is the interpolant's cheap path
-        0.0,
-        [u_start],
-        sign * cap * dz,
-        rtol=max(1e-2 * rtol, _PROFILE_RTOL_FLOOR),
-        atol=1e-16,
+    direction = 1.0 if forward else -1.0
+    z_bound = direction * int(round(MARCH_Z_RANGE / dz)) * dz
+    rtol = max(1e-2 * rtol, _PROFILE_RTOL_FLOOR)
+
+    # K holds the step's stages, then the dense output's extra stages; the
+    # views are the ones scipy's rk_step and _dense_output_impl reduce.
+    n = DOP853.n_stages
+    K = np.empty((n + 1 + len(DOP853.C_EXTRA), 1))
+    k = K[:, 0]
+    stages = [(K[:s].T, DOP853.A[s, :s]) for s in range(1, n)]
+    extra = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=n + 1)]
+    K_B, K_err = K[:n].T, K[: n + 1].T
+
+    def attempt(t: float, y: float, f: float, h: float) -> tuple[float, float, float]:
+        k[0] = f
+        for s, (K_s, a_s) in enumerate(stages, start=1):
+            k[s] = w_of_u(y + float(np.dot(K_s, a_s)[0]) * h)
+        y_new = y + h * float(np.dot(K_B, DOP853.B)[0])
+        f_new = w_of_u(y_new)
+        k[n] = f_new
+        y_mag, y_new_mag = abs(y), abs(y_new)
+        scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
+        err5 = _norm(float(np.dot(K_err, DOP853.E5)[0]) / scale) ** 2
+        err3 = _norm(float(np.dot(K_err, DOP853.E3)[0]) / scale) ** 2
+        if err5 == 0 and err3 == 0:
+            return y_new, f_new, 0.0
+        return y_new, f_new, abs(h) * err5 / math.sqrt(err5 + 0.01 * err3)
+
+    t, y = 0.0, u_start
+    f = w_of_u(y)
+    h_abs = _initial_step(
+        lambda z, u: w_of_u(u), t, y, f, z_bound, DOP853.error_estimator_order, rtol
     )
     chunks: list[np.ndarray] = []
-    k = 1  # index of the next grid sample
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise RuntimeError(f"profile solve failed at z={solver.t:.6g}: {message}")
-        z_done = abs(solver.t)
-        ks = np.arange(k, int(z_done / dz) + 2)
-        ks = ks[ks * dz <= z_done]
-        if ks.size == 0:
-            continue
-        u = solver.dense_output()(sign * (ks * dz))[0]
-        passed = np.flatnonzero(u >= target if forward else u <= target)
-        if passed.size:
-            chunks.append(u[: passed[0] + 1])
-            us = np.concatenate(chunks)
-            return us, w_of_u(us)
-        chunks.append(u)
-        k = int(ks[-1]) + 1
+    first = 1  # index of the next grid sample
+    for t_new, y_new, f_new in _accepted_steps(attempt, t, y, f, h_abs, z_bound, _DOP853_EXPONENT):
+        z_done = abs(t_new)
+        last = int(z_done / dz) + 1
+        while last >= first and last * dz > z_done:
+            last -= 1
+        if last >= first:
+            # Dop853DenseOutput over the step, evaluated at its samples.
+            h = t_new - t
+            for s, K_s, a_s in extra:
+                k[s] = w_of_u(y + float(np.dot(K_s, a_s)[0]) * h)
+            dy = y_new - y
+            F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(DOP853.D, K))[:, 0]]
+            x = (direction * (np.arange(first, last + 1) * dz) - t) / h
+            u = np.zeros_like(x)
+            for i, row in enumerate(reversed(F)):
+                u += row
+                u *= x if i % 2 == 0 else 1 - x
+            u += y
+            passed = np.flatnonzero(u >= target if forward else u <= target)
+            if passed.size:
+                chunks.append(u[: passed[0] + 1])
+                us = np.concatenate(chunks)
+                return us, w_of_u(us)
+            chunks.append(u)
+            first = last + 1
+        t, y, f = t_new, y_new, f_new
+    if t != z_bound:
+        raise RuntimeError(f"profile solve failed at z={t:.6g}: {DOP853.TOO_SMALL_STEP}")
     raise RuntimeError(
-        f"profile march did not reach u={target} within z range 400 (dz={dz})"
+        f"profile march did not reach u={target} within z range {MARCH_Z_RANGE:g} (dz={dz})"
     )
 
 
@@ -546,11 +637,16 @@ def reconstruct_profile(
 
     Marches forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid.
+    Each march covers |z| <= MARCH_Z_RANGE, so dz must leave between 1 and
+    MARCH_SAMPLE_CAP samples per side there.
     """
     if not (0.0 < u_eps <= U_EPS_CAP):
         raise ValueError(f"u_eps={u_eps} outside (0, {U_EPS_CAP:g}]")
-    if dz <= 0.0:
-        raise ValueError("dz must be positive")
+    if not (dz > 0.0 and 1.0 <= MARCH_Z_RANGE / dz <= MARCH_SAMPLE_CAP):
+        raise ValueError(
+            f"dz={dz} must give between 1 and {MARCH_SAMPLE_CAP} samples per side "
+            f"over the z range {MARCH_Z_RANGE:g}"
+        )
     left = shoot_half(f, "left", c_star, eps=eps, rtol=rtol)
     right = shoot_half(f, "right", c_star, eps=eps, rtol=rtol)
     jump = abs(left.w_at_a - right.w_at_a)

@@ -3,8 +3,9 @@
 The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
-reaction term written out branch by branch, and the phase paths integrated
-by solve_ivp with an npp.polyval right-hand side.
+reaction term written out branch by branch, the phase paths integrated
+by solve_ivp with an npp.polyval right-hand side, and the profile march
+stepped by scipy's DOP853 solver object.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import PathCollapse
@@ -171,6 +172,45 @@ def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
     except PathCollapse:
         w_right = 0.0
     return float(w_left - w_right)
+
+
+def reference_march(w_of_u, u_start: float, target: float, dz: float, forward: bool, rtol: float):
+    """The profile march as shooting._march first ran it: scipy's DOP853
+    solver object on du/dz = w(u), stepped one step at a time, each grid
+    sample read from the dense output of the step that covers it, up to the
+    first sample past the target level."""
+    sign = 1.0 if forward else -1.0
+    cap = int(round(400.0 / dz))
+    solver = DOP853(
+        lambda z, u: [w_of_u(u[0])],
+        0.0,
+        [u_start],
+        sign * cap * dz,
+        rtol=max(1e-2 * rtol, 1e-13),
+        atol=1e-16,
+    )
+    chunks = []
+    k = 1  # index of the next grid sample
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"profile solve failed at z={solver.t:.6g}: {message}")
+        z_done = abs(solver.t)
+        ks = np.arange(k, int(z_done / dz) + 2)
+        ks = ks[ks * dz <= z_done]
+        if ks.size == 0:
+            continue
+        u = solver.dense_output()(sign * (ks * dz))[0]
+        passed = np.flatnonzero(u >= target if forward else u <= target)
+        if passed.size:
+            chunks.append(u[: passed[0] + 1])
+            us = np.concatenate(chunks)
+            return us, w_of_u(us)
+        chunks.append(u)
+        k = int(ks[-1]) + 1
+    raise RuntimeError(
+        f"profile march did not reach u={target} within z range 400 (dz={dz})"
+    )
 
 
 def random_admissible_quartic(rng: np.random.Generator) -> bw.ReactionTerm:

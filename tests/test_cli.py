@@ -137,6 +137,27 @@ def test_solver_limits_validated():
     assert {"solver.u_eps", "solver.eps"} <= paths
 
 
+@pytest.mark.parametrize("dz", [1000.0, 1e-9])
+def test_profile_dz_outside_the_sample_range_is_refused(tmp_path, monkeypatch, capsys, dz):
+    """A dz leaving fewer than 1 or more than the cap of march samples per
+    side is refused at parse time (exit 2 at solver.dz); no profile is
+    attempted, so nothing is allocated."""
+    doc = {"reaction": "quadratic_demo", "solver": {"dz": dz}, "output": {"directory": str(tmp_path / "o")}}
+    cfgp = write_config(tmp_path, doc)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("profile reconstructed with an invalid dz")
+
+    monkeypatch.setattr(cli.shooting, "reconstruct_profile", forbidden)
+    assert cli.main(["profile", "--config", cfgp]) == 2
+    assert "config error at solver.dz" in capsys.readouterr().err
+
+
+def test_profile_dz_at_the_sample_cap_parses():
+    cfg = cli.parse_config(json.dumps({"reaction": "quadratic_demo", "solver": {"dz": 1e-5}}))
+    assert cfg.solver.dz == 1e-5
+
+
 def test_eps_cap_reported_with_an_invalid_grid():
     doc = {"reaction": "quadratic_demo", "grid": {"dx": -1}, "solver": {"eps": 0.5}}
     with pytest.raises(ConfigError) as exc:

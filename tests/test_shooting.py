@@ -3,16 +3,18 @@ Brent speed solve, and profile reconstruction."""
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, RK45, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
 from conftest import (
     closed_form_speed,
+    reference_march,
     reference_phase_path,
     reference_shoot_half,
     reference_speed_mismatch,
@@ -194,19 +196,104 @@ def test_profile_matches_reference_backed_paths_bytewise(name, quartic_terms, mo
     assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
 
 
+def _march_terms(quartic_terms):
+    """The demo, the three benchmark linear terms and three quartics."""
+    terms = {"demo": bw.quadratic_demo()}
+    for a in (0.1, 0.3, 0.45):
+        terms[f"linear_a{a}"] = bw.piecewise_linear(-1.0, a)
+    for i in range(3):
+        terms[f"quartic{i}"] = quartic_terms[i]
+    return terms
+
+
+_MARCH_TERMS = ["demo", "linear_a0.1", "linear_a0.3", "linear_a0.45", "quartic0", "quartic1", "quartic2"]
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-6, 1e-12])
+@pytest.mark.parametrize("name", _MARCH_TERMS)
+def test_march_matches_dop853_bitwise(name, rtol, quartic_terms):
+    """The dedicated DOP853 loop samples the profile as scipy's DOP853
+    solver object does, bit for bit, in both directions: the same u samples
+    and the same w at them.  At rtol = 1e-12 the march's tolerance, 1e-14,
+    is raised to the 1e-13 floor."""
+    f = _march_terms(quartic_terms)[name]
+    c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
+    for side, target, forward in (("right", 1.0 - 1e-4, True), ("left", 1e-4, False)):
+        w_of_u = bw.shoot_half(f, side, c, rtol=rtol).w_of_u
+        got = bw.shooting._march(w_of_u, f.a, target, 1e-2, forward, rtol)
+        want = reference_march(w_of_u, f.a, target, 1e-2, forward, rtol)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic0"])
+def test_profile_matches_reference_paths_and_march_bytewise(name, quartic_terms, monkeypatch):
+    """reconstruct_profile writes the same bytes as the reference half paths
+    (solve_ivp) marched by the reference DOP853 solver object."""
+    f = _march_terms(quartic_terms)[name]
+    c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
+    got = bw.reconstruct_profile(f, c)
+    monkeypatch.setattr(bw.shooting, "shoot_half", reference_phase_path)
+    monkeypatch.setattr(bw.shooting, "_march", reference_march)
+    want = bw.reconstruct_profile(f, c)
+    for attr in ("z_grid", "u_values", "w_values"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+    assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
+
+
+_UNDERFLOW = "profile solve failed at z="
+_SHORT = "profile march did not reach"
+
+
+@pytest.mark.parametrize(
+    "w, target, dz, forward, message",
+    [
+        # w turns NaN past a level: every step into it is rejected until
+        # the step size underflows.
+        (lambda u: 1.0 if u < 0.5 else math.nan, 0.9, 1e-2, True, _UNDERFLOW),
+        (lambda u: math.nan if u < 0.2 else 1.0, 1e-2, 1e-2, False, _UNDERFLOW),
+        # A tiny w never reaches the target within the z range.
+        (lambda u: 1e-9, 0.9, 1e-2, True, _SHORT),
+        (lambda u: 1e-9, 1e-2, 1e-2, False, _SHORT),
+        # A z range rounded to 0 samples: scipy's solver finishes at once.
+        (lambda u: 1.0, 0.9, 1000.0, True, _SHORT),
+    ],
+    ids=["nan-forward", "nan-backward", "tiny-forward", "tiny-backward", "empty-range"],
+)
+def test_march_failures_match_dop853(w, target, dz, forward, message):
+    """The march fails where scipy's DOP853 solver object does, with the
+    same message, at the same z, after querying w at the same points."""
+
+    def failure(march):
+        queries = []
+
+        def w_of_u(u):
+            queries.append(float(u).hex())
+            return w(u)
+
+        with pytest.raises(RuntimeError) as exc:
+            march(w_of_u, 0.3, target, dz, forward, 1e-10)
+        return str(exc.value), queries
+
+    got, want = failure(bw.shooting._march), failure(reference_march)
+    assert got[0].startswith(message)
+    assert got == want
+
+
 def test_solve_wave_never_calls_solve_ivp(demo, quartic_terms, monkeypatch):
-    """The phase paths have one integrator: no solve_ivp call and no RK45
-    solver object during a whole solve_wave."""
+    """The phase paths and the profile march have one integrator each: no
+    solve_ivp call and no RK45 or DOP853 solver object during a whole
+    solve_wave."""
     calls = []
 
     def forbidden(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("solve_ivp or RK45 used during solve_wave")
+        raise AssertionError("solve_ivp, RK45 or DOP853 used during solve_wave")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] in ("bistable_waves", "scipy") and getattr(module, "solve_ivp", None) is solve_ivp:
             monkeypatch.setattr(module, "solve_ivp", forbidden)
     monkeypatch.setattr(RK45, "__init__", forbidden)
+    monkeypatch.setattr(DOP853, "__init__", forbidden)
     for f in (demo, quartic_terms[3]):
         assert bw.verify_c1(bw.solve_wave(f))
     assert calls == []
@@ -379,6 +466,9 @@ def test_reconstruct_profile_guards(demo, demo_wave):
         bw.reconstruct_profile(demo, demo_wave.c_star, u_eps=0.5)
     with pytest.raises(ValueError):
         bw.reconstruct_profile(demo, demo_wave.c_star, dz=-0.1)
+    for dz in (1000.0, 1e-9, math.nan):
+        with pytest.raises(ValueError, match="samples per side"):
+            bw.reconstruct_profile(demo, demo_wave.c_star, dz=dz)
 
 
 def test_linear_profile_matches_envelope_wave():
