@@ -1,11 +1,11 @@
 """Configuration parsing, subcommands, and deterministic artifact emission.
 
 One JSON config document drives every subcommand.  Each config field
-declares its own parse rule, and the rules read the library's own choice
-sets and caps rather than restating them: branch rules and boundary kinds
-are the Literal types reaction.BranchRule and simulator.BoundaryKind, the
-u_eps and eps caps are shooting's, and presets are built, and checked, by
-the reaction module.  A number is a finite JSON number; booleans are not
+declares its own parse rule for the JSON shape, reading the library's
+choice sets (reaction.BranchRule, simulator.BoundaryKind).  Each numeric
+limit is a check of the module that enforces it, and its ValueError is
+reported under the field's path; presets are built, and checked, by the
+reaction module.  A number is a finite JSON number; booleans are not
 numbers.  All artifacts are byte-deterministic: floats are formatted with
 17 significant digits, JSON field order is fixed, and every JSON artifact
 embeds the normalized config and a schema version.
@@ -86,25 +86,9 @@ def _positive(val: Any) -> float:
     return x
 
 
-def _u_eps(val: Any) -> float:
-    x = _positive(val)
-    if x > shooting.U_EPS_CAP:
-        raise ValueError(f"{x} exceeds the profile truncation cap {shooting.U_EPS_CAP:g}")
-    return x
-
-
-def _dz(val: Any) -> float:
-    x = _positive(val)
-    if not 1.0 <= shooting.MARCH_Z_RANGE / x <= shooting.MARCH_SAMPLE_CAP:
-        raise ValueError(
-            f"{x} must give between 1 and {shooting.MARCH_SAMPLE_CAP} profile samples "
-            f"per side over the z range {shooting.MARCH_Z_RANGE:g}"
-        )
-    return x
-
-
-def _branch_point(val: Any) -> float:
-    return reaction._check_branch_point(_finite(val))
+def _owned(check: Callable[[float], float]) -> Callable[[Any], float]:
+    """The rule for a finite number whose limits a library check owns."""
+    return lambda val: check(_finite(val))
 
 
 def _numbers(val: Any, nonempty: bool = False) -> tuple[float, ...]:
@@ -167,7 +151,7 @@ _INITIAL_DATA: dict[str, Callable[[Any, simulator.WaveProfile], Callable]] = {
 
 @dataclass(frozen=True)
 class ReactionConfig:
-    a: float = _rule(_branch_point)
+    a: float = _rule(_owned(reaction._check_branch_point))
     f0: tuple[float, ...] = _rule(partial(_numbers, nonempty=True))
     f1: tuple[float, ...] = _rule(partial(_numbers, nonempty=True))
     branch_rule: str = _rule(_choice("branch rule", get_args(reaction.BranchRule)), "right_closed")
@@ -179,8 +163,8 @@ class SolverConfig:
     tol_phi: float = _rule(_positive, 1e-12)
     tol_c: float = _rule(_positive, 1e-10)
     c1_tol: float = _rule(_positive, 1e-6)
-    dz: float = _rule(_dz, 1e-2)
-    u_eps: float = _rule(_u_eps, 1e-4)
+    dz: float = _rule(_owned(shooting._check_dz), 1e-2)
+    u_eps: float = _rule(_owned(shooting._check_u_eps), 1e-4)
     ode_rtol: float = _rule(_positive, 1e-10)
 
 
@@ -298,6 +282,14 @@ def _preset(entry: Any) -> reaction.ReactionTerm:
         raise ValueError(f"{entry}: {exc}") from None
 
 
+def _report(errs: list[tuple[str, str]], path: str, check: Callable, *args: Any, **kwargs: Any) -> None:
+    """Run a library check, reporting its ValueError under path."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        errs.append((path, str(exc)))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
@@ -318,17 +310,28 @@ def parse_config(text: str) -> RunConfig:
 
     grid = _section(raw.get("grid", {}), "grid", GridConfig, errs)
     if not {"grid.x_min", "grid.x_max", "grid.dx"} & dict(errs).keys():
-        try:
-            simulator.Grid1D(**asdict(grid))
-        except ValueError as exc:  # the domain is empty or not a whole number >= 16 of cells
-            errs.append(("grid.dx" if grid.x_min < grid.x_max else "grid.x_min", str(exc)))
+        # the domain is empty or not a whole number >= 16 of cells
+        _report(errs, "grid.dx" if grid.x_min < grid.x_max else "grid.x_min", simulator.Grid1D, **asdict(grid))
 
     experiment = _section(raw.get("experiment", {}), "experiment", ExperimentConfig, errs)
-    if experiment.initial_condition == "custom_table" and experiment.custom_table is None:
+    ic, table = experiment.initial_condition, experiment.custom_table
+    if ic == "custom_table" and table is None:
         if "experiment.custom_table" not in dict(errs):  # else it is reported as invalid
             errs.append(("experiment.custom_table", "required when initial_condition=custom_table"))
+    # Initial data lies in the simulator's state band; the wave spans (0, 1).
+    if ic == "wave_plus_delta":
+        _report(errs, "experiment.delta", simulator._check_state_band, experiment.delta, 1.0 + experiment.delta)
+    if ic == "custom_table" and table is not None:
+        us = [u for _, u in table]
+        _report(errs, "experiment.custom_table", simulator._check_state_band, min(us), max(us))
+    # Times lie in the run's span [0, t_end], once t_end is valid.
+    t_end = None if "experiment.t_end" in dict(errs) else experiment.t_end
+    if t_end is not None and experiment.window is not None:
+        _report(errs, "experiment.window", simulator._check_window, experiment.window, t_end)
 
     output = _section(raw.get("output", {}), "output", OutputConfig, errs)
+    if t_end is not None:
+        _report(errs, "output.snapshot_times", simulator._check_snapshot_times, output.snapshot_times, t_end)
 
     # Term-dependent limits: dt against the explicit-reaction stability
     # bound, once the grid's steps are valid, and eps against the
@@ -336,20 +339,13 @@ def parse_config(text: str) -> RunConfig:
     if rc is not None:
         if not any(path.startswith("grid.d") for path, _ in errs):
             try:
-                bound = simulator.Grid1D.dt_stability(max(reaction.max_abs_slopes(build_term(rc))))
+                lipschitz = max(reaction.max_abs_slopes(build_term(rc)))
             except ValueError as exc:  # a slope beyond the float range
                 errs.append(("reaction", f"slopes are not finite: {exc}"))
-                bound = math.inf
-            if grid.dt > bound:
-                errs.append((
-                    "grid.dt",
-                    f"dt={grid.dt:.6g} exceeds dt_stability={bound:.6g} "
-                    f"(={simulator.DT_STABILITY_FACTOR:g}/max(K0,K1))",
-                ))
-        eps_cap = min(rc.a, 1.0 - rc.a) / shooting.EPS_CAP_DIVISOR
-        if solver.eps is not None and solver.eps > eps_cap:
-            cap = f"min(a, 1-a)/{shooting.EPS_CAP_DIVISOR:g} = {eps_cap:.6g}"
-            errs.append(("solver.eps", f"{solver.eps} exceeds the seed cap {cap}"))
+            else:
+                _report(errs, "grid.dt", simulator._check_dt, grid.dt, lipschitz)
+        if solver.eps is not None:
+            _report(errs, "solver.eps", shooting._check_eps, solver.eps, rc.a)
 
     if errs:
         raise ConfigError(errs)

@@ -1,10 +1,11 @@
-"""The one bracketed root finder, behind both speed searches and the
-best-shift search.
+"""The one bracketed root finder, behind both speed searches, the phase
+paths' collapse event and the best-shift search.
 
 The envelope matching residual (linear_theory.match_speed) and the
-phase-plane mismatch (shooting.find_speed) are monotone in c, and the
-balance of the two halves of the sup norm (simulator.shift_distance) is
-monotone in the shift.  Once a sign change is bracketed, Brent's method
+phase-plane mismatch (shooting.find_speed) are monotone in c, a collapsing
+path's w crosses the floor once within the step that brackets it
+(shooting._rk45), and the balance of the two halves of the sup norm
+(simulator.shift_distance) is monotone in the shift.  Once a sign change is bracketed, Brent's method
 (Brent, *Algorithms for Minimization without Derivatives*, 1973) converges
 superlinearly while never leaving the bracket.
 """

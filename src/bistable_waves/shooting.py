@@ -39,7 +39,6 @@ from typing import Callable, Iterator, Literal
 
 import numpy as np
 from scipy.integrate import DOP853, RK45
-from scipy.optimize import brentq
 
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
@@ -49,26 +48,26 @@ from .roots import EXPANSION_CAP, bracketed_root
 PathSide = Literal["left", "right"]
 
 _W_FLOOR = 1e-12
-# The seed distance eps lies in (0, min(a, 1 - a) / EPS_CAP_DIVISOR].
-EPS_CAP_DIVISOR = 100.0
-# reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, U_EPS_CAP].
-U_EPS_CAP = 1e-3
+# The seed distance eps lies in (0, min(a, 1 - a) / _EPS_CAP_DIVISOR].
+_EPS_CAP_DIVISOR = 100.0
+# reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, _U_EPS_CAP].
+_U_EPS_CAP = 1e-3
 # The march runs at 1e-2 * rtol, but no tighter than this.  The floor sets
 # the march's tolerance, and so the profile bytes, for every rtol under
 # 1e-11, and it keeps the march above 100 machine epsilons (2.2e-14), where
 # scipy clips rtol with a warning that the march's loop does not carry.
 _PROFILE_RTOL_FLOOR = 1e-13
-# The profile march covers |z| <= MARCH_Z_RANGE, one sample every dz, so
-# MARCH_Z_RANGE / dz must lie in [1, MARCH_SAMPLE_CAP].
-MARCH_Z_RANGE = 400.0
-MARCH_SAMPLE_CAP = 40_000_000
+# The profile march covers |z| <= _MARCH_Z_RANGE, one sample every dz, so
+# _MARCH_Z_RANGE / dz must lie in [1, _MARCH_SAMPLE_CAP].
+_MARCH_Z_RANGE = 400.0
+_MARCH_SAMPLE_CAP = 40_000_000
 
 # The RK45 and DOP853 loops' settings and scipy's rules for them
 # (scipy.integrate._ivp: rk.py, common.py and ivp.py).
 _ATOL = 1e-16
 _EPS = float(np.finfo(float).eps)
 _RTOL_MIN = 100 * _EPS  # smaller rtols are clipped to this, with a warning
-_EVENT_TOL = 4 * _EPS  # brentq's xtol and rtol for an event root
+_EVENT_TOL = 4 * _EPS  # solve_ivp's xtol for an event root; brentq's default rtol
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _RK45_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 _DOP853_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
@@ -196,7 +195,7 @@ def _rk45(
     atol=1e-16, dense_output=True) does, float operation for float
     operation: scipy's initial step, step control (_accepted_steps) and
     rtol floor.  With floor_event, integration stops where y falls through
-    _W_FLOOR, at the root brentq finds on the step's interpolant
+    _W_FLOOR, at the root bracketed_root finds on the step's interpolant
     (solve_ivp's terminal event with direction -1).
     """
     if rtol < _RTOL_MIN:
@@ -234,13 +233,11 @@ def _rk45(
         segment = (t, t_new - t, y, K_all.dot(RK45.P))
         segments.append(segment)
         if floor_event and y - _W_FLOOR >= 0 and y_new - _W_FLOOR <= 0:
-            root = brentq(
-                lambda u: _interpolate(*segment, u) - _W_FLOOR,
-                t,
-                t_new,
-                xtol=_EVENT_TOL,
-                rtol=_EVENT_TOL,
-            )
+
+            def event(u: float) -> float:
+                return _interpolate(*segment, u) - _W_FLOOR
+
+            root, _, _ = bracketed_root(event, t, t_new, event(t), event(t_new), 0.0, xtol=_EVENT_TOL)
             ts.append(root)
             ys.append(_interpolate(*segment, root))
             return _Steps(1, ts, ys, segments)
@@ -338,6 +335,15 @@ def default_eps(f: ReactionTerm) -> float:
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
 
 
+def _check_eps(eps: float, a: float) -> float:
+    """eps if it lies in the seed window (0, min(a, 1-a)/_EPS_CAP_DIVISOR]
+    of a term with branch point a; else ValueError."""
+    cap = min(a, 1.0 - a) / _EPS_CAP_DIVISOR
+    if not 0.0 < eps <= cap:
+        raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/{_EPS_CAP_DIVISOR:g}] = (0, {cap:.6g}]")
+    return eps
+
+
 def shoot_half(
     f: ReactionTerm,
     side: PathSide,
@@ -367,10 +373,7 @@ def shoot_half(
     """
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
-    if eps is None:
-        eps = default_eps(f)
-    if not (0.0 < eps <= min(f.a, 1.0 - f.a) / EPS_CAP_DIVISOR):
-        raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/{EPS_CAP_DIVISOR:g}]")
+    eps = _check_eps(default_eps(f) if eps is None else eps, f.a)
 
     if side == "left":
         coefficients = f.f0.coefficients
@@ -556,7 +559,7 @@ def _march(
     at the paths' level (~1e-12 against the linear closed forms).
     """
     direction = 1.0 if forward else -1.0
-    z_bound = direction * int(round(MARCH_Z_RANGE / dz)) * dz
+    z_bound = direction * int(round(_MARCH_Z_RANGE / dz)) * dz
     rtol = max(1e-2 * rtol, _PROFILE_RTOL_FLOOR)
 
     # K holds the step's stages, then the dense output's extra stages; the
@@ -619,8 +622,26 @@ def _march(
     if t != z_bound:
         raise RuntimeError(f"profile solve failed at z={t:.6g}: {DOP853.TOO_SMALL_STEP}")
     raise RuntimeError(
-        f"profile march did not reach u={target} within z range {MARCH_Z_RANGE:g} (dz={dz})"
+        f"profile march did not reach u={target} within z range {_MARCH_Z_RANGE:g} (dz={dz})"
     )
+
+
+def _check_u_eps(u_eps: float) -> float:
+    """u_eps if it lies in (0, _U_EPS_CAP]; else ValueError."""
+    if not 0.0 < u_eps <= _U_EPS_CAP:
+        raise ValueError(f"u_eps={u_eps} outside (0, {_U_EPS_CAP:g}]")
+    return u_eps
+
+
+def _check_dz(dz: float) -> float:
+    """dz if it is positive and leaves between 1 and _MARCH_SAMPLE_CAP
+    samples per side over |z| <= _MARCH_Z_RANGE; else ValueError."""
+    if not (dz > 0.0 and 1.0 <= _MARCH_Z_RANGE / dz <= _MARCH_SAMPLE_CAP):
+        raise ValueError(
+            f"dz={dz} must give between 1 and {_MARCH_SAMPLE_CAP} samples per side "
+            f"over the z range {_MARCH_Z_RANGE:g}"
+        )
+    return dz
 
 
 def reconstruct_profile(
@@ -637,16 +658,11 @@ def reconstruct_profile(
 
     Marches forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid.
-    Each march covers |z| <= MARCH_Z_RANGE, so dz must leave between 1 and
-    MARCH_SAMPLE_CAP samples per side there.
+    Each march covers |z| <= _MARCH_Z_RANGE, so dz must leave between 1
+    and _MARCH_SAMPLE_CAP samples per side there.
     """
-    if not (0.0 < u_eps <= U_EPS_CAP):
-        raise ValueError(f"u_eps={u_eps} outside (0, {U_EPS_CAP:g}]")
-    if not (dz > 0.0 and 1.0 <= MARCH_Z_RANGE / dz <= MARCH_SAMPLE_CAP):
-        raise ValueError(
-            f"dz={dz} must give between 1 and {MARCH_SAMPLE_CAP} samples per side "
-            f"over the z range {MARCH_Z_RANGE:g}"
-        )
+    _check_u_eps(u_eps)
+    _check_dz(dz)
     left = shoot_half(f, "left", c_star, eps=eps, rtol=rtol)
     right = shoot_half(f, "right", c_star, eps=eps, rtol=rtol)
     jump = abs(left.w_at_a - right.w_at_a)

@@ -43,14 +43,16 @@ BoundaryKind = Literal["dirichlet01", "neumann"]
 
 _STATE_LO = -0.5
 _STATE_HI = 1.5
-# The explicit reaction step is stable for dt <= DT_STABILITY_FACTOR / max|f'|.
-DT_STABILITY_FACTOR = 1.9
+# The explicit reaction step is stable for dt <= _DT_STABILITY_FACTOR / max|f'|.
+_DT_STABILITY_FACTOR = 1.9
 # shift_distance searches the shifts within this distance of the front.
 _SCAN_RADIUS = 20.0
 # Points per axis of each _k2_separated grid round.
 _K2_GRID = 400
 # A grid has at most this many nodes: each state array is then at most 8 MB.
 _MAX_NODES = 1_000_000
+# The speed and decay fits need this many observations in their window.
+_MIN_FIT_OBSERVATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,44 @@ class Grid1D:
         """Largest dt the explicit reaction treatment tolerates."""
         if reaction_lipschitz <= 0.0:
             return math.inf
-        return DT_STABILITY_FACTOR / reaction_lipschitz
+        return _DT_STABILITY_FACTOR / reaction_lipschitz
+
+
+def _check_dt(dt: float, reaction_lipschitz: float) -> float:
+    """dt if it is within the explicit-reaction stability bound of a term
+    with max(K0, K1) = reaction_lipschitz; else ValueError."""
+    bound = Grid1D.dt_stability(reaction_lipschitz)
+    if dt > bound:
+        raise ValueError(
+            f"dt={dt:.6g} exceeds dt_stability={bound:.6g} (={_DT_STABILITY_FACTOR:g}/max(K0,K1))"
+        )
+    return dt
+
+
+def _check_state_band(lo: float, hi: float) -> None:
+    """ValueError unless the values [lo, hi] lie in the state band
+    [_STATE_LO, _STATE_HI]; a NaN end does not."""
+    if not (lo >= _STATE_LO and hi <= _STATE_HI):
+        raise ValueError(f"values in [{lo:.6g}, {hi:.6g}] leave the state band [{_STATE_LO}, {_STATE_HI}]")
+
+
+def _check_snapshot_times(times: Sequence[float], t_end: float) -> Sequence[float]:
+    """times if each lies in [0, t_end]; else ValueError naming the first
+    that does not."""
+    for t in times:
+        if not 0.0 <= t <= t_end:
+            raise ValueError(f"snapshot time {t} outside [0, t_end={t_end}]")
+    return times
+
+
+def _check_window(t_window: tuple[float, float], t_end: float) -> tuple[float, float]:
+    """A fit window [lo, hi] if it meets a run's time span [0, t_end]; else
+    ValueError.  A Trajectory does not carry t_end, so the fits cannot make
+    this check; they refuse a window with too few observations instead."""
+    lo, hi = t_window
+    if hi < 0.0 or lo > t_end:
+        raise ValueError(f"fit window [{lo}, {hi}] does not meet [0, t_end={t_end}]")
+    return t_window
 
 
 @dataclass
@@ -166,9 +205,10 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
 
     u_new, _info = dgttrs(*lu, rhs, overwrite_b=True)
     t_new = s.t + g.dt
-    # NaN fails both comparisons, so it diverges too.
-    if not (u_new.min() >= _STATE_LO and u_new.max() <= _STATE_HI):
-        raise Divergence(f"state left [{_STATE_LO}, {_STATE_HI}] at t={t_new:.6g}", t=t_new)
+    try:  # NaN fails the check, so it diverges too
+        _check_state_band(u_new.min(), u_new.max())
+    except ValueError:
+        raise Divergence(f"state left [{_STATE_LO}, {_STATE_HI}] at t={t_new:.6g}", t=t_new) from None
     return SimState(t=t_new, u=u_new, grid=g)
 
 
@@ -230,14 +270,9 @@ class WaveProfile:
         return float(out[0]) if scalar else out
 
 
-def shift_distance(
-    s: SimState,
-    ws: WaveSolution,
-    c: float,
-    *,
-    profile: WaveProfile | None = None,
-) -> tuple[float, float]:
-    """Best-shift sup-norm distance between the state and the reference wave.
+def shift_distance(s: SimState, profile: WaveProfile) -> tuple[float, float]:
+    """Best-shift sup-norm distance between the state and the reference
+    wave u*, the profile, whose speed is c = profile.c.
 
     Minimizes F(zeta) = max_i |u_i - u*(x_i + zeta)| over the shifts within
     _SCAN_RADIUS of a lattice shift near the front, excluding a 5% boundary
@@ -253,8 +288,7 @@ def shift_distance(
     finds the crossing to 1e-12*dx, and otherwise F is least at an end.
     The result is the smallest F among the evaluated shifts.
     """
-    if profile is None:
-        profile = WaveProfile(ws)
+    c = profile.c
     g = s.grid
     n = g.n_nodes
     margin = max(1, int(round(0.05 * n)))
@@ -295,24 +329,30 @@ def run(
     snapshot_times: Sequence[float] = (),
 ) -> Trajectory:
     """Evolve u0 to t_end, observing front position (and, with a reference
-    wave attached, the best-shift distance) every observe_every time units."""
+    wave attached, the best-shift distance) every observe_every time units.
+
+    Each snapshot time must lie in [0, t_end] and takes the nearest state,
+    the first with t >= time - dt/2: the initial state for t = 0.  Initial
+    data must lie in the state band [-0.5, 1.5] that step keeps; a dt past
+    the stability bound only warns.
+    """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if observe_every <= 0.0:
         raise ValueError("observe_every must be positive")
+    pending_snaps = sorted(float(t) for t in _check_snapshot_times(snapshot_times, t_end))
     x = g.x
     u_init = np.asarray(u0(x) if callable(u0) else u0, dtype=float).copy()
     if u_init.shape != x.shape:
         raise ValueError(f"initial data has shape {u_init.shape}, grid needs {x.shape}")
+    _check_state_band(u_init.min(), u_init.max())
     state = SimState(t=0.0, u=u_init, grid=g)
 
     lipschitz = max(max_abs_slopes(f))
-    if g.dt > g.dt_stability(lipschitz):
-        warnings.warn(
-            f"dt={g.dt} exceeds the explicit-reaction stability bound "
-            f"{g.dt_stability(lipschitz):.6g}",
-            RuntimeWarning,
-        )
+    try:
+        _check_dt(g.dt, lipschitz)
+    except ValueError as exc:
+        warnings.warn(str(exc), RuntimeWarning)
 
     profile = WaveProfile(reference) if reference is not None else None
 
@@ -322,7 +362,11 @@ def run(
     shifts: list[float] = []
     snapshots: list[SimState] = []
     diagnostics: list[str] = []
-    pending_snaps = sorted(float(t) for t in snapshot_times)
+
+    def take_snapshots(st: SimState) -> None:
+        while pending_snaps and st.t >= pending_snaps[0] - g.dt / 2.0:
+            snapshots.append(SimState(t=st.t, u=st.u.copy(), grid=g))
+            pending_snaps.pop(0)
 
     def observe(st: SimState) -> None:
         times.append(st.t)
@@ -337,18 +381,17 @@ def run(
                 )
             fronts.append(float(np.median(crossings)))
         if profile is not None:
-            d, zb = shift_distance(st, reference, reference.c_star, profile=profile)
+            d, zb = shift_distance(st, profile)
             dists.append(d)
             shifts.append(zb)
 
+    take_snapshots(state)
     observe(state)
     n_steps = int(math.ceil(t_end / g.dt - 1e-12))
     next_obs = observe_every
     for _ in range(n_steps):
         state = step(f, state, g)
-        while pending_snaps and state.t >= pending_snaps[0] - g.dt / 2.0:
-            snapshots.append(SimState(t=state.t, u=state.u.copy(), grid=g))
-            pending_snaps.pop(0)
+        take_snapshots(state)
         if state.t >= next_obs - g.dt / 2.0:
             observe(state)
             next_obs += observe_every
@@ -381,12 +424,14 @@ def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def estimate_speed(tr: Trajectory, t_window: tuple[float, float]) -> tuple[float, float]:
     """Slope and r^2 of the least-squares line through (t, front_position)
-    inside the window.  Needs at least 8 finite observations."""
+    inside the window.  Needs at least _MIN_FIT_OBSERVATIONS finite
+    observations."""
     lo, hi = t_window
     mask = (tr.times >= lo) & (tr.times <= hi) & np.isfinite(tr.front_positions)
-    if int(mask.sum()) < 8:
+    if int(mask.sum()) < _MIN_FIT_OBSERVATIONS:
         raise InsufficientData(
-            f"{int(mask.sum())} usable front observations in [{lo}, {hi}]; need >= 8"
+            f"{int(mask.sum())} usable front observations in [{lo}, {hi}]; "
+            f"need >= {_MIN_FIT_OBSERVATIONS}"
         )
     slope, _intercept, r2 = _linear_fit(tr.times[mask], tr.front_positions[mask])
     return slope, r2
@@ -394,14 +439,17 @@ def estimate_speed(tr: Trajectory, t_window: tuple[float, float]) -> tuple[float
 
 def fit_decay(tr: Trajectory, t_window: tuple[float, float]) -> tuple[float, float, float]:
     """Fit distance(t) ~ K * exp(-kappa * t) on the window by linear least
-    squares in log space; returns (K, kappa, r2)."""
+    squares in log space; returns (K, kappa, r2).  Needs at least
+    _MIN_FIT_OBSERVATIONS observations."""
     if tr.shift_distances is None:
         raise InsufficientData("trajectory carries no shift distances")
     lo, hi = t_window
     mask = (tr.times >= lo) & (tr.times <= hi)
     d = tr.shift_distances[mask]
-    if d.size < 8:
-        raise InsufficientData(f"{d.size} distance observations in [{lo}, {hi}]; need >= 8")
+    if d.size < _MIN_FIT_OBSERVATIONS:
+        raise InsufficientData(
+            f"{d.size} distance observations in [{lo}, {hi}]; need >= {_MIN_FIT_OBSERVATIONS}"
+        )
     if np.any(d <= 0.0):
         raise NonPositiveDistance("non-positive distance in the fit window")
     slope, intercept, r2 = _linear_fit(tr.times[mask], np.log(d))

@@ -229,6 +229,88 @@ def test_input_defects_rejected_at_their_path(tmp_path, capsys, doc, path):
     assert not (tmp_path / "out").exists()
 
 
+_DEMO_LIPSCHITZ = max(bw.max_abs_slopes(bw.quadratic_demo()))  # 1.6
+
+
+@pytest.mark.parametrize(
+    "doc, path, check, args",
+    [
+        pytest.param({"solver": {"u_eps": 0.5}}, "solver.u_eps", bw.shooting._check_u_eps, (0.5,), id="u_eps"),
+        pytest.param({"solver": {"dz": 1000}}, "solver.dz", bw.shooting._check_dz, (1000.0,), id="dz"),
+        pytest.param({"solver": {"eps": 0.5}}, "solver.eps", bw.shooting._check_eps, (0.5, 0.3), id="eps"),
+        pytest.param({"grid": {"dt": 5.0}}, "grid.dt", bw.simulator._check_dt, (5.0, _DEMO_LIPSCHITZ), id="dt"),
+        pytest.param(
+            {"experiment": {"t_end": 2, "window": [5, 9]}},
+            "experiment.window",
+            bw.simulator._check_window,
+            ((5.0, 9.0), 2.0),
+            id="window",
+        ),
+        pytest.param(
+            {"experiment": {"t_end": 2}, "output": {"snapshot_times": [0, 1.0, 1.001, 5]}},
+            "output.snapshot_times",
+            bw.simulator._check_snapshot_times,
+            ((0.0, 1.0, 1.001, 5.0), 2.0),
+            id="snapshot_times",
+        ),
+        pytest.param(
+            {"experiment": {"initial_condition": "wave_plus_delta", "delta": 0.7}},
+            "experiment.delta",
+            bw.simulator._check_state_band,
+            (0.7, 1.7),
+            id="delta",
+        ),
+        pytest.param(
+            {"experiment": {"initial_condition": "custom_table", "custom_table": [[-1, 0], [0, 0.5], [1, 3]]}},
+            "experiment.custom_table",
+            bw.simulator._check_state_band,
+            (0.0, 3.0),
+            id="custom_table",
+        ),
+    ],
+)
+def test_owned_limit_reported_with_the_owners_message(tmp_path, monkeypatch, capsys, doc, path, check, args):
+    """Each numeric limit is checked by the library module that enforces
+    it: the violation at the field's path carries exactly the owner's
+    ValueError message, and stability exits 2 before any solve runs."""
+    with pytest.raises(ValueError) as owner:
+        check(*args)
+    text = json.dumps({"reaction": "quadratic_demo", **doc})
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text)
+    assert exc.value.violations == [(path, str(owner.value))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve ran on an invalid config")
+
+    monkeypatch.setattr(cli.shooting, "find_speed", forbidden)
+    cfgp = write_config(tmp_path, json.loads(text))
+    assert cli.main(["stability", "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at {path}: {owner.value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, output",
+    [
+        ({"t_end": 2, "window": [-5, 0]}, {}),  # meets [0, t_end] at 0
+        ({"t_end": 2, "window": [2, 9]}, {}),  # meets it at t_end
+        ({"t_end": 2, "initial_condition": "wave_plus_delta", "delta": 0.5}, {"snapshot_times": [0, 2]}),
+        ({"initial_condition": "custom_table", "custom_table": [[-1, -0.5], [1, 1.5]]}, {}),
+    ],
+)
+def test_limits_at_their_edges_parse(experiment, output):
+    cli.parse_config(json.dumps({"reaction": "quadratic_demo", "experiment": experiment, "output": output}))
+
+
+def test_time_limits_skipped_when_t_end_is_invalid():
+    doc = {"reaction": "quadratic_demo", "experiment": {"t_end": -1, "window": [50, 60]},
+           "output": {"snapshot_times": [50]}}
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps(doc))
+    assert [p for p, _ in exc.value.violations] == ["experiment.t_end"]
+
+
 def test_overlong_integer_literal_is_invalid_json():
     # json.loads refuses integers of more than 4300 digits with a plain ValueError
     with pytest.raises(ConfigError) as exc:
@@ -445,6 +527,21 @@ def test_simulate_and_stability_commands(tmp_path):
     assert st["window"] == [2.0, 6.0]
     assert "kappa" in st and "K" in st and "r2" in st
     assert st["speed_error_vs_cstar"] < 0.05
+
+
+def test_snapshot_at_zero_writes_the_initial_state(tmp_path):
+    out = tmp_path / "out"
+    doc = {
+        "reaction": "quadratic_demo",
+        "grid": {"x_min": -20.0, "x_max": 20.0, "dx": 0.1, "dt": 0.02},
+        "experiment": {"t_end": 1.0, "observe_every": 0.5},
+        "output": {"directory": str(out), "snapshot_times": [0, 1]},
+    }
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    assert sorted(p.name for p in out.glob("snapshot_t*.csv")) == ["snapshot_t0.csv", "snapshot_t1.csv"]
+    rows = (out / "snapshot_t0.csv").read_text().splitlines()[1:]
+    x, u = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    np.testing.assert_array_equal(u, np.where(x >= 0.0, 1.0, 0.0))
 
 
 def test_initial_condition_variants(tmp_path):

@@ -12,6 +12,7 @@ from scipy.integrate import DOP853, RK45, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
+from bistable_waves.roots import bracketed_root
 from conftest import (
     closed_form_speed,
     reference_march,
@@ -134,6 +135,31 @@ def test_collapsing_path_matches_polyval_reference():
         assert ("w<=1e-12" in str(got.value)) == (status == 1)
         assert got.value.u_at.hex() == want.value.u_at.hex()
     assert bw.speed_mismatch(_STARVED, 0.0) == reference_speed_mismatch(_STARVED, 0.0)
+
+
+def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
+    """The floor event's root comes from roots.bracketed_root, and over 11
+    speeds and 2 rtols the starved path's collapse points and kinds are
+    solve_ivp's, bit for bit."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return bracketed_root(*args, **kwargs)
+
+    monkeypatch.setattr(bw.shooting, "bracketed_root", counting)
+    events = 0
+    for rtol in (1e-3, 1e-6):
+        for c in np.linspace(0.0, 2.0, 11):
+            with pytest.raises(PathCollapse) as got:
+                bw.shoot_half(_STARVED, "right", c, rtol=rtol)
+            with pytest.raises(PathCollapse) as want:
+                reference_shoot_half(_STARVED, "right", c, rtol=rtol)
+            assert got.value.u_at.hex() == want.value.u_at.hex()
+            event = str(want.value).endswith("status 1")
+            assert ("w<=1e-12" in str(got.value)) == event
+            events += event
+    assert events == len(calls) > 0
 
 
 def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):

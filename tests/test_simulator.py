@@ -197,6 +197,42 @@ def test_run_propagates_divergence():
     assert exc.value.t > 0.0
 
 
+def test_run_warns_with_the_dt_check_message():
+    stiff = bw.piecewise_linear(-400.0, 0.5)
+    g = bw.Grid1D(-10.0, 10.0, 0.5, 0.5)
+    with pytest.raises(ValueError) as owner:
+        simulator._check_dt(0.5, 400.0)
+    with pytest.warns(RuntimeWarning) as record, pytest.raises(Divergence):
+        bw.run(stiff, np.full(g.n_nodes, 0.45), g, t_end=20.0, observe_every=1.0)
+    assert [str(w.message) for w in record] == [str(owner.value)]
+
+
+@pytest.mark.parametrize("times", [(5.0,), (1.0, -0.01), (math.nan,)])
+def test_run_refuses_snapshot_times_outside_the_run(demo, times):
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.02)
+    with pytest.raises(ValueError, match="snapshot time .* outside \\[0, t_end=2.0\\]"):
+        bw.run(demo, np.where(g.x >= 0.0, 1.0, 0.0), g, t_end=2.0, observe_every=1.0, snapshot_times=times)
+
+
+def test_run_snapshots_every_requested_time(demo):
+    """t = 0 is the initial state, t_end the last step's, and each time in
+    between the nearest step's."""
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.02)
+    u0 = np.where(g.x >= 0.0, 1.0, 0.0)
+    tr = bw.run(demo, u0, g, t_end=2.0, observe_every=1.0, snapshot_times=(2.0, 0.0, 1.0, 1.001))
+    assert [s.t for s in tr.snapshots] == pytest.approx([0.0, 1.0, 1.0, 2.0], abs=1e-9)
+    np.testing.assert_array_equal(tr.snapshots[0].u, u0)
+    assert tr.snapshots[0].u is not u0
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.7), (-0.6, 1.0), (0.0, math.nan)])
+def test_run_refuses_initial_data_outside_the_state_band(demo, lo, hi):
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.02)
+    u0 = np.where(g.x >= 0.0, hi, lo)
+    with pytest.raises(ValueError, match="leave the state band \\[-0.5, 1.5\\]"):
+        bw.run(demo, u0, g, t_end=1.0, observe_every=1.0)
+
+
 def test_front_position_step_data(grid):
     u = np.where(grid.x >= 0.0, 1.0, 0.0)
     s = bw.SimState(0.0, u, grid)
@@ -387,23 +423,23 @@ def test_envelope_value_limits(demo, demo_wave, demo_profile):
         bw.envelope_value(demo_wave, p, "plus", 0.0, 0.0, 0.0, 10.0 * p.delta0)
 
 
-def test_shift_distance_recovers_known_shift(demo_wave, demo_profile, grid):
+def test_shift_distance_recovers_known_shift(demo_profile, grid):
     s = bw.SimState(0.0, demo_profile(grid.x - 2.0), grid)
-    dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
+    dist, z_best = bw.shift_distance(s, demo_profile)
     assert z_best == pytest.approx(-2.0, abs=1e-2)
     assert dist <= 5.0 * grid.dx**2
 
 
-def test_shift_distance_exact_profile(demo_wave, demo_profile, grid):
+def test_shift_distance_exact_profile(demo_profile, grid):
     s = bw.SimState(0.0, demo_profile(grid.x), grid)
-    dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
+    dist, z_best = bw.shift_distance(s, demo_profile)
     assert dist <= 1e-12
     assert z_best == pytest.approx(0.0, abs=1e-6)
 
 
 def test_shift_distance_flat_zero_state(demo_wave, grid):
     s = bw.SimState(0.0, np.zeros(grid.n_nodes), grid)
-    dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
+    dist, z_best = bw.shift_distance(s, bw.WaveProfile(demo_wave))
     assert dist >= 0.99  # sup of the profile over the window, near 1
     assert z_best == pytest.approx(0.0, abs=25.0)  # scan stays near center
 
@@ -547,7 +583,7 @@ def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid,
         s = _shift_distance_state(kind, demo_profile, grid, demo_run_states)
     profile = bw.WaveProfile(ws)
     c = ws.c_star
-    dist, z_best = bw.shift_distance(s, ws, c)
+    dist, z_best = bw.shift_distance(s, profile)
     zeta = z_best + c * s.t
     u_int, x_int = _interior(s)
     assert dist == _sup_norm(u_int, x_int, profile, zeta)
@@ -577,15 +613,15 @@ def test_shift_distance_returns_the_best_evaluated_shift(demo_wave, demo_run_sta
     and the search takes at most 20 of them."""
     for s in demo_run_states:
         profile = _RecordingProfile(demo_wave)
-        dist, _ = bw.shift_distance(s, demo_wave, demo_wave.c_star, profile=profile)
+        dist, _ = bw.shift_distance(s, profile)
         u_int, _x = _interior(s)
         assert dist == min(float(np.max(np.abs(u_int - out))) for out in profile.outputs)
         assert 2 <= len(profile.outputs) <= 20
 
 
-def test_shift_distance_exact_off_lattice_shift(demo_wave, demo_profile, grid):
+def test_shift_distance_exact_off_lattice_shift(demo_profile, grid):
     s = bw.SimState(0.0, demo_profile(grid.x - 1.37), grid)
-    dist, z_best = bw.shift_distance(s, demo_wave, 0.0)
+    dist, z_best = bw.shift_distance(s, demo_profile)
     assert dist <= 1e-15
     assert z_best == pytest.approx(-1.37, abs=1e-9)
 
