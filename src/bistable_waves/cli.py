@@ -312,6 +312,7 @@ def parse_config(text: str) -> RunConfig:
     if not {"grid.x_min", "grid.x_max", "grid.dx"} & dict(errs).keys():
         # the domain is empty or not a whole number >= 16 of cells
         _report(errs, "grid.dx" if grid.x_min < grid.x_max else "grid.x_min", simulator.Grid1D, **asdict(grid))
+    steps_ok = not any(path.startswith("grid.d") for path, _ in errs)  # grid.dx and grid.dt
 
     experiment = _section(raw.get("experiment", {}), "experiment", ExperimentConfig, errs)
     ic, table = experiment.initial_condition, experiment.custom_table
@@ -331,13 +332,16 @@ def parse_config(text: str) -> RunConfig:
 
     output = _section(raw.get("output", {}), "output", OutputConfig, errs)
     if t_end is not None:
-        _report(errs, "output.snapshot_times", simulator._check_snapshot_times, output.snapshot_times, t_end)
+        # Each snapshot file is named by its state's time, so no two times
+        # may take one state, once the grid's steps are valid.
+        dt = grid.dt if steps_ok else None
+        _report(errs, "output.snapshot_times", simulator._check_snapshot_times, output.snapshot_times, t_end, dt)
 
     # Term-dependent limits: dt against the explicit-reaction stability
     # bound, once the grid's steps are valid, and eps against the
     # singular-seed window, which needs no grid.
     if rc is not None:
-        if not any(path.startswith("grid.d") for path, _ in errs):
+        if steps_ok:
             try:
                 lipschitz = max(reaction.max_abs_slopes(build_term(rc)))
             except ValueError as exc:  # a slope beyond the float range

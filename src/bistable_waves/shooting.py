@@ -14,9 +14,9 @@ spaced probes only when fewer than five distinct speeds lie there.
 Each half path is a scalar ODE whose right-hand side costs a few flops, so
 it is integrated by a dedicated Dormand-Prince 5(4) loop (_rk45) rather
 than through solve_ivp's generic machinery.  The loop performs exactly the
-float operations of solve_ivp(method="RK45", dense_output=True) on this
-problem, reading the tableau from scipy.integrate.RK45: its steps, samples,
-collapse points and step interpolants are bit-identical to solve_ivp's.
+float operations of scipy's solve_ivp(method="RK45", dense_output=True) on
+this problem: its steps, samples, collapse points and step interpolants are
+bit-identical to solve_ivp's.
 scipy's weighted sums over the stages are np.dot calls, which BLAS may
 evaluate as fused multiply-adds; a sum in plain floats would round
 differently, so those reductions stay np.dot calls on the same shapes.
@@ -24,9 +24,11 @@ differently, so those reductions stay np.dot calls on the same shapes.
 The profile is rebuilt by marching du/dz = w(u) along the two paths at c*
 (_march), by a second dedicated loop: Dormand-Prince 8(5,3) with its
 7th-order dense output, doing exactly the float operations of scipy's
-DOP853 solver object, with the tableau read from scipy.integrate.DOP853.
-Both loops share scipy's initial-step rule (_initial_step) and its step
-control (_accepted_steps); each supplies only its own trial step.
+DOP853 solver object.  Both loops share scipy's initial-step rule
+(_initial_step) and its step control (_accepted_steps); each supplies only
+its own trial step.  Their tableaux are SciPy's, copied into _tableaux, and
+the collapse root is found by roots' transcription of brentq, so shooting
+runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal
 
 import numpy as np
-from scipy.integrate import DOP853, RK45
 
+from ._tableaux import DOP853, RK45
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
 from .reaction import ReactionTerm, _horner
@@ -549,7 +551,7 @@ def _march(
 
     The solve is Dormand-Prince 8(5,3) with atol = 1e-16, by a dedicated
     loop that does the float operations of scipy's DOP853 solver object on
-    this scalar ODE, with its tableau read from scipy.integrate.DOP853, and
+    this scalar ODE, with scipy's DOP853 tableau (_tableaux.DOP853), and
     shares scipy's initial step and step control with _rk45.  Each sample
     is read from the 7th-order dense output of the step that covers it:
     three extra stages and a 7-row interpolant, built only for steps that

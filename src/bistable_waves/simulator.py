@@ -13,6 +13,11 @@ halves of the sup norm, max(u - u*) and max(u* - u), are monotone in the
 shift in opposite directions for any state, and the best shift is where
 they balance.  roots.bracketed_root finds that balance point in about ten
 evaluations of the profile on the interior nodes.
+
+scipy is imported only where it is used: LAPACK's tridiagonal
+factorization and solve by Grid1D._imex_lu, once per grid, PCHIP by
+WaveProfile and solve_ivp by reaction_ode.  Importing this module, and
+solving waves, needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -20,13 +25,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     DegenerateProfile,
@@ -86,9 +88,12 @@ class Grid1D:
         return self.x_min + self.dx * np.arange(self.n_nodes)
 
     @cached_property
-    def _imex_lu(self) -> tuple[float, tuple[np.ndarray, ...]]:
-        """mu = dt/(2 dx^2) and the LAPACK LU (dgttrf) of I - mu*D2 with the
-        boundary rows of bc, in the form dgttrs takes."""
+    def _imex_lu(self) -> tuple[float, Callable[[np.ndarray], tuple[np.ndarray, int]]]:
+        """mu = dt/(2 dx^2) and the solve with the LAPACK LU (dgttrf) of
+        I - mu*D2 with the boundary rows of bc: dgttrs bound to the factors,
+        which takes a right-hand side it may overwrite and returns (x, info)."""
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         n = self.n_nodes
         mu = self.dt / (2.0 * self.dx * self.dx)
         dl = np.full(n - 1, -mu)  # sub-diagonal
@@ -106,7 +111,7 @@ class Grid1D:
         *lu, info = dgttrf(dl, d, du)
         if info != 0:
             raise np.linalg.LinAlgError(f"IMEX matrix is singular (dgttrf info={info})")
-        return mu, tuple(lu)
+        return mu, partial(dgttrs, *lu, overwrite_b=True)
 
     @staticmethod
     def dt_stability(reaction_lipschitz: float) -> float:
@@ -134,12 +139,32 @@ def _check_state_band(lo: float, hi: float) -> None:
         raise ValueError(f"values in [{lo:.6g}, {hi:.6g}] leave the state band [{_STATE_LO}, {_STATE_HI}]")
 
 
-def _check_snapshot_times(times: Sequence[float], t_end: float) -> Sequence[float]:
-    """times if each lies in [0, t_end]; else ValueError naming the first
-    that does not."""
+def _snapshot_step(t: float, dt: float) -> float:
+    """The step whose state a run records for snapshot time t: the nearest,
+    k = ceil(t/dt - 1/2), so the first with k*dt >= t - dt/2.  A float, inf
+    where t/dt overflows."""
+    return float(np.ceil(t / dt - 0.5))
+
+
+def _check_snapshot_times(
+    times: Sequence[float], t_end: float, dt: float | None = None
+) -> Sequence[float]:
+    """times if each lies in [0, t_end] and, given the step dt, no two take
+    the same state; else ValueError naming the first time, or pair, that
+    does not.  run records one state per time, repeats included; a caller
+    that names each snapshot by its state's time passes dt."""
     for t in times:
         if not 0.0 <= t <= t_end:
             raise ValueError(f"snapshot time {t} outside [0, t_end={t_end}]")
+    if dt is not None:
+        taken: dict[float, float] = {}
+        for t in times:
+            k = _snapshot_step(t, dt)
+            if k in taken and k < math.inf:  # no run takes an infinite number of steps
+                raise ValueError(
+                    f"snapshot times {taken[k]} and {t} take the same state (t={k * dt:g} at dt={dt:g})"
+                )
+            taken[k] = t
     return times
 
 
@@ -181,7 +206,7 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     n = g.n_nodes
     if u.shape != (n,):
         raise ValueError(f"state has {u.shape[0]} nodes, grid has {n}")
-    mu, lu = g._imex_lu
+    mu, solve = g._imex_lu
 
     reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
     reaction *= g.dt
@@ -203,7 +228,7 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
         rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + reaction[0]
         rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + reaction[-1]
 
-    u_new, _info = dgttrs(*lu, rhs, overwrite_b=True)
+    u_new, _info = solve(rhs)
     t_new = s.t + g.dt
     try:  # NaN fails the check, so it diverges too
         _check_state_band(u_new.min(), u_new.max())
@@ -245,6 +270,8 @@ class WaveProfile:
     """
 
     def __init__(self, ws: WaveSolution):
+        from scipy.interpolate import PchipInterpolator
+
         z, u, w = ws.z_grid, ws.u_values, ws.w_values
         self.z_lo = float(z[0])
         self.z_hi = float(z[-1])
@@ -331,8 +358,8 @@ def run(
     """Evolve u0 to t_end, observing front position (and, with a reference
     wave attached, the best-shift distance) every observe_every time units.
 
-    Each snapshot time must lie in [0, t_end] and takes the nearest state,
-    the first with t >= time - dt/2: the initial state for t = 0.  Initial
+    Each snapshot time must lie in [0, t_end] and takes the nearest step's
+    state (_snapshot_step): the initial state for t = 0.  Initial
     data must lie in the state band [-0.5, 1.5] that step keeps; a dt past
     the stability bound only warns.
     """
@@ -340,7 +367,7 @@ def run(
         raise ValueError("t_end must be positive")
     if observe_every <= 0.0:
         raise ValueError("observe_every must be positive")
-    pending_snaps = sorted(float(t) for t in _check_snapshot_times(snapshot_times, t_end))
+    pending_snaps = sorted(_snapshot_step(t, g.dt) for t in _check_snapshot_times(snapshot_times, t_end))
     x = g.x
     u_init = np.asarray(u0(x) if callable(u0) else u0, dtype=float).copy()
     if u_init.shape != x.shape:
@@ -363,8 +390,8 @@ def run(
     snapshots: list[SimState] = []
     diagnostics: list[str] = []
 
-    def take_snapshots(st: SimState) -> None:
-        while pending_snaps and st.t >= pending_snaps[0] - g.dt / 2.0:
+    def take_snapshots(k: int, st: SimState) -> None:
+        while pending_snaps and pending_snaps[0] == k:
             snapshots.append(SimState(t=st.t, u=st.u.copy(), grid=g))
             pending_snaps.pop(0)
 
@@ -385,13 +412,13 @@ def run(
             dists.append(d)
             shifts.append(zb)
 
-    take_snapshots(state)
+    take_snapshots(0, state)
     observe(state)
     n_steps = int(math.ceil(t_end / g.dt - 1e-12))
     next_obs = observe_every
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         state = step(f, state, g)
-        take_snapshots(state)
+        take_snapshots(k, state)
         if state.t >= next_obs - g.dt / 2.0:
             observe(state)
             next_obs += observe_every
@@ -485,6 +512,8 @@ def reaction_ode(
         poly = f.f1
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(0.0, t_end, 513)
     sol = solve_ivp(
         lambda t, q: poly(q[0]),

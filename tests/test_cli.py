@@ -411,23 +411,68 @@ def test_check_command_demo(tmp_path):
     assert rep["config"]["reaction"]["a"] == 0.3
 
 
-def test_module_entry_point(tmp_path):
-    """`python -m bistable_waves.cli` runs the command, as the console
-    script does."""
-    out = tmp_path / "out"
-    cfgp = write_config(tmp_path, {"reaction": "quadratic_demo", "output": {"directory": str(out)}})
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this package's source first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bistable_waves.cli", "check", "--config", cfgp],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m bistable_waves` and `python -m bistable_waves.cli` run the
+    command, as the console script does."""
+    cfgp = write_config(tmp_path, {"reaction": "quadratic_demo"})
+    for module in ("bistable_waves", "bistable_waves.cli"):
+        out = tmp_path / module
+        proc = _python("-m", module, "check", "--config", cfgp, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads((out / "check.json").read_text())
+        assert rep["report"]["h3_ok"] is True
+
+
+_SCIPY_PROBE = """
+import json, sys
+from bistable_waves import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+seen = [["import", 0, scipy_modules()]]
+for label, argv in json.loads(sys.argv[1]):
+    seen.append([label, cli.main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_wave_commands_run_without_scipy(tmp_path):
+    """Importing the CLI, and running check, bounds, speed, profile and both
+    sweeps, loads no scipy module; simulate, which needs scipy's LAPACK and
+    PCHIP, loads it and succeeds.  A fresh interpreter, since this one has
+    imported scipy already."""
+    demo = write_config(tmp_path, {"reaction": "quadratic_demo"}, "demo.json")
+    short = write_config(
+        tmp_path,
+        {"reaction": "quadratic_demo", "grid": {"x_min": -15, "x_max": 15}, "experiment": {"t_end": 1}},
+        "short.json",
     )
+    runs = [
+        [cmd, [cmd, "--config", demo, "--out", str(tmp_path / cmd)]]
+        for cmd in ("check", "bounds", "speed", "profile")
+    ]
+    runs += [
+        [f"{cmd} --sweep", [cmd, "--config", demo, "--out", str(tmp_path / f"{cmd}_sweep"), "--sweep", "reaction.a=0.2,0.3"]]
+        for cmd in ("speed", "bounds")
+    ]
+    runs.append(["simulate", ["simulate", "--config", short, "--out", str(tmp_path / "simulate")]])
+    proc = _python("-c", _SCIPY_PROBE, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
-    rep = json.loads((out / "check.json").read_text())
-    assert rep["report"]["h3_ok"] is True
+    seen = json.loads(proc.stdout)
+    assert [(label, code, modules) for label, code, modules in seen[:-1]] == [
+        (label, 0, []) for label in ["import", *(r[0] for r in runs[:-1])]
+    ]
+    label, code, modules = seen[-1]
+    assert (label, code) == ("simulate", 0)
+    assert "scipy.linalg" in modules and "scipy.interpolate" in modules
 
 
 def test_check_command_rejects_symmetric(tmp_path):
@@ -542,6 +587,29 @@ def test_snapshot_at_zero_writes_the_initial_state(tmp_path):
     rows = (out / "snapshot_t0.csv").read_text().splitlines()[1:]
     x, u = np.array([[float(v) for v in row.split(",")] for row in rows]).T
     np.testing.assert_array_equal(u, np.where(x >= 0.0, 1.0, 0.0))
+
+
+def test_snapshot_times_taking_one_state_are_refused(tmp_path, capsys):
+    """Each snapshot file is named by its state's time, so two requested
+    times that round to one step of dt are refused at parse time (exit 2),
+    not written over one file."""
+    doc = {
+        "reaction": "quadratic_demo",
+        "grid": {"x_min": -20.0, "x_max": 20.0, "dx": 0.1, "dt": 0.01},
+        "experiment": {"t_end": 2.0},
+        "output": {"directory": str(tmp_path / "out"), "snapshot_times": [0, 1.0, 1.001]},
+    }
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at output.snapshot_times: snapshot times 1.0 and 1.001 take the same state" in err
+    assert not (tmp_path / "out").exists()
+
+    doc["output"]["snapshot_times"] = [0, 1.0, 1.01]  # one step apart
+    assert cli.parse_config(json.dumps(doc)).output.snapshot_times == (0.0, 1.0, 1.01)
+    # t/dt past the float range is no step a run could take, and no crash
+    overflowing = {**doc, "grid": {"dt": 1e-300}, "experiment": {"t_end": 1e10}}
+    overflowing["output"] = {"snapshot_times": [1e9, 1e10]}
+    assert cli.parse_config(json.dumps(overflowing)).output.snapshot_times == (1e9, 1e10)
 
 
 def test_initial_condition_variants(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import DOP853, RK45, solve_ivp
 
 import bistable_waves as bw
+from bistable_waves import _tableaux
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
 from bistable_waves.roots import bracketed_root
 from conftest import (
@@ -572,3 +573,20 @@ def test_solve_wave_pipeline(demo):
     ws = bw.solve_wave(demo, details=det)
     assert bw.verify_c1(ws, tol=1e-6)
     assert det["evaluations"] > 0
+
+
+@pytest.mark.parametrize(
+    "name, arrays",
+    [("RK45", ("A", "B", "C", "E", "P")), ("DOP853", ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"))],
+)
+def test_copied_tableaux_are_scipys(name, arrays):
+    """The loops' tableaux, copied so that shooting needs no scipy, are
+    scipy's arrays to the bit, with the same shapes, dtypes and settings."""
+    ours, theirs = getattr(_tableaux, name), {"RK45": RK45, "DOP853": DOP853}[name]
+    for attr in arrays:
+        a, b = getattr(ours, attr), getattr(theirs, attr)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), attr
+        assert a.tobytes() == b.tobytes(), attr
+    assert ours.n_stages == theirs.n_stages
+    assert ours.error_estimator_order == theirs.error_estimator_order
+    assert ours.TOO_SMALL_STEP == theirs.TOO_SMALL_STEP
