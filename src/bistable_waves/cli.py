@@ -325,8 +325,11 @@ def parse_config(text: str) -> RunConfig:
     if ic == "custom_table" and table is not None:
         us = [u for _, u in table]
         _report(errs, "experiment.custom_table", simulator._check_state_band, min(us), max(us))
-    # Times lie in the run's span [0, t_end], once t_end is valid.
+    # Times lie in the run's span [0, t_end], once t_end is valid, and the
+    # run takes at most the simulator's cap of steps, once dt is valid too.
     t_end = None if "experiment.t_end" in dict(errs) else experiment.t_end
+    if t_end is not None and steps_ok:
+        _report(errs, "experiment.t_end", simulator._check_steps, t_end, grid.dt)
     if t_end is not None and experiment.window is not None:
         _report(errs, "experiment.window", simulator._check_window, experiment.window, t_end)
 

@@ -2,11 +2,13 @@
 
 Time stepping is IMEX: trapezoidal (semi-implicit) diffusion, explicit
 reaction.  The tridiagonal matrix of the implicit half depends on the grid
-alone, so its LU factorization is made once per grid and each step is one
-pair of triangular solves, after one reaction evaluation and a right-hand
-side built in place.  On top of the stepper sit the front tracker, the
-best-shift sup-norm distance to a reference wave, the exponential decay fit,
-and the super/sub-solution envelope machinery with its explicit constants.
+alone.  It is symmetric positive definite once the dirichlet01 boundary
+rows are taken out of the system, or once the neumann end rows are
+halved, so its LDL^T factorization is made once per grid and each step is
+one LDL^T solve, after one reaction evaluation and a right-hand side built
+in place.  On top of the stepper sit the front tracker, the best-shift
+sup-norm distance to a reference wave, the exponential decay fit, and the
+super/sub-solution envelope machinery with its explicit constants.
 
 The distance is one bracketed root.  The wave is monotone, so the two
 halves of the sup norm, max(u - u*) and max(u* - u), are monotone in the
@@ -14,8 +16,8 @@ shift in opposite directions for any state, and the best shift is where
 they balance.  roots.bracketed_root finds that balance point in about ten
 evaluations of the profile on the interior nodes.
 
-scipy is imported only where it is used: LAPACK's tridiagonal
-factorization and solve by Grid1D._imex_lu, once per grid, PCHIP by
+scipy is imported only where it is used: LAPACK's symmetric tridiagonal
+factorization and solve by Grid1D._imex_solve, once per grid, PCHIP by
 WaveProfile and solve_ivp by reaction_ode.  Importing this module, and
 solving waves, needs NumPy alone.
 """
@@ -55,6 +57,9 @@ _K2_GRID = 400
 _MAX_NODES = 1_000_000
 # The speed and decay fits need this many observations in their window.
 _MIN_FIT_OBSERVATIONS = 8
+# A run takes at most this many steps: about six minutes on the 2,401-node
+# demo grid.
+_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -88,30 +93,30 @@ class Grid1D:
         return self.x_min + self.dx * np.arange(self.n_nodes)
 
     @cached_property
-    def _imex_lu(self) -> tuple[float, Callable[[np.ndarray], tuple[np.ndarray, int]]]:
-        """mu = dt/(2 dx^2) and the solve with the LAPACK LU (dgttrf) of
-        I - mu*D2 with the boundary rows of bc: dgttrs bound to the factors,
-        which takes a right-hand side it may overwrite and returns (x, info)."""
-        from scipy.linalg.lapack import dgttrf, dgttrs
+    def _imex_solve(self) -> tuple[float, Callable[[np.ndarray], tuple[np.ndarray, int]]]:
+        """mu = dt/(2 dx^2) and the solve of the symmetric positive-definite
+        tridiagonal system of I - mu*D2 under bc: dpttrs bound to the LAPACK
+        LDL^T factors (dpttrf), which takes a right-hand side it may
+        overwrite and returns (x, info).
 
-        n = self.n_nodes
+        dirichlet01 keeps the boundary nodes, so the system is the interior
+        block alone, on n - 2 nodes; step moves the boundary values to the
+        right-hand side.  neumann reflects ghost nodes, which doubles the
+        coupling of each end row to its neighbour; halving both end rows
+        (exactly, in floating point) makes the matrix symmetric, and step
+        halves the end entries of the right-hand side to match."""
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         mu = self.dt / (2.0 * self.dx * self.dx)
-        dl = np.full(n - 1, -mu)  # sub-diagonal
+        n = self.n_nodes - 2 if self.bc == "dirichlet01" else self.n_nodes
         d = np.full(n, 1.0 + 2.0 * mu)
-        du = np.full(n - 1, -mu)  # super-diagonal
-        if self.bc == "dirichlet01":
-            # Boundary rows are identity rows, so the boundary nodes keep
-            # their current values (0 on the left and 1 on the right for
-            # canonical front data) to within rounding, and both constant
-            # states are fixed to within rounding (C8 prints the drift).
-            d[0] = d[-1] = 1.0
-            du[0] = dl[-1] = 0.0
-        else:  # neumann: reflected ghost nodes
-            du[0] = dl[-1] = -2.0 * mu
-        *lu, info = dgttrf(dl, d, du)
+        e = np.full(n - 1, -mu)  # off-diagonal
+        if self.bc == "neumann":
+            d[0] = d[-1] = 0.5 * (1.0 + 2.0 * mu)
+        d, e, info = dpttrf(d, e)
         if info != 0:
-            raise np.linalg.LinAlgError(f"IMEX matrix is singular (dgttrf info={info})")
-        return mu, partial(dgttrs, *lu, overwrite_b=True)
+            raise np.linalg.LinAlgError(f"IMEX matrix is not positive definite (dpttrf info={info})")
+        return mu, partial(dpttrs, d, e, overwrite_b=True)
 
     @staticmethod
     def dt_stability(reaction_lipschitz: float) -> float:
@@ -137,6 +142,15 @@ def _check_state_band(lo: float, hi: float) -> None:
     [_STATE_LO, _STATE_HI]; a NaN end does not."""
     if not (lo >= _STATE_LO and hi <= _STATE_HI):
         raise ValueError(f"values in [{lo:.6g}, {hi:.6g}] leave the state band [{_STATE_LO}, {_STATE_HI}]")
+
+
+def _check_steps(t_end: float, dt: float) -> int:
+    """The number of steps of dt that reach t_end, ceil(t_end/dt), if it is
+    at most _MAX_STEPS; else ValueError, also where t_end/dt overflows."""
+    steps = t_end / dt - 1e-12
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"t_end/dt = {t_end / dt:.6g} steps exceeds the cap of {_MAX_STEPS} steps")
+    return int(math.ceil(steps))
 
 
 def _snapshot_step(t: float, dt: float) -> float:
@@ -198,15 +212,16 @@ class Trajectory:
 def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     """One IMEX step; f=None evolves pure diffusion.
 
-    Constant states 0 and 1 are fixed points under dirichlet01 to within
-    rounding (C8 prints the drift).
+    Under dirichlet01 the boundary nodes keep their values exactly, so the
+    constant states 0 and 1 are fixed points to within rounding of the
+    interior (C8 prints the drift).
     Raises Divergence when any node leaves [-0.5, 1.5].
     """
     u = s.u
     n = g.n_nodes
     if u.shape != (n,):
         raise ValueError(f"state has {u.shape[0]} nodes, grid has {n}")
-    mu, solve = g._imex_lu
+    mu, solve = g._imex_solve
 
     reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
     reaction *= g.dt
@@ -222,13 +237,18 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     inner += u[1:-1]
     inner += reaction[1:-1]
     if g.bc == "dirichlet01":
+        # The boundary nodes are known, so their coupling to the first and
+        # last interior nodes moves to the right-hand side.
         rhs[0] = u[0]
         rhs[-1] = u[-1]
-    else:  # neumann: reflected ghost nodes, reaction acts at the ends too
-        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + reaction[0]
-        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + reaction[-1]
-
-    u_new, _info = solve(rhs)
+        inner[0] += mu * u[0]
+        inner[-1] += mu * u[-1]
+        u_new = rhs
+        u_new[1:-1], _info = solve(inner)
+    else:  # neumann: reflected ghost nodes, reaction acts at the ends too; end rows halved
+        rhs[0] = 0.5 * (u[0] + 2.0 * mu * (u[1] - u[0]) + reaction[0])
+        rhs[-1] = 0.5 * (u[-1] + 2.0 * mu * (u[-2] - u[-1]) + reaction[-1])
+        u_new, _info = solve(rhs)
     t_new = s.t + g.dt
     try:  # NaN fails the check, so it diverges too
         _check_state_band(u_new.min(), u_new.max())
@@ -297,15 +317,19 @@ class WaveProfile:
         return float(out[0]) if scalar else out
 
 
-def shift_distance(s: SimState, profile: WaveProfile) -> tuple[float, float]:
+def shift_distance(
+    s: SimState, profile: WaveProfile, *, front: float | None = None
+) -> tuple[float, float]:
     """Best-shift sup-norm distance between the state and the reference
     wave u*, the profile, whose speed is c = profile.c.
 
     Minimizes F(zeta) = max_i |u_i - u*(x_i + zeta)| over the shifts within
     _SCAN_RADIUS of a lattice shift near the front, excluding a 5% boundary
-    margin from the norm.  The window is centred at -front_position(s) when
-    a front exists, else at the co-moving shift c*t.  Returns
-    (distance, zeta_best - c*t), the co-moving residual shift.
+    margin from the norm.  The window is centred at -front_position(s,
+    profile.a) when a front exists, else at the co-moving shift c*t.  A
+    caller that has found that front already passes it as front, NaN when
+    there is none.  Returns (distance, zeta_best - c*t), the co-moving
+    residual shift.
 
     u* is nondecreasing, so for any state each error
     e_i(zeta) = u_i - u*(x_i + zeta) is nonincreasing in zeta: max_i e_i
@@ -322,10 +346,12 @@ def shift_distance(s: SimState, profile: WaveProfile) -> tuple[float, float]:
     x_int = g.x[margin : n - margin]
     u_int = s.u[margin : n - margin]
 
-    try:
-        center = -front_position(s, profile.a)
-    except NoFront:
-        center = c * s.t
+    if front is None:
+        try:
+            front = front_position(s, profile.a)
+        except NoFront:
+            front = math.nan
+    center = c * s.t if math.isnan(front) else -front
     center = round(center / g.dx) * g.dx
     radius = max(1, int(round(_SCAN_RADIUS / g.dx))) * g.dx
 
@@ -358,15 +384,16 @@ def run(
     """Evolve u0 to t_end, observing front position (and, with a reference
     wave attached, the best-shift distance) every observe_every time units.
 
-    Each snapshot time must lie in [0, t_end] and takes the nearest step's
-    state (_snapshot_step): the initial state for t = 0.  Initial
-    data must lie in the state band [-0.5, 1.5] that step keeps; a dt past
-    the stability bound only warns.
+    t_end may take at most _MAX_STEPS steps of dt.  Each snapshot time must
+    lie in [0, t_end] and takes the nearest step's state (_snapshot_step):
+    the initial state for t = 0.  Initial data must lie in the state band
+    [-0.5, 1.5] that step keeps; a dt past the stability bound only warns.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if observe_every <= 0.0:
         raise ValueError("observe_every must be positive")
+    n_steps = _check_steps(t_end, g.dt)
     pending_snaps = sorted(_snapshot_step(t, g.dt) for t in _check_snapshot_times(snapshot_times, t_end))
     x = g.x
     u_init = np.asarray(u0(x) if callable(u0) else u0, dtype=float).copy()
@@ -408,13 +435,14 @@ def run(
                 )
             fronts.append(float(np.median(crossings)))
         if profile is not None:
-            d, zb = shift_distance(st, profile)
+            # A wave reconstructed for f has u*(0) = f.a at a profile node,
+            # so profile.a == f.a and the distance reuses the front above.
+            d, zb = shift_distance(st, profile, front=fronts[-1] if profile.a == f.a else None)
             dists.append(d)
             shifts.append(zb)
 
     take_snapshots(0, state)
     observe(state)
-    n_steps = int(math.ceil(t_end / g.dt - 1e-12))
     next_obs = observe_every
     for k in range(1, n_steps + 1):
         state = step(f, state, g)
@@ -692,8 +720,7 @@ def comparison_check(
     t_at: float | None = None
     x_at: float | None = None
     x = g.x
-    n_steps = int(math.ceil(t_end / g.dt - 1e-12))
-    for _ in range(n_steps):
+    for _ in range(_check_steps(t_end, g.dt)):
         lo_state = step(f, lo_state, g)
         hi_state = step(f, hi_state, g)
         gap = lo_state.u - hi_state.u

@@ -239,6 +239,14 @@ _DEMO_LIPSCHITZ = max(bw.max_abs_slopes(bw.quadratic_demo()))  # 1.6
         pytest.param({"solver": {"dz": 1000}}, "solver.dz", bw.shooting._check_dz, (1000.0,), id="dz"),
         pytest.param({"solver": {"eps": 0.5}}, "solver.eps", bw.shooting._check_eps, (0.5, 0.3), id="eps"),
         pytest.param({"grid": {"dt": 5.0}}, "grid.dt", bw.simulator._check_dt, (5.0, _DEMO_LIPSCHITZ), id="dt"),
+        pytest.param({"experiment": {"t_end": 1e9}}, "experiment.t_end", bw.simulator._check_steps, (1e9, 0.01), id="steps"),
+        pytest.param(
+            {"grid": {"dt": 1e-300}, "experiment": {"t_end": 1e10}},
+            "experiment.t_end",
+            bw.simulator._check_steps,
+            (1e10, 1e-300),
+            id="steps_overflow",
+        ),
         pytest.param(
             {"experiment": {"t_end": 2, "window": [5, 9]}},
             "experiment.window",
@@ -606,10 +614,13 @@ def test_snapshot_times_taking_one_state_are_refused(tmp_path, capsys):
 
     doc["output"]["snapshot_times"] = [0, 1.0, 1.01]  # one step apart
     assert cli.parse_config(json.dumps(doc)).output.snapshot_times == (0.0, 1.0, 1.01)
-    # t/dt past the float range is no step a run could take, and no crash
+    # t/dt past the float range is no step a run could take: the step cap
+    # refuses t_end, and the snapshot check neither crashes nor reports
     overflowing = {**doc, "grid": {"dt": 1e-300}, "experiment": {"t_end": 1e10}}
     overflowing["output"] = {"snapshot_times": [1e9, 1e10]}
-    assert cli.parse_config(json.dumps(overflowing)).output.snapshot_times == (1e9, 1e10)
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(json.dumps(overflowing))
+    assert [p for p, _ in exc.value.violations] == ["experiment.t_end"]
 
 
 def test_initial_condition_variants(tmp_path):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 import bistable_waves as bw
 from bistable_waves import simulator
@@ -77,32 +77,65 @@ def test_step_divergence():
     assert exc.value.t > 0.0
 
 
-def _reference_step(f, s, g):
-    """The IMEX step written with a fresh banded matrix and solve_banded,
-    as the stepper did before it factored the matrix once per grid, and
-    with the reaction written out branch by branch."""
+def _reference_rhs(f, s, g):
+    """mu and the IMEX right-hand side on every node, with the reaction
+    written out branch by branch: u_i + mu*(u_{i-1} - 2u_i + u_{i+1}) +
+    dt*r_i inside, the node's own value at a dirichlet01 end and the
+    reflected-ghost row at a neumann end."""
     u = s.u
-    n = g.n_nodes
     mu = g.dt / (2.0 * g.dx * g.dx)
     reaction = written_out_reaction(f, u) if f is not None else np.zeros_like(u)
     rhs = np.empty_like(u)
     rhs[1:-1] = u[1:-1] + mu * (u[:-2] - 2.0 * u[1:-1] + u[2:]) + g.dt * reaction[1:-1]
+    if g.bc == "dirichlet01":
+        rhs[0] = u[0]
+        rhs[-1] = u[-1]
+    else:
+        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + g.dt * reaction[0]
+        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + g.dt * reaction[-1]
+    return mu, rhs
+
+
+def _reference_step(f, s, g):
+    """The IMEX step as one fresh symmetric positive-definite tridiagonal
+    solve, solveh_banded (LAPACK's ?ptsv), and with the reaction written
+    out branch by branch: under dirichlet01 the interior block with the
+    boundary values moved to the right-hand side, under neumann the whole
+    matrix with both end rows halved."""
+    mu, rhs = _reference_rhs(f, s, g)
+    if g.bc == "dirichlet01":
+        rhs[1] += mu * s.u[0]
+        rhs[-2] += mu * s.u[-1]
+        ab = np.zeros((2, g.n_nodes - 2))  # upper form: super-diagonal, diagonal
+        ab[0, 1:] = -mu
+        ab[1, :] = 1.0 + 2.0 * mu
+        rhs[1:-1] = solveh_banded(ab, rhs[1:-1])
+    else:
+        rhs[0] *= 0.5
+        rhs[-1] *= 0.5
+        ab = np.zeros((2, g.n_nodes))
+        ab[0, 1:] = -mu
+        ab[1, :] = 1.0 + 2.0 * mu
+        ab[1, 0] = ab[1, -1] = 0.5 * (1.0 + 2.0 * mu)
+        rhs = solveh_banded(ab, rhs)
+    return bw.SimState(t=s.t + g.dt, u=rhs, grid=g)
+
+
+def _general_lu_step(f, s, g):
+    """The IMEX step on the whole unsymmetric tridiagonal matrix, identity
+    rows at the dirichlet01 ends and doubled couplings at the neumann ends,
+    solved by a general pivoting LU (solve_banded)."""
+    mu, rhs = _reference_rhs(f, s, g)
+    n = g.n_nodes
     ab = np.zeros((3, n))
     ab[0, 2:] = -mu
     ab[1, :] = 1.0 + 2.0 * mu
     ab[2, :-2] = -mu
     if g.bc == "dirichlet01":
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        rhs[0] = u[0]
-        rhs[-1] = u[-1]
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = ab[2, -2] = 0.0
     else:
-        ab[0, 1] = -2.0 * mu
-        ab[2, -2] = -2.0 * mu
-        rhs[0] = u[0] + 2.0 * mu * (u[1] - u[0]) + g.dt * reaction[0]
-        rhs[-1] = u[-1] + 2.0 * mu * (u[-2] - u[-1]) + g.dt * reaction[-1]
+        ab[0, 1] = ab[2, -2] = -2.0 * mu
     return bw.SimState(t=s.t + g.dt, u=solve_banded((1, 1), ab, rhs), grid=g)
 
 
@@ -144,6 +177,33 @@ def test_step_matches_banded_solve_bitwise(demo, demo_profile, bc, kind):
         assert all(s.u[-1] > 1.0 for s in states)
 
 
+@pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
+def test_step_stays_within_rounding_of_the_general_lu(demo, demo_profile, bc):
+    """The symmetric solve moves the trajectories of the unsymmetric
+    general LU, which the stepper used before, only in their last bits."""
+    g = bw.Grid1D(-30.0, 30.0, 0.05, 0.01, bc=bc)
+    for kind in ("step", "wave_plus_delta"):
+        s = ref = bw.SimState(0.0, _initial_state(kind, g, demo_profile, demo.a), g)
+        for _ in range(500):
+            s = bw.step(demo, s, g)
+            ref = _general_lu_step(demo, ref, g)
+        assert np.max(np.abs(s.u - ref.u)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["step", "wave_plus_delta", "node_at_a"])
+def test_dirichlet_boundary_nodes_are_kept_exactly(demo, demo_profile, kind):
+    """dirichlet01 solves the interior alone, so the boundary nodes keep
+    their initial values bit for bit, u[-1] ~ 1.05 for the wave + 0.05."""
+    g = bw.Grid1D(-30.0, 30.0, 0.05, 0.01)
+    u0 = _initial_state(kind, g, demo_profile, demo.a)
+    s = bw.SimState(0.0, u0, g)
+    for _ in range(200):
+        s = bw.step(demo, s, g)
+        assert s.u[0] == u0[0] and s.u[-1] == u0[-1]
+    if kind == "wave_plus_delta":
+        assert u0[-1] == pytest.approx(1.05, abs=1e-10)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
 def test_step_non_finite_state_diverges(demo, bad, bc):
@@ -159,7 +219,7 @@ def test_grid_factorization_cache_keeps_dataclass_contract():
     g, twin = bw.Grid1D(-1.0, 1.0, 0.05, 0.01), bw.Grid1D(-1.0, 1.0, 0.05, 0.01)
     before = (dataclasses.asdict(g), repr(g), hash(g))
     bw.step(None, bw.SimState(0.0, np.zeros(g.n_nodes), g), g)
-    assert "_imex_lu" in vars(g) and "_imex_lu" not in vars(twin)
+    assert "_imex_solve" in vars(g) and "_imex_solve" not in vars(twin)
     assert (dataclasses.asdict(g), repr(g), hash(g)) == before
     assert g == twin and hash(g) == hash(twin)
 
@@ -187,6 +247,31 @@ def test_run_and_comparison_step_through_module_globals(monkeypatch, demo, demo_
     assert tr.times.size == 5
     bw.comparison_check(demo, u0, u0, g, t_end=0.5)
     assert calls["step"] == 50 + 2 * 25
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e10, 1e-300), (1e9, 0.01)])
+def test_run_and_comparison_refuse_too_many_steps(demo, t_end, dt):
+    """t_end/dt past the step cap, or past the float range, is refused
+    before any step is taken."""
+    g = bw.Grid1D(-10.0, 10.0, 0.1, dt)
+    u0 = np.where(g.x >= 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError) as owner:
+        simulator._check_steps(t_end, dt)
+    assert f"exceeds the cap of {simulator._MAX_STEPS} steps" in str(owner.value)
+    with pytest.raises(ValueError) as exc:
+        bw.run(demo, u0, g, t_end=t_end, observe_every=1.0)
+    assert str(exc.value) == str(owner.value)
+    with pytest.raises(ValueError) as exc:
+        bw.comparison_check(demo, u0, u0, g, t_end=t_end)
+    assert str(exc.value) == str(owner.value)
+
+
+def test_step_cap_edge():
+    cap = simulator._MAX_STEPS
+    assert simulator._check_steps(cap * 0.5, 0.5) == cap
+    assert simulator._check_steps(40.0, 0.01) == 4000
+    with pytest.raises(ValueError):
+        simulator._check_steps((cap + 1) * 0.5, 0.5)
 
 
 def test_run_propagates_divergence():
@@ -592,6 +677,42 @@ def test_shift_distance_matches_full_scan_bitwise(demo_wave, demo_profile, grid,
     near = zeta + np.linspace(-2.0 * grid.dx, 2.0 * grid.dx, 401)
     dense = np.clip(near, center - k_max * grid.dx, center + k_max * grid.dx)
     assert dist <= min(_sup_norm(u_int, x_int, profile, z) for z in dense) + 1e-12
+
+
+def test_profile_level_is_the_branch_point(demo, demo_wave, slow_run):
+    """u*(0) = a is a profile node, so a run of the wave's own term finds
+    the front at the profile's level."""
+    assert bw.WaveProfile(demo_wave).a == demo.a == 0.3
+    assert bw.WaveProfile(slow_run[0]).a == 0.45
+
+
+@pytest.mark.parametrize("term", ["demo", "other_level"])
+def test_run_hands_its_front_to_shift_distance(monkeypatch, demo, demo_wave, term):
+    """run finds the front once per observation and hands it to
+    shift_distance when the reference's level is the term's; each distance
+    is the one shift_distance finds on its own, bit for bit."""
+    f = demo if term == "demo" else bw.piecewise_linear(-1.0, 0.45)
+    original = simulator.shift_distance
+    handed = []
+
+    def checking(st, profile, **kwargs):
+        handed.append(kwargs["front"])
+        got = original(st, profile, **kwargs)
+        assert got == original(st, profile)
+        return got
+
+    monkeypatch.setattr(simulator, "shift_distance", checking)
+    g = bw.Grid1D(-20.0, 20.0, 0.1, 0.02)
+    tr = bw.run(f, np.where(g.x >= 0.0, 1.0, 0.0), g, t_end=2.0, observe_every=0.25, reference=demo_wave)
+    if term == "demo":
+        assert handed == tr.front_positions.tolist()
+    else:  # the reference's level 0.3 is not the term's 0.45
+        assert handed == [None] * tr.times.size
+
+
+def test_shift_distance_takes_nan_as_no_front(demo_profile, grid):
+    s = bw.SimState(2.0, np.zeros(grid.n_nodes), grid)
+    assert bw.shift_distance(s, demo_profile, front=math.nan) == bw.shift_distance(s, demo_profile)
 
 
 class _RecordingProfile(bw.WaveProfile):
