@@ -89,15 +89,15 @@ def _initial_step(
     t_bound: float,
     order: int,
     rtol: float,
+    atol: float = _ATOL,
 ) -> float:
     """scipy's select_initial_step for the scalar ODE y' = rhs(t, y) with
-    y'(t0) = f0, atol = 1e-16 and no maximum step; order is the error
-    estimator's."""
+    y'(t0) = f0 and no maximum step; order is the error estimator's."""
     interval = abs(t_bound - t0)
     if interval == 0.0:
         return 0.0
     direction = 1.0 if t_bound > t0 else -1.0
-    scale = _ATOL + abs(y0) * rtol
+    scale = atol + abs(y0) * rtol
     d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
@@ -168,6 +168,16 @@ def _interpolate(t_old: float, h: float, y_old: float, Q: np.ndarray, t: float) 
     return float(h * np.dot(Q, np.array((x, x2, x3, x3 * x)))[0] + y_old)
 
 
+def _interpolate_array(t_old: float, h: float, y_old: float, Q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """RkDenseOutput at an array t: the powers of x by cumprod over a tiled
+    (4, m) array and one (1, 4).(4, m) np.dot, which rounds differently
+    from the scalar product in the last bit."""
+    x = (t - t_old) / h
+    y = h * np.dot(Q, np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0))
+    y += y_old
+    return y[0]
+
+
 @dataclass(frozen=True)
 class _Steps:
     """The accepted steps of one _rk45 integration.
@@ -191,10 +201,11 @@ def _rk45(
     y0: float,
     rtol: float,
     floor_event: bool,
+    atol: float = _ATOL,
 ) -> _Steps:
     """Integrate the scalar ODE y' = rhs(t, y) from (t0, y0) to t_bound as
     solve_ivp(rhs, (t0, t_bound), [y0], method="RK45", rtol=rtol,
-    atol=1e-16, dense_output=True) does, float operation for float
+    atol=atol, dense_output=True) does, float operation for float
     operation: scipy's initial step, step control (_accepted_steps) and
     rtol floor.  With floor_event, integration stops where y falls through
     _W_FLOOR, at the root bracketed_root finds on the step's interpolant
@@ -224,12 +235,12 @@ def _rk45(
         k[-1] = f_new
         y_mag, y_new_mag = abs(y), abs(y_new)
         # np.maximum: a NaN y_new propagates
-        scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
+        scale = atol + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
         return y_new, f_new, _norm(float(np.dot(K_all, RK45.E)[0]) * h / scale)
 
     t, y = t0, y0
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_bound, RK45.error_estimator_order, rtol)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, RK45.error_estimator_order, rtol, atol)
     ts, ys, segments = [t], [y], []
     for t_new, y_new, _ in _accepted_steps(attempt, t, y, f, h_abs, t_bound, _RK45_EXPONENT):
         segment = (t, t_new - t, y, K_all.dot(RK45.P))
@@ -284,8 +295,8 @@ def _dense_w_of_u(
     OdeSolution bisects the nodes sorted ascending, with side "left" on an
     ascending path and "right" on a descending one, and takes the lower
     segment index.  An array query is sorted, grouped by segment and
-    reduced by one (1, 4).(4, m) np.dot per group, as OdeSolution.__call__
-    does; that product rounds differently from the scalar one in the last
+    evaluated by _interpolate_array per group, as OdeSolution.__call__
+    does; its product rounds differently from the scalar one in the last
     bit, so the two paths are kept apart.
     """
     ts, segments = steps.ts, steps.segments
@@ -320,12 +331,8 @@ def _dense_w_of_u(
         cuts = np.flatnonzero(np.diff(index)) + 1
         pieces = []
         for start, stop in zip([0, *cuts], [*cuts, len(index)]):
-            t_old, h, y_old, Q = segments[index[start]]
-            x = (q_sorted[start:stop] - t_old) / h
-            y = h * np.dot(Q, np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0))
-            y += y_old
-            pieces.append(y)
-        w = np.hstack(pieces)[0, reverse]
+            pieces.append(_interpolate_array(*segments[index[start]], q_sorted[start:stop]))
+        w = np.hstack(pieces)[reverse]
         tail = lam_seed * u if left else lam_seed * (1.0 - u)
         return np.where(u < lo if left else u > hi, tail, w)
 

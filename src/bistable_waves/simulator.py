@@ -16,10 +16,16 @@ shift in opposite directions for any state, and the best shift is where
 they balance.  roots.bracketed_root finds that balance point in about ten
 evaluations of the profile on the interior nodes.
 
-scipy is imported only where it is used: LAPACK's symmetric tridiagonal
-factorization and solve by Grid1D._imex_solve, once per grid, PCHIP by
-WaveProfile and solve_ivp by reaction_ode.  Importing this module, and
-solving waves, needs NumPy alone.
+The reference wave u* is a cubic Hermite interpolant on the samples and
+the exact slopes the profile march returns (WaveProfile), and the
+comparison ODEs of reaction_ode run on shooting's RK45 loop.  The one
+scipy module used is LAPACK's symmetric tridiagonal factorization and
+solve, imported by Grid1D._imex_solve once per grid; importing this
+module, and solving waves, needs NumPy alone.
+
+A run gives the state after k steps the time k*dt, so the observation
+times lie on the step lattice: a running sum of dt drifts off it and
+pushes a window's end observation past the window.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .errors import (
 )
 from .reaction import ReactionTerm, max_abs_slopes
 from .roots import bracketed_root
-from .shooting import WaveSolution
+from ._tableaux import RK45
+from .shooting import WaveSolution, _interpolate_array, _rk45
 
 BoundaryKind = Literal["dirichlet01", "neumann"]
 
@@ -57,6 +64,11 @@ _K2_GRID = 400
 _MAX_NODES = 1_000_000
 # The speed and decay fits need this many observations in their window.
 _MIN_FIT_OBSERVATIONS = 8
+# A fit window holds the observations within this distance, relative, of
+# its ends.  An observation time is k*dt, and dt is often a rounded
+# decimal: at the CLI's default dt = 0.2*0.05 = 0.010000000000000002 the
+# state after 4,000 steps is at t = 40.00000000000001.
+_WINDOW_SLACK = 1e-12
 # A run takes at most this many steps: about six minutes on the 2,401-node
 # demo grid.
 _MAX_STEPS = 10_000_000
@@ -283,37 +295,115 @@ def front_position(s: SimState, a: float) -> float:
 
 
 class WaveProfile:
-    """Monotone-cubic interpolant of a sampled wave with exponential tails.
+    """Cubic Hermite interpolant of a sampled wave on its exact slopes, with
+    exponential tails.
+
+    The samples (z, u, w = u') lie on the uniform grid z = k*dz through
+    z = 0, so a query z finds its nearest node j by arithmetic,
+    j = rint(z/dz) plus the index of the z = 0 sample, and takes
+    r = (z - z_j)/dz, whose sign is exact.  It evaluates the cubic of the
+    interval on r's side of the node, expanded about the node:
+    u_j + r*(dz*w_j + r*(q2 + r*q3)).  At a node r = 0, so the profile is
+    the sample there bit for bit, from both sides, and a is the sample at
+    z = 0.
+
+    The cubic of an interval is monotone when its scaled slopes
+    alpha = dz*w_i/du_i and beta = dz*w_{i+1}/du_i, du_i = u_{i+1} - u_i > 0,
+    lie in the quarter disc alpha, beta >= 0, alpha^2 + beta^2 <= 9
+    (Fritsch and Carlson).  shift_distance needs a monotone profile, so the
+    constructor raises DegenerateProfile for samples outside it, or off a
+    uniform grid through z = 0.
 
     Tail rates are read off the sampled endpoint slopes: w = rate*u near 0
     and w = -rate*(1-u) near 1, so the profile is self-contained.
     """
 
     def __init__(self, ws: WaveSolution):
-        from scipy.interpolate import PchipInterpolator
-
         z, u, w = ws.z_grid, ws.u_values, ws.w_values
+        n = z.size
+        zero = np.flatnonzero(z == 0.0)
+        if n < 2 or zero.size != 1:
+            raise DegenerateProfile(f"{n} profile samples: need two or more, one of them at z = 0")
+        j0 = int(zero[0])
+        dz = float(z[j0 + 1] if j0 + 1 < n else -z[j0 - 1])
+        if not (dz > 0.0 and np.array_equal(z, (np.arange(n) - j0) * dz)):
+            raise DegenerateProfile("profile samples are not on a uniform z grid through 0")
+        du = np.diff(u)
+        m = dz * w
+        m0, m1 = m[:-1], m[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha, beta = m0 / du, m1 / du
+            ok = (du > 0.0) & (alpha >= 0.0) & (beta >= 0.0) & (alpha * alpha + beta * beta <= 9.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise DegenerateProfile(
+                f"profile is not monotone on [{z[i]:.6g}, {z[i + 1]:.6g}]: du={du[i]:.3g}, "
+                f"alpha={alpha[i]:.3g}, beta={beta[i]:.3g}"
+            )
+
         self.z_lo = float(z[0])
         self.z_hi = float(z[-1])
         self.u_lo = float(u[0])
         self.u_hi = float(u[-1])
         self.rate_left = float(w[0] / u[0])
         self.rate_right = float(-w[-1] / (1.0 - u[-1]))
-        self._pchip = PchipInterpolator(z, u, extrapolate=False)
-        self.a = float(self._pchip(0.0))
+        self.a = float(u[j0])
         self.c = float(ws.c_star)
+        self._dz, self._j0, self._n = dz, j0, n
+        self._u, self._m = u.copy(), m
+        # (q2, q3) of [j, j+1] about node j at index j, and of [j-1, j]
+        # about node j at index n + j.  The last node takes r >= 0 only at
+        # r = 0, and the first node no r < 0, so their slots hold 0.
+        q3 = m0 + m1 - 2.0 * du
+        pad = np.zeros(2)
+        self._q2 = np.concatenate([3.0 * du - 2.0 * m0 - m1, pad, m0 + 2.0 * m1 - 3.0 * du])
+        self._q3 = np.concatenate([q3, pad, q3])
+
+    def _sampled(self, z: np.ndarray) -> np.ndarray:
+        """The Hermite cubic at z in [z_lo, z_hi]."""
+        dz = self._dz
+        k = z / dz
+        np.rint(k, out=k)
+        r = k * dz  # the node z_j, exactly
+        np.subtract(z, r, out=r)
+        r /= dz
+        j = k.astype(np.intp)
+        j += self._j0
+        side = (r < 0.0).astype(np.intp)
+        side *= self._n
+        side += j
+        p = self._q3[side]
+        p *= r
+        p += self._q2[side]
+        p *= r
+        p += self._m[j]
+        p *= r
+        p += self._u[j]
+        return p
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
         out = np.empty_like(z)
-        low = z < self.z_lo
+        mid = z >= self.z_lo
+        low = ~mid  # with NaN, which the tail keeps
         high = z > self.z_hi
-        mid = ~(low | high)
-        out[low] = self.u_lo * np.exp(self.rate_left * (z[low] - self.z_lo))
-        out[high] = 1.0 - (1.0 - self.u_hi) * np.exp(self.rate_right * (z[high] - self.z_hi))
-        out[mid] = self._pchip(z[mid])
+        mid ^= high
+        t = z[low]
+        t -= self.z_lo
+        t *= self.rate_left
+        np.exp(t, out=t)
+        t *= self.u_lo
+        out[low] = t
+        t = z[high]
+        t -= self.z_hi
+        t *= self.rate_right
+        np.exp(t, out=t)
+        t *= 1.0 - self.u_hi
+        np.subtract(1.0, t, out=t)
+        out[high] = t
+        out[mid] = self._sampled(z[mid])
         return float(out[0]) if scalar else out
 
 
@@ -446,6 +536,7 @@ def run(
     next_obs = observe_every
     for k in range(1, n_steps + 1):
         state = step(f, state, g)
+        state.t = k * g.dt
         take_snapshots(k, state)
         if state.t >= next_obs - g.dt / 2.0:
             observe(state)
@@ -459,6 +550,13 @@ def run(
         snapshots=snapshots,
         diagnostics=diagnostics,
     )
+
+
+def _in_window(times: np.ndarray, t_window: tuple[float, float]) -> np.ndarray:
+    """The mask of the times in the fit window [lo, hi], give or take
+    _WINDOW_SLACK relative at each end."""
+    lo, hi = t_window
+    return (times >= lo - _WINDOW_SLACK * abs(lo)) & (times <= hi + _WINDOW_SLACK * abs(hi))
 
 
 def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -482,7 +580,7 @@ def estimate_speed(tr: Trajectory, t_window: tuple[float, float]) -> tuple[float
     inside the window.  Needs at least _MIN_FIT_OBSERVATIONS finite
     observations."""
     lo, hi = t_window
-    mask = (tr.times >= lo) & (tr.times <= hi) & np.isfinite(tr.front_positions)
+    mask = _in_window(tr.times, t_window) & np.isfinite(tr.front_positions)
     if int(mask.sum()) < _MIN_FIT_OBSERVATIONS:
         raise InsufficientData(
             f"{int(mask.sum())} usable front observations in [{lo}, {hi}]; "
@@ -499,7 +597,7 @@ def fit_decay(tr: Trajectory, t_window: tuple[float, float]) -> tuple[float, flo
     if tr.shift_distances is None:
         raise InsufficientData("trajectory carries no shift distances")
     lo, hi = t_window
-    mask = (tr.times >= lo) & (tr.times <= hi)
+    mask = _in_window(tr.times, t_window)
     d = tr.shift_distances[mask]
     if d.size < _MIN_FIT_OBSERVATIONS:
         raise InsufficientData(
@@ -530,7 +628,10 @@ def reaction_ode(
     """Integrate the scalar comparison ODE q' = f_branch(q) from q(0) = a.
 
     q0 uses the left branch and decays toward 0; q1 uses the right branch
-    and grows toward 1.
+    and grows toward 1.  Returns q at 513 evenly spaced times on
+    [0, t_end], read from the step interpolants of shooting's RK45 loop
+    with rtol 1e-10 and atol 1e-13, bit for bit the values of
+    solve_ivp(method="RK45", t_eval=...) at those tolerances.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -540,21 +641,17 @@ def reaction_ode(
         poly = f.f1
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    from scipy.integrate import solve_ivp
-
+    t_end = float(t_end)
+    steps = _rk45(lambda t, q: poly(q), 0.0, t_end, f.a, 1e-10, floor_event=False, atol=1e-13)
+    if steps.status != 0:
+        raise RuntimeError(f"reaction ODE integration failed: {RK45.TOO_SMALL_STEP}")
+    # As solve_ivp samples t_eval: each step evaluates its interpolant at
+    # the times after the previous step's end, up to and with its own end.
     t_eval = np.linspace(0.0, t_end, 513)
-    sol = solve_ivp(
-        lambda t, q: poly(q[0]),
-        (0.0, t_end),
-        [f.a],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reaction ODE integration failed: {sol.message}")
-    return sol.t, sol.y[0]
+    ends = np.searchsorted(t_eval, steps.ts[1:], side="right")
+    starts = [0, *ends[:-1]]
+    q = [_interpolate_array(*seg, t_eval[i:j]) for seg, i, j in zip(steps.segments, starts, ends) if j > i]
+    return t_eval, np.concatenate(q)
 
 
 @dataclass(frozen=True)
@@ -720,13 +817,13 @@ def comparison_check(
     t_at: float | None = None
     x_at: float | None = None
     x = g.x
-    for _ in range(_check_steps(t_end, g.dt)):
+    for k in range(1, _check_steps(t_end, g.dt) + 1):
         lo_state = step(f, lo_state, g)
         hi_state = step(f, hi_state, g)
         gap = lo_state.u - hi_state.u
         i = int(np.argmax(gap))
         if gap[i] > worst:
             worst = float(gap[i])
-            t_at = lo_state.t
+            t_at = k * g.dt
             x_at = float(x[i])
     return ComparisonReport(max_violation=worst, t_at=t_at, x_at=x_at, t_end=t_end)

@@ -4,8 +4,9 @@ The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
 reaction term written out branch by branch, the phase paths integrated
-by solve_ivp with an npp.polyval right-hand side, and the profile march
-stepped by scipy's DOP853 solver object.
+by solve_ivp with an npp.polyval right-hand side, the profile march
+stepped by scipy's DOP853 solver object, and the comparison ODEs
+integrated by solve_ivp.
 """
 
 from __future__ import annotations
@@ -211,6 +212,19 @@ def reference_march(w_of_u, u_start: float, target: float, dz: float, forward: b
     raise RuntimeError(
         f"profile march did not reach u={target} within z range 400 (dz={dz})"
     )
+
+
+def reference_reaction_ode(f: bw.ReactionTerm, branch: str, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """The comparison ODE q' = f_branch(q), q(0) = a, as reaction_ode first
+    integrated it: solve_ivp's RK45 at rtol 1e-10 and atol 1e-13, sampled
+    at 513 evenly spaced times by t_eval."""
+    poly = f.f0 if branch == "q0" else f.f1
+    sol = solve_ivp(
+        lambda t, q: poly(q[0]), (0.0, t_end), [f.a], method="RK45",
+        rtol=1e-10, atol=1e-13, t_eval=np.linspace(0.0, t_end, 513),
+    )
+    assert sol.success, sol.message
+    return sol.t, sol.y[0]
 
 
 def random_admissible_quartic(rng: np.random.Generator) -> bw.ReactionTerm:

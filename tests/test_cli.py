@@ -454,14 +454,20 @@ print(json.dumps(seen))
 
 def test_wave_commands_run_without_scipy(tmp_path):
     """Importing the CLI, and running check, bounds, speed, profile and both
-    sweeps, loads no scipy module; simulate, which needs scipy's LAPACK and
-    PCHIP, loads it and succeeds.  A fresh interpreter, since this one has
-    imported scipy already."""
+    sweeps, loads no scipy module; simulate and stability, which need
+    scipy's LAPACK, load scipy.linalg and none of scipy.interpolate,
+    scipy.integrate or scipy.special, and succeed.  A fresh interpreter,
+    since this one has imported scipy already."""
     demo = write_config(tmp_path, {"reaction": "quadratic_demo"}, "demo.json")
     short = write_config(
         tmp_path,
         {"reaction": "quadratic_demo", "grid": {"x_min": -15, "x_max": 15}, "experiment": {"t_end": 1}},
         "short.json",
+    )
+    fit = write_config(
+        tmp_path,
+        {"reaction": "quadratic_demo", "grid": {"x_min": -15, "x_max": 15}, "experiment": {"t_end": 4, "observe_every": 0.25}},
+        "fit.json",
     )
     runs = [
         [cmd, [cmd, "--config", demo, "--out", str(tmp_path / cmd)]]
@@ -472,15 +478,17 @@ def test_wave_commands_run_without_scipy(tmp_path):
         for cmd in ("speed", "bounds")
     ]
     runs.append(["simulate", ["simulate", "--config", short, "--out", str(tmp_path / "simulate")]])
+    runs.append(["stability", ["stability", "--config", fit, "--out", str(tmp_path / "stability")]])
     proc = _python("-c", _SCIPY_PROBE, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert [(label, code, modules) for label, code, modules in seen[:-1]] == [
-        (label, 0, []) for label in ["import", *(r[0] for r in runs[:-1])]
+    assert [(label, code, modules) for label, code, modules in seen[:-2]] == [
+        (label, 0, []) for label in ["import", *(r[0] for r in runs[:-2])]
     ]
-    label, code, modules = seen[-1]
-    assert (label, code) == ("simulate", 0)
-    assert "scipy.linalg" in modules and "scipy.interpolate" in modules
+    for (label, code, modules), want in zip(seen[-2:], ["simulate", "stability"]):
+        assert (label, code) == (want, 0)
+        assert "scipy.linalg" in modules
+        assert not [m for m in modules if m.split(".")[:2] in (["scipy", "interpolate"], ["scipy", "integrate"], ["scipy", "special"])]
 
 
 def test_check_command_rejects_symmetric(tmp_path):
@@ -580,6 +588,27 @@ def test_simulate_and_stability_commands(tmp_path):
     assert st["window"] == [2.0, 6.0]
     assert "kappa" in st and "K" in st and "r2" in st
     assert st["speed_error_vs_cstar"] < 0.05
+
+
+def test_stability_window_holds_its_end_observation(tmp_path, capsys):
+    """Observation times are k*dt, and a fit window holds those within
+    rounding of its ends.  At the default dt = 0.2*dx the state after 400
+    steps is at t = 4.000000000000001, and the window [2.25, 4] holds the 8
+    observations from 2.25 to 4 that the fits need.  A run to t = 2 observed
+    every 0.5 has 2 observations in [1.5, 2], too few to fit."""
+    doc = {
+        "reaction": "quadratic_demo",
+        "grid": {"x_min": -15.0, "x_max": 15.0},
+        "experiment": {"t_end": 4.0, "observe_every": 0.25, "window": [2.25, 4.0]},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["stability", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    times = [float(row.split(",")[0]) for row in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert times[-1] == 400 * (0.2 * 0.05) > 4.0
+    doc["experiment"] = {"t_end": 2.0, "observe_every": 0.5, "window": [1.5, 2.0]}
+    capsys.readouterr()
+    assert cli.main(["stability", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 4
+    assert "2 usable front observations in [1.5, 2.0]" in capsys.readouterr().err
 
 
 def test_snapshot_at_zero_writes_the_initial_state(tmp_path):

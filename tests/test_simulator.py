@@ -19,7 +19,7 @@ from bistable_waves.errors import (
     NoFront,
     NonPositiveDistance,
 )
-from conftest import written_out_reaction
+from conftest import reference_reaction_ode, written_out_reaction
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +431,16 @@ def test_heat_kernel_lower_bound_on_evolved_bump(t_end):
     assert inner_min >= bw.heat_kernel_eps(t_end, L, 0.0) * mass
 
 
+@pytest.mark.parametrize("branch", ["q0", "q1"])
+def test_reaction_ode_matches_solve_ivp_bitwise(demo, branch):
+    """reaction_ode on shooting's RK45 loop gives solve_ivp's 513 values,
+    bit for bit."""
+    t, q = bw.reaction_ode(demo, branch, 20.0)
+    t_ref, q_ref = reference_reaction_ode(demo, branch, 20.0)
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(q, q_ref)
+
+
 def test_reaction_ode_limits(demo):
     t, q1 = bw.reaction_ode(demo, "q1", 20.0)
     assert q1[0] == pytest.approx(0.3)
@@ -747,15 +757,25 @@ def test_shift_distance_exact_off_lattice_shift(demo_profile, grid):
     assert z_best == pytest.approx(-1.37, abs=1e-9)
 
 
-@pytest.mark.parametrize("which", ["demo", "linear_0.1", "linear_0.3", "linear_0.45", "quartic0"])
+_BENCHMARK_TERMS = ["demo", "linear_0.1", "linear_0.3", "linear_0.45", *(f"quartic{i}" for i in range(20))]
+
+
+def _benchmark_wave(which, demo_wave, quartic_terms):
+    """The wave of one of the benchmark's 24 terms: the demo, three
+    piecewise-linear terms and the 20 quartics."""
+    if which == "demo":
+        return demo_wave
+    if which.startswith("quartic"):
+        return _solve_wave(quartic_terms[int(which[7:])])
+    return _solve_wave(bw.piecewise_linear(-1.0, float(which[7:])))
+
+
+@pytest.mark.parametrize("which", _BENCHMARK_TERMS)
 def test_wave_profile_is_nondecreasing(which, demo_wave, quartic_terms):
     """The premise of shift_distance: the profile never decreases, on a
     dense grid over both exponential tails and through the junctions at
     z_lo and z_hi, down to single-ulp steps across them."""
-    if which == "demo":
-        ws = demo_wave
-    else:
-        ws = _solve_wave(quartic_terms[0] if which == "quartic0" else bw.piecewise_linear(-1.0, float(which[7:])))
+    ws = _benchmark_wave(which, demo_wave, quartic_terms)
     profile = bw.WaveProfile(ws)
     z = [np.linspace(profile.z_lo - 40.0, profile.z_hi + 40.0, 400_001)]
     for end in (profile.z_lo, profile.z_hi):
@@ -763,6 +783,85 @@ def test_wave_profile_is_nondecreasing(which, demo_wave, quartic_terms):
         z.append(end + np.spacing(end) * np.arange(-50, 51))
     z = np.sort(np.concatenate(z))
     assert np.all(np.diff(profile(z)) >= 0.0)
+
+
+@pytest.mark.parametrize("which", ["demo", "linear_0.45", "quartic8"])
+def test_wave_profile_is_the_samples_at_the_nodes(which, demo_wave, quartic_terms):
+    """At every sample node the Hermite profile is the sample, bit for bit,
+    and its level is the sample at z = 0, the branch point."""
+    ws = _benchmark_wave(which, demo_wave, quartic_terms)
+    profile = bw.WaveProfile(ws)
+    np.testing.assert_array_equal(profile(ws.z_grid), ws.u_values)
+    assert profile.a == ws.u_values[ws.z_grid == 0.0][0]
+
+
+def test_wave_profile_error_against_a_fine_profile(demo, demo_wave):
+    """Between the dz = 0.01 samples the profile stays within 1e-9 of the
+    same wave sampled at dz = 5e-4 (PCHIP's slope estimates left 2.7e-6)."""
+    fine = bw.reconstruct_profile(demo, demo_wave.c_star, dz=5e-4, bracket=demo_wave.bracket)
+    inside = (fine.z_grid >= demo_wave.z_grid[0]) & (fine.z_grid <= demo_wave.z_grid[-1])
+    error = np.abs(bw.WaveProfile(demo_wave)(fine.z_grid[inside]) - fine.u_values[inside])
+    assert error.max() <= 1e-9
+
+
+@pytest.mark.parametrize("defect", ["over_steep", "negative_slope", "flat", "off_grid"])
+def test_wave_profile_refuses_samples_it_cannot_keep_monotone(demo_wave, defect):
+    """One slope outside the Fritsch-Carlson disc, a negative slope, two
+    equal samples, or samples off a uniform grid through z = 0: the
+    constructor raises DegenerateProfile."""
+    z, u, w = demo_wave.z_grid.copy(), demo_wave.u_values.copy(), demo_wave.w_values.copy()
+    k = int(np.argmax(w))
+    if defect == "over_steep":  # alpha = dz*w/du is about 1 at the samples, 4 here
+        w[k] *= 4.0
+    elif defect == "negative_slope":
+        w[k] = -w[k]
+    elif defect == "flat":
+        u[k + 1] = u[k]
+    else:
+        z[k] += 1e-3
+    ws = dataclasses.replace(demo_wave, z_grid=z, u_values=u, w_values=w)
+    with pytest.raises(DegenerateProfile):
+        bw.WaveProfile(ws)
+
+
+def test_wave_profile_at_nan_and_infinities(demo_profile):
+    """NaN stays NaN, and the tails reach 0 and 1 at -inf and +inf."""
+    out = demo_profile(np.array([math.nan, -math.inf, math.inf, 0.0]))
+    assert math.isnan(out[0])
+    assert out[1:].tolist() == [0.0, 1.0, 0.3]
+
+
+def test_run_times_are_step_lattice_times(demo):
+    """Each observation and snapshot, and comparison_check's t_at, carries
+    the time k*dt of its step k."""
+    g = bw.Grid1D(-15.0, 15.0, 0.05, 0.2 * 0.05)  # dt = 0.010000000000000002
+    tr = bw.run(demo, np.where(g.x >= 0.0, 1.0, 0.0), g, t_end=4.0, observe_every=0.25, snapshot_times=(1.5, 4.0))
+    steps = 25 * np.arange(17)
+    assert tr.times.tolist() == (steps * g.dt).tolist()
+    assert [s.t for s in tr.snapshots] == [150 * g.dt, 400 * g.dt]
+    # At dt = 0.3 the trapezoidal diffusion oscillates, and the ordering
+    # breaks worst after 16 steps, where a running sum of dt gives
+    # 4.799999999999999.
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.3)
+    lower, upper = np.where(g.x >= 0.5, 1.0, 0.0), np.where(g.x >= -0.5, 1.0, 0.0)
+    rep = bw.comparison_check(demo, lower, upper, g, t_end=6.0)
+    assert rep.max_violation > 0.0
+    assert rep.t_at == 16 * 0.3 == 4.8
+
+
+def test_default_window_holds_its_end_observation(demo, demo_wave):
+    """At the CLI's default dt = 0.2*dx the state after 400 steps is at
+    t = 4.000000000000001; the window [t_end/2, t_end] holds it, so both
+    fits use the 9 observations from t = 2 to 4."""
+    g = bw.Grid1D(-15.0, 15.0, 0.05, 0.2 * 0.05)
+    tr = bw.run(demo, np.where(g.x >= 0.0, 1.0, 0.0), g, t_end=4.0, observe_every=0.25, reference=demo_wave)
+    assert tr.times[-1] > 4.0
+    window = (2.0, 4.0)
+    assert simulator._in_window(tr.times, window).tolist() == [False] * 8 + [True] * 9
+    slope, _r2 = bw.estimate_speed(tr, window)
+    assert slope == simulator._linear_fit(tr.times[8:], tr.front_positions[8:])[0]
+    K, _kappa, _r2 = bw.fit_decay(tr, window)
+    assert K == math.exp(simulator._linear_fit(tr.times[8:], np.log(tr.shift_distances[8:]))[1])
 
 
 def test_run_wave_residual_stays_small(demo, demo_wave, demo_profile, grid):
