@@ -38,7 +38,7 @@ def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarra
     polyval starts from c[-1] + u*0 and then takes c[-i] + c0*u; the same
     products and sums, commuted, are exact.  For finite u a nonzero c[-1]
     absorbs the u*0 term, so the first step is a single product (at u = ±inf
-    the two differ; eval_extended_array overwrites those nodes).  An array u
+    the two differ; _eval_extended overwrites those nodes).  An array u
     is updated in place in a new buffer; a Python float u takes the same
     steps in float arithmetic and returns a float.
     """
@@ -84,7 +84,10 @@ class BranchPoly:
         return _horner(u, self.coefficients)
 
     def derivative(self) -> "BranchPoly":
-        der = npp.polyder(self.coefficients)
+        """The derivative branch; a coefficient that overflows is refused
+        as non-finite, without a warning."""
+        with np.errstate(over="ignore"):
+            der = npp.polyder(self.coefficients)
         if len(der) == 0:
             der = np.array([0.0])
         return BranchPoly(tuple(der), self.domain_lo, self.domain_hi)
@@ -149,30 +152,49 @@ class ReactionTerm:
         return float(self.eval_extended_array(np.array([u], dtype=float))[0])
 
     def eval_extended_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized eval_extended, used by the PDE stepper; NaN stays NaN.
+        """Vectorized eval_extended on an array of any shape; NaN stays NaN.
 
-        Both branches are evaluated on every node by an in-place Horner
-        scheme (_horner, bit-identical to npp.polyval) and selected with
-        np.where(u < a, ...).  The rare nodes are then patched in place: the
-        tangent lines where u < 0 or u > 1, and branch_value() where u == a.
-        One min/max test decides whether any node lies outside [0, 1] and
-        one equality test whether any sits at a.  Outside [0, 1] the branch
-        values are overwritten, so overflow or 0*inf there is not reported.
+        _eval_extended on u with the least and greatest values of u, which
+        the PDE stepper passes from its band check instead.
         """
         u = np.asarray(u, dtype=float)
-        # NaN fails both comparisons, so it counts as outside and stays NaN.
-        inside = u.size == 0 or (u.min() >= 0.0 and u.max() <= 1.0)
-        quiet = contextlib.nullcontext() if inside else np.errstate(over="ignore", invalid="ignore")
+        lo, hi = (u.min(), u.max()) if u.size else (0.0, 1.0)
+        return self._eval_extended(np.atleast_1d(u), lo, hi).reshape(u.shape)
+
+    def _eval_extended(self, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """eval_extended_array(u) for a float array u of one or more
+        dimensions whose least and greatest values are lo and hi, or NaN
+        where u holds a NaN.
+
+        Both branches are evaluated on every node by an in-place Horner
+        scheme (_horner, bit-identical to npp.polyval) and selected with the
+        rule's own comparison, u <= a under "left_closed" and u < a
+        otherwise, so a node at a takes branch_value() by selection; only
+        "average" patches those nodes.  The tangent line at 0 is patched in
+        when lo < 0 says that some node lies below 0, and the one at 1 when
+        hi > 1 says that some node lies above 1; a NaN lo or hi counts as
+        both.  A patch evaluates its line on every node and copies it where
+        it applies, which beats indexing at the hundreds of nodes a PDE
+        state holds above 1.  Off [0, 1] the branch values are overwritten,
+        so overflow or 0*inf there, or in a line where it does not apply,
+        is not reported.
+        """
+        below, above = not lo >= 0.0, not hi <= 1.0
+        quiet = np.errstate(over="ignore", invalid="ignore") if below or above else contextlib.nullcontext()
         with quiet:
-            out = np.where(u < self.a, _horner(u, self.f0.coefficients), _horner(u, self.f1.coefficients))
-        if not inside:
-            below = u < 0.0
-            above = u > 1.0
-            out[below] = self.slope_at_zero * u[below]
-            out[above] = self.slope_at_one * (u[above] - 1.0)
-        at_a = u == self.a
-        if at_a.any():
-            out[at_a] = self.branch_value()
+            out = _horner(u, self.f1.coefficients)
+            left = u <= self.a if self.branch_rule == "left_closed" else u < self.a
+            np.copyto(out, _horner(u, self.f0.coefficients), where=left)
+            if below:
+                np.copyto(out, self.slope_at_zero * u, where=u < 0.0)
+            if above:
+                line = u - 1.0
+                line *= self.slope_at_one
+                np.copyto(out, line, where=u > 1.0)
+        if self.branch_rule == "average":
+            at_a = u == self.a
+            if at_a.any():
+                out[at_a] = self.branch_value()
         return out
 
 

@@ -96,7 +96,7 @@ class Grid1D:
         if round(cells) + 1 > _MAX_NODES:
             raise ValueError(f"(x_max-x_min)/dx = {cells:.6g} gives more than {_MAX_NODES} nodes")
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(round((self.x_max - self.x_min) / self.dx)) + 1
 
@@ -206,9 +206,29 @@ def _check_window(t_window: tuple[float, float], t_end: float) -> tuple[float, f
 
 @dataclass
 class SimState:
+    """The state u at time t on grid.
+
+    A state that step returns holds a read-only u and carries the least and
+    greatest values of that u, which its band check took, to the next step.
+    The carry is used only while u is still that array and still read-only;
+    any other state, hand-built, replaced or with u reassigned, has them
+    taken afresh.
+    """
+
     t: float
     u: np.ndarray
     grid: Grid1D
+    _extremes: tuple[np.ndarray, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _u_extremes(self) -> tuple[float, float]:
+        """(min(u), max(u)), NaN where u holds a NaN: the carried pair
+        while it holds, else taken afresh."""
+        carry = self._extremes
+        if carry is not None and carry[0] is self.u and not self.u.flags.writeable:
+            return carry[1], carry[2]
+        return self.u.min(), self.u.max()
 
 
 @dataclass
@@ -228,6 +248,10 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
     constant states 0 and 1 are fixed points to within rounding of the
     interior (C8 prints the drift).
     Raises Divergence when any node leaves [-0.5, 1.5].
+
+    The returned state's u is read-only: a caller that edits it edits a
+    copy, as run's snapshots do.  It carries the extremes of u from the
+    band check, so the next step's reaction evaluation need not take them.
     """
     u = s.u
     n = g.n_nodes
@@ -235,7 +259,7 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
         raise ValueError(f"state has {u.shape[0]} nodes, grid has {n}")
     mu, solve = g._imex_solve
 
-    reaction = f.eval_extended_array(u) if f is not None else np.zeros_like(u)
+    reaction = f._eval_extended(u, *s._u_extremes()) if f is not None else np.zeros_like(u)
     reaction *= g.dt
 
     # rhs_i = u_i + mu*(u_{i-1} - 2u_i + u_{i+1}) + dt*r_i, built in place in
@@ -262,11 +286,15 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
         rhs[-1] = 0.5 * (u[-1] + 2.0 * mu * (u[-2] - u[-1]) + reaction[-1])
         u_new, _info = solve(rhs)
     t_new = s.t + g.dt
+    lo, hi = u_new.min(), u_new.max()
     try:  # NaN fails the check, so it diverges too
-        _check_state_band(u_new.min(), u_new.max())
+        _check_state_band(lo, hi)
     except ValueError:
         raise Divergence(f"state left [{_STATE_LO}, {_STATE_HI}] at t={t_new:.6g}", t=t_new) from None
-    return SimState(t=t_new, u=u_new, grid=g)
+    u_new.flags.writeable = False
+    new = SimState(t=t_new, u=u_new, grid=g)
+    new._extremes = (u_new, lo, hi)
+    return new
 
 
 def front_crossings(s: SimState, a: float) -> np.ndarray:

@@ -426,6 +426,20 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
+def test_overflowing_slope_prints_the_config_error_alone(tmp_path):
+    """f0' = -1e308 - 2e308 u overflows.  The branch refuses the infinite
+    coefficient without a numpy warning, so check and simulate, each in a
+    fresh interpreter whose warnings would reach stderr, print the config
+    error line and nothing else."""
+    cfgp = write_config(tmp_path, {"reaction": {"a": 0.3, "f0": [0, -1e308, -1e308], "f1": [1, -1]}})
+    for cmd in ("check", "simulate"):
+        proc = _python("-m", "bistable_waves", cmd, "--config", cfgp, "--out", str(tmp_path / cmd))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("config error at reaction: ")
+        assert not (tmp_path / cmd).exists()
+
+
 def test_module_entry_point(tmp_path):
     """`python -m bistable_waves` and `python -m bistable_waves.cli` run the
     command, as the console script does."""

@@ -113,8 +113,8 @@ def _oracle_terms(quartic):
 )
 def test_eval_extended_array_matches_written_out_oracle(name, rule, quartic_terms):
     """Bitwise equal to the branch-by-branch evaluator on special values,
-    u == a, an empty array, all-inside data and dense data on [-0.5, 1.5],
-    with no warning raised."""
+    u == a, an empty array, all-inside data, dense data on [-0.5, 1.5] and
+    0-d arrays, with no warning raised."""
     f = _with_rule(_oracle_terms(quartic_terms[0])[name], rule)
     special = np.array([
         math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, f.a, 0.5,
@@ -123,7 +123,8 @@ def test_eval_extended_array_matches_written_out_oracle(name, rule, quartic_term
     ])
     rng = np.random.default_rng(17)
     inside = np.concatenate([rng.uniform(0.0, 1.0, 3001), [0.0, f.a, 1.0]])
-    cases = [special, np.empty(0), inside, rng.uniform(-0.5, 1.5, 4001), special.reshape(4, 4)]
+    cases = [special, np.empty(0), inside, rng.uniform(-0.5, 1.5, 4001), special.reshape(4, 4),
+             np.array(f.a), np.array(1.05)]
     for u in cases:
         want = written_out_reaction(f, u)
         with warnings.catch_warnings():

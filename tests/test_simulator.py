@@ -178,6 +178,25 @@ def test_step_matches_banded_solve_bitwise(demo, demo_profile, bc, kind):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
+@pytest.mark.parametrize("rule", ["left_closed", "right_closed", "average"])
+def test_step_matches_banded_solve_bitwise_under_each_branch_rule(demo, demo_profile, rule, bc):
+    """The evaluator selects u == a with each rule's own comparison and
+    patches it only under "average".  A boundary node and an interior node
+    start at a, where the first step already tells the three rules apart."""
+    g = bw.Grid1D(-30.0, 30.0, 0.05, 0.01, bc=bc)
+    u0 = _initial_state("node_at_a", g, demo_profile, demo.a)
+    rules = ("left_closed", "right_closed", "average")
+    terms = {r: bw.ReactionTerm(demo.a, demo.f0, demo.f1, branch_rule=r) for r in rules}
+    first = {r: bw.step(f, bw.SimState(0.0, u0, g), g).u[g.n_nodes // 3] for r, f in terms.items()}
+    assert len(set(first.values())) == 3
+    s = ref = bw.SimState(0.0, u0, g)
+    for _ in range(200):
+        s = bw.step(terms[rule], s, g)
+        ref = _reference_step(terms[rule], ref, g)
+        np.testing.assert_array_equal(s.u, ref.u)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet01", "neumann"])
 def test_step_stays_within_rounding_of_the_general_lu(demo, demo_profile, bc):
     """The symmetric solve moves the trajectories of the unsymmetric
     general LU, which the stepper used before, only in their last bits."""
@@ -218,10 +237,95 @@ def test_step_non_finite_state_diverges(demo, bad, bc):
 def test_grid_factorization_cache_keeps_dataclass_contract():
     g, twin = bw.Grid1D(-1.0, 1.0, 0.05, 0.01), bw.Grid1D(-1.0, 1.0, 0.05, 0.01)
     before = (dataclasses.asdict(g), repr(g), hash(g))
-    bw.step(None, bw.SimState(0.0, np.zeros(g.n_nodes), g), g)
-    assert "_imex_solve" in vars(g) and "_imex_solve" not in vars(twin)
+    bw.step(None, bw.SimState(0.0, np.zeros(41), g), g)
+    for cached in ("_imex_solve", "n_nodes"):
+        assert cached in vars(g) and cached not in vars(twin)
+    assert g.n_nodes == twin.n_nodes == 41
     assert (dataclasses.asdict(g), repr(g), hash(g)) == before
     assert g == twin and hash(g) == hash(twin)
+    assert dataclasses.replace(g, x_max=2.0).n_nodes == 61
+
+
+def _step_data_with_notches(g):
+    """Step data with one node at 0.4 in the 0 region and one at 0.6 in the
+    1 region."""
+    u = np.where(g.x >= 0.0, 1.0, 0.0)
+    u[g.n_nodes // 4], u[3 * g.n_nodes // 4] = 0.4, 0.6
+    return u
+
+
+@pytest.mark.parametrize("kind", ["wave_plus_delta", "notched_step_dx_half"])
+def test_run_matches_a_loop_of_reference_steps_bitwise(demo, demo_profile, kind):
+    """run evaluates the reaction on the extremes that each step's band
+    check carries to the next, and every state it takes equals a loop of
+    _reference_step, bit for bit.  Wave + 0.05 lies above 1 on every step.
+    The notched step data at dx = 0.025, dt = 0.005 (mu = 4) rings: its
+    states lie below 0 and above 1, then back in [0, 1], out, and in."""
+    if kind == "wave_plus_delta":
+        g = bw.Grid1D(-30.0, 30.0, 0.05, 0.01)
+        u0 = _initial_state(kind, g, demo_profile, demo.a)
+    else:
+        g = bw.Grid1D(-15.0, 15.0, 0.025, 0.005)
+        u0 = _step_data_with_notches(g)
+    n = 40
+    times = [k * g.dt for k in range(1, n + 1)]
+    tr = bw.run(demo, u0, g, t_end=n * g.dt, observe_every=n * g.dt, snapshot_times=times)
+    ref = bw.SimState(0.0, u0, g)
+    sides = []  # (below 0, above 1) per step
+    for snap in tr.snapshots:
+        ref = _reference_step(demo, ref, g)
+        np.testing.assert_array_equal(snap.u, ref.u)
+        sides.append((bool(ref.u.min() < 0.0), bool(ref.u.max() > 1.0)))
+    if kind == "wave_plus_delta":
+        assert sides == [(False, True)] * n
+    else:
+        outside = [below or above for below, above in sides]
+        assert sides[:10] == [(True, True)] * 10 and sides[-10:] == [(False, False)] * 10
+        assert (True, False) in zip(outside, outside[1:]) and (False, True) in zip(outside, outside[1:])
+
+
+def test_states_that_do_not_hold_the_carry_take_their_own_extremes(demo, demo_profile):
+    """A stepped state carries the extremes of its u.  A hand-built state
+    on the same array, a dataclasses.replace'd state, a state whose u was
+    reassigned and one whose u was made writeable and edited take them
+    afresh: each steps from inside [0, 1] to wave + 0.05, above 1, as the
+    reference step does."""
+    g = bw.Grid1D(-30.0, 30.0, 0.05, 0.01)
+    stepped = bw.step(demo, bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g), g)
+    assert stepped._u_extremes() == (0.0, 1.0)
+    above = demo_profile(g.x) + 0.05
+    above.flags.writeable = False  # as read-only as a stepped u
+    reassigned = bw.step(demo, bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g), g)
+    reassigned.u = above
+    edited = bw.step(demo, bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g), g)
+    edited.u.flags.writeable = True
+    edited.u[:] = above
+    states = {
+        "hand_built": bw.SimState(stepped.t, above, g),
+        "replaced": dataclasses.replace(stepped, u=above),
+        "reassigned": reassigned,
+        "edited": edited,
+    }
+    for name, s in states.items():
+        assert s._u_extremes() == (above.min(), above.max()), name
+        np.testing.assert_array_equal(bw.step(demo, s, g).u, _reference_step(demo, s, g).u)
+    assert dataclasses.replace(stepped)._extremes is None
+    assert "_extremes" not in repr(stepped)
+
+
+def test_stepped_state_is_read_only(demo):
+    """step returns a read-only u; a caller edits a copy."""
+    g = bw.Grid1D(-10.0, 10.0, 0.1, 0.02)
+    s = bw.step(demo, bw.SimState(0.0, np.where(g.x >= 0.0, 1.0, 0.0), g), g)
+    with pytest.raises(ValueError, match="read-only"):
+        s.u[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        s.u *= 2.0
+    u = s.u.copy()
+    u[0] = 0.5
+    assert u.flags.writeable and s.u[0] == 0.0
+
+
 
 
 def test_run_and_comparison_step_through_module_globals(monkeypatch, demo, demo_wave):
