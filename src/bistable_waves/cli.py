@@ -26,12 +26,12 @@ import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Collection, Sequence, get_args
+from typing import Any, Callable, Collection, Iterator, Sequence, get_args
 
 import numpy as np
 
 from . import linear_theory, reaction, shooting, simulator
-from .errors import BistableWavesError, ConfigError, Divergence
+from .errors import BistableWavesError, ConfigError, Divergence, HypothesisFailure
 
 SCHEMA_VERSION = "1"
 
@@ -469,49 +469,36 @@ def _write_phase_csvs(
         _write_csv(outdir / f"phase_{tag}.csv", ["side", "u", "w", "w_env_lo", "w_env_hi"], rows)
 
 
-def _bracket(
-    term: reaction.ReactionTerm, bounds: reaction.SlopeBounds, solver: SolverConfig
-) -> linear_theory.SpeedBracket:
-    """Bracket stage: the speeds of the four envelope waves of the term's
-    secant-slope bounds, the audit's in the chain."""
-    return linear_theory.speed_bracket(bounds, term.a, tol=solver.tol_phi)
+def _stages(cfg: RunConfig) -> Iterator[Any]:
+    """The chain of stages on one config, run lazily: each item is one
+    stage's result, and a caller takes the prefix it needs.
 
-
-def _speed(
-    term: reaction.ReactionTerm,
-    bracket: linear_theory.SpeedBracket,
-    solver: SolverConfig,
-    details: dict | None = None,
-) -> float:
-    """Speed stage: shoot for c* inside the bracket."""
-    return shooting.find_speed(
+    Yields (term, audit report), then the speed bracket of the term's
+    secant-slope bounds, then (c*, find_speed details), then the sampled
+    C^1 wave at c*, then (grid, trajectory) of the run from the configured
+    initial data, which observes the front and the distance to the wave.
+    Past the audit, a term it rejects raises HypothesisFailure: no later
+    stage runs on it.
+    """
+    solver = cfg.solver
+    term = build_term(cfg.reaction)
+    report = reaction.check_hypotheses(term)
+    yield term, report
+    if not report.admissible:
+        raise HypothesisFailure(
+            f"hypothesis audit failed (h1={report.h1_ok}, h2={report.h2_ok}, h3={report.h3_ok})"
+        )
+    bracket = linear_theory.speed_bracket(report.slope_bounds, term.a, tol=solver.tol_phi)
+    yield bracket
+    details: dict[str, Any] = {}
+    c_star = shooting.find_speed(
         term, bracket, solver.tol_c, eps=solver.eps, rtol=solver.ode_rtol, details=details
     )
-
-
-def _profile(
-    term: reaction.ReactionTerm,
-    c_star: float,
-    bracket: linear_theory.SpeedBracket,
-    solver: SolverConfig,
-) -> shooting.WaveSolution:
-    """Profile stage: the sampled C^1 wave at c*."""
-    return shooting.reconstruct_profile(
-        term,
-        c_star,
-        u_eps=solver.u_eps,
-        dz=solver.dz,
-        bracket=bracket,
-        eps=solver.eps,
-        rtol=solver.ode_rtol,
+    yield c_star, details
+    ws = shooting.reconstruct_profile(
+        term, c_star, u_eps=solver.u_eps, dz=solver.dz, bracket=bracket, eps=solver.eps, rtol=solver.ode_rtol
     )
-
-
-def _simulate(
-    cfg: RunConfig, term: reaction.ReactionTerm, ws: shooting.WaveSolution
-) -> tuple[simulator.Grid1D, simulator.Trajectory]:
-    """Simulate stage: evolve the configured initial data on the configured
-    grid, observing the front and the distance to the wave."""
+    yield ws
     grid = simulator.Grid1D(**asdict(cfg.grid))
     ec = cfg.experiment
     travel = ws.c_star * ec.t_end + 10.0
@@ -530,7 +517,7 @@ def _simulate(
         reference=ws,
         snapshot_times=cfg.output.snapshot_times,
     )
-    return grid, tr
+    yield grid, tr
 
 
 def _fit(cfg: RunConfig, tr: simulator.Trajectory, c_star: float) -> dict:
@@ -553,19 +540,28 @@ def _fit(cfg: RunConfig, tr: simulator.Trajectory, c_star: float) -> dict:
     }
 
 
+def _output_dir(cfg: RunConfig, out_dir: str | None) -> Path:
+    """The output directory, --out or the config's, created if missing."""
+    outdir = Path(out_dir or cfg.output.directory)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
     """Execute one subcommand, writing artifacts to the output directory.
 
-    The commands run prefixes of one chain of stages, audit -> bracket ->
-    speed -> profile -> simulate -> fit: each command runs the stages up to
-    its own, each once, and writes the artifacts of its own stage.
+    The commands run prefixes of one chain of stages (``_stages``), audit ->
+    bracket -> speed -> profile -> simulate, then fit: each command runs the
+    stages up to its own, each once, and writes the artifacts of its own
+    stage.  Past ``check``, a term the audit rejects exits 3.
     """
     if cmd not in _COMMANDS:
         raise ValueError(f"unknown command {cmd!r}")
-    outdir = Path(out_dir or cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _run_chain(cmd, cfg, outdir)
+        return _run_chain(cmd, cfg, _output_dir(cfg, out_dir))
+    except HypothesisFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except Divergence as exc:
         print(f"simulation divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -575,21 +571,13 @@ def run_command(cmd: str, cfg: RunConfig, out_dir: str | None = None) -> int:
 
 
 def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
-    solver = cfg.solver
-    term = build_term(cfg.reaction)
-    report = reaction.check_hypotheses(term)
+    stages = _stages(cfg)
+    term, report = next(stages)
     if cmd == "check":
         _write_json(outdir / "check.json", _artifact(cfg, report=asdict(report)))
         return EXIT_OK if report.admissible else EXIT_HYPOTHESIS
-    if not report.admissible:
-        print(
-            f"hypothesis audit failed (h1={report.h1_ok}, h2={report.h2_ok}, "
-            f"h3={report.h3_ok})",
-            file=sys.stderr,
-        )
-        return EXIT_HYPOTHESIS
 
-    bracket = _bracket(term, report.slope_bounds, solver)
+    bracket = next(stages)
     if cmd == "bounds":
         _write_json(outdir / "bounds.json", _artifact(cfg, bracket=asdict(bracket)))
         _write_csv(
@@ -599,8 +587,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         )
         return EXIT_OK
 
-    details: dict[str, Any] = {}
-    c_star = _speed(term, bracket, solver, details)
+    c_star, details = next(stages)
     if cmd == "speed":
         _write_json(
             outdir / "speed.json",
@@ -614,7 +601,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         )
         return EXIT_OK
 
-    ws = _profile(term, c_star, bracket, solver)
+    ws = next(stages)
     if cmd == "profile":
         _write_csv(
             outdir / "profile.csv",
@@ -633,7 +620,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
                 "c_hat": bracket.c_hat,
                 "c_star": c_star,
             },
-            solver,
+            cfg.solver,
         )
         _write_json(
             outdir / "profile.json",
@@ -642,7 +629,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
                 c_star=c_star,
                 bracket=asdict(bracket),
                 derivative_jump=ws.derivative_jump_at_0,
-                c1_ok=shooting.verify_c1(ws, solver.c1_tol),
+                c1_ok=shooting.verify_c1(ws, cfg.solver.c1_tol),
                 z_min=float(ws.z_grid[0]),
                 z_max=float(ws.z_grid[-1]),
                 n_samples=int(len(ws.z_grid)),
@@ -650,7 +637,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
         )
         return EXIT_OK
 
-    grid, tr = _simulate(cfg, term, ws)
+    grid, tr = next(stages)
     _write_csv(
         outdir / "trajectory.csv",
         ["t", "front_position", "shift_distance", "z_best"],
@@ -701,15 +688,11 @@ def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
     try:
         doc = asdict(cfg)
         _set_by_path(doc, parameter, value)
-        row_cfg = parse_config(_json_text(doc))
-        term = build_term(row_cfg.reaction)
-        # No audit gate here: a row fails with the solver error it actually
-        # hits (e.g. NonNegativeSlope, or NoPositiveRoot at the degenerate
-        # boundary).
-        bracket = _bracket(term, reaction.slope_bounds(term), row_cfg.solver)
-        row.update(asdict(bracket))
+        stages = _stages(parse_config(_json_text(doc)))
+        next(stages)  # the audit: a term it rejects fails the row as HypothesisFailure
+        row.update(asdict(next(stages)))
         if cmd == "speed":
-            row["c_star"] = _speed(term, bracket, row_cfg.solver)
+            row["c_star"], _ = next(stages)
     except BistableWavesError as exc:
         row["status"] = type(exc).__name__
     return row
@@ -718,9 +701,11 @@ def _sweep_row(cfg: RunConfig, cmd: str, parameter: str, value: float) -> dict:
 def sweep(cfg: RunConfig, parameter: str, values: Sequence[float], cmd: str = "speed") -> list[dict]:
     """Independent solves over a numeric config leaf, one row per value.
 
-    Each row runs the bracket stage, and for ``speed`` the speed stage, on
-    the config with the leaf set to the value.  Rows run in input order;
-    a failing row gets its error class in the status column.
+    Each row runs the commands' chain of stages on the config with the
+    leaf set to the value, up to the bracket, or to c* for ``speed``: the
+    audit gates it as it gates the command.  Rows run in input order; a
+    failing row gets its error class in the status column, HypothesisFailure
+    for a term the audit rejects.
     """
     if cmd not in _SWEEPABLE:
         raise ConfigError([("sweep", f"command {cmd!r} is not sweepable; use one of {_SWEEPABLE}")])
@@ -781,9 +766,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for path, msg in exc.violations:
             print(f"config error at {path}: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    outdir = Path(args.out or cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_sweep(outdir, cfg, rows)
+    _write_sweep(_output_dir(cfg, args.out), cfg, rows)
     return EXIT_OK
 
 

@@ -7,6 +7,10 @@ class BistableWavesError(Exception):
     """Base class for all package-specific failures."""
 
 
+class HypothesisFailure(BistableWavesError):
+    """The hypothesis audit rejected the term (H1-H3), so no wave is sought."""
+
+
 class NonNegativeSlope(BistableWavesError):
     """A secant-slope bound came out >= 0, i.e. the sign hypotheses fail."""
 

@@ -346,10 +346,13 @@ def default_eps(f: ReactionTerm) -> float:
 
 def _check_eps(eps: float, a: float) -> float:
     """eps if it lies in the seed window (0, min(a, 1-a)/_EPS_CAP_DIVISOR]
-    of a term with branch point a; else ValueError."""
+    of a term with branch point a, and 1 - eps, the right path's seed, is
+    not rounded onto the equilibrium u = 1; else ValueError."""
     cap = min(a, 1.0 - a) / _EPS_CAP_DIVISOR
     if not 0.0 < eps <= cap:
         raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/{_EPS_CAP_DIVISOR:g}] = (0, {cap:.6g}]")
+    if 1.0 - eps == 1.0:
+        raise ValueError(f"eps={eps} rounds the right seed 1 - eps onto u = 1")
     return eps
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_args
 
@@ -238,6 +239,7 @@ _DEMO_LIPSCHITZ = max(bw.max_abs_slopes(bw.quadratic_demo()))  # 1.6
         pytest.param({"solver": {"u_eps": 0.5}}, "solver.u_eps", bw.shooting._check_u_eps, (0.5,), id="u_eps"),
         pytest.param({"solver": {"dz": 1000}}, "solver.dz", bw.shooting._check_dz, (1000.0,), id="dz"),
         pytest.param({"solver": {"eps": 0.5}}, "solver.eps", bw.shooting._check_eps, (0.5, 0.3), id="eps"),
+        pytest.param({"solver": {"eps": 1e-20}}, "solver.eps", bw.shooting._check_eps, (1e-20, 0.3), id="eps_on_1"),
         pytest.param({"grid": {"dt": 5.0}}, "grid.dt", bw.simulator._check_dt, (5.0, _DEMO_LIPSCHITZ), id="dt"),
         pytest.param({"experiment": {"t_end": 1e9}}, "experiment.t_end", bw.simulator._check_steps, (1e9, 0.01), id="steps"),
         pytest.param(
@@ -717,20 +719,40 @@ def test_sweep_speed_matches_closed_form(tmp_path):
     for row in rows[:-1]:
         assert row["status"] == "ok"
         assert row["c_star"] == pytest.approx(closed_form_speed(row["value"]), abs=1e-6)
-    assert rows[-1]["status"] == "NoPositiveRoot"
+    assert rows[-1]["status"] == "HypothesisFailure"  # H3 fails at a = 1/2, as for `speed`
     assert rows[-1]["c_star"] is None
 
 
 def test_sweep_rows_share_the_speed_stage(tmp_path):
-    cfg = cli.parse_config('{"reaction": "quadratic_demo"}')
-    rows = cli.sweep(cfg, "reaction.a", [0.2, 0.3], cmd="speed")
-    for row in rows:
-        assert row["status"] == "ok"
-        demo = {"a": row["value"], "f0": [0, -1, -1], "f1": [0.2, 0.8, -1]}
-        out = tmp_path / f"a{row['value']}"
-        cfgp = write_config(tmp_path, {"reaction": demo}, f"a{row['value']}.json")
-        assert cli.main(["speed", "--config", cfgp, "--out", str(out)]) == 0
-        assert json.loads((out / "speed.json").read_text())["c_star"] == row["c_star"]
+    """A sweep row runs the command's own stages, audit gate included: it
+    is ok with the command's exact bracket and c* iff the command exits 0,
+    and reads HypothesisFailure iff the command exits 3."""
+    cases = [
+        ("quadratic_demo", [0.2, 0.3]),
+        ({"a": 0.3, "f0": [0.01, -1, -1], "f1": [0.2, 0.8, -1]}, [0.3, 0.35]),  # H1 fails: f0(0) = 0.01
+        ("piecewise_linear(-1, 0.3)", [0.3, 0.5, 0.6]),  # H3 fails for a >= 1/2
+    ]
+    for n, (cmd, (reaction, values)) in enumerate(itertools.product(cli._SWEEPABLE, cases)):
+        case = tmp_path / f"case{n}"
+        case.mkdir()
+        cfgp = write_config(case, {"reaction": reaction})
+        spec = f"reaction.a={','.join(map(str, values))}"
+        assert cli.main([cmd, "--config", cfgp, "--out", str(case / "sweep"), "--sweep", spec]) == 0
+        rows = json.loads((case / "sweep" / "sweep.json").read_text())["rows"]
+        assert [row["value"] for row in rows] == values
+        assert len((case / "sweep" / "sweep.csv").read_text().splitlines()) == 1 + len(values)
+        base = cli.parse_config(Path(cfgp).read_text()).reaction
+        for row in rows:
+            doc = {"reaction": {**asdict(base), "a": row["value"]}}
+            out = case / f"a{row['value']}"
+            code = cli.main([cmd, "--config", write_config(case, doc, f"a{row['value']}.json"), "--out", str(out)])
+            assert code in (0, 3), (cmd, reaction, row)
+            assert (row["status"] == "ok") == (code == 0), (cmd, reaction, row)
+            assert (row["status"] == "HypothesisFailure") == (code == 3), (cmd, reaction, row)
+            if code == 0:
+                artifact = json.loads((out / f"{cmd}.json").read_text())
+                assert {k: row[k] for k in artifact["bracket"]} == artifact["bracket"]
+                assert row["c_star"] == artifact.get("c_star")
 
 
 def test_sweep_empty_values(tmp_path):

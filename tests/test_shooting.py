@@ -61,6 +61,10 @@ def test_shoot_half_eps_guard(demo):
         bw.shoot_half(demo, "left", -0.5)
     with pytest.raises(ValueError, match="not finite"):
         bw.shoot_half(demo, "right", float("inf"))
+    # 1 - 2**-54 rounds to 1, the equilibrium itself; 1 - 2**-53 does not
+    with pytest.raises(ValueError, match="onto u = 1"):
+        bw.shoot_half(demo, "right", 0.5, eps=2.0**-54)
+    assert bw.shoot_half(demo, "right", 0.5, eps=2.0**-53).u.max() < 1.0
 
 
 def test_speed_mismatch_linear():
