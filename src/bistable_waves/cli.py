@@ -449,21 +449,29 @@ def _write_phase_csvs(
     bounds: reaction.SlopeBounds,
     speeds: dict[str, float],
     solver: SolverConfig,
+    ws: shooting.WaveSolution,
 ) -> None:
     """Phase-plane CSVs (u, w) of shooting paths with the bounding linear
-    paths, one file per labelled speed."""
+    paths, one file per labelled speed; at c_star they are the paths the
+    wave ws was marched along."""
     for tag, c in speeds.items():
         rows: list[list[Any]] = []
-        for side in ("left", "right"):
-            path = shooting.shoot_half(f, side, c, eps=solver.eps, rtol=solver.ode_rtol)
-            if side == "left":
+        if tag == "c_star":
+            paths = ws.paths
+        else:
+            paths = [
+                shooting.shoot_half(f, side, c, eps=solver.eps, rtol=solver.ode_rtol)
+                for side in ("left", "right")
+            ]
+        for path in paths:
+            if path.side == "left":
                 env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * path.u
                 env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * path.u
             else:
                 env_lo = linear_theory.lambda1_minus(c, bounds.beta_hi) * (path.u - 1.0)
                 env_hi = linear_theory.lambda1_minus(c, bounds.beta_lo) * (path.u - 1.0)
             rows.extend(
-                [side, u, w, lo, hi]
+                [path.side, u, w, lo, hi]
                 for u, w, lo, hi in zip(path.u, path.w, env_lo, env_hi)
             )
         _write_csv(outdir / f"phase_{tag}.csv", ["side", "u", "w", "w_env_lo", "w_env_hi"], rows)
@@ -621,6 +629,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
                 "c_star": c_star,
             },
             cfg.solver,
+            ws,
         )
         _write_json(
             outdir / "profile.json",

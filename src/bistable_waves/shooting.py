@@ -21,14 +21,13 @@ scipy's weighted sums over the stages are np.dot calls, which BLAS may
 evaluate as fused multiply-adds; a sum in plain floats would round
 differently, so those reductions stay np.dot calls on the same shapes.
 
-The profile is rebuilt by marching du/dz = w(u) along the two paths at c*
-(_march), by a second dedicated loop: Dormand-Prince 8(5,3) with its
-7th-order dense output, doing exactly the float operations of scipy's
-DOP853 solver object.  Both loops share scipy's initial-step rule
-(_initial_step) and its step control (_accepted_steps); each supplies only
-its own trial step.  Their tableaux are SciPy's, copied into _tableaux, and
-the collapse root is found by roots' transcription of brentq, so shooting
-runs on NumPy alone.
+The profile is a quadrature, not a second ODE solve: along a solved path
+z(u) = int_a^u dv / w(v), so _march integrates 1/w over each RK45 step's
+own quartic interpolant (Gauss-Legendre, in the log distance to the path's
+equilibrium) and inverts z(u) at the sample spacing by Newton steps on the
+same rule, vectorized over the samples.  The RK45 tableau is SciPy's,
+copied into _tableaux, and the collapse root is found by roots'
+transcription of brentq, so shooting runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from ._tableaux import DOP853, RK45
+from ._tableaux import RK45
 from .errors import BracketFailure, NoPositiveRoot, PathCollapse
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
 from .reaction import ReactionTerm, _horner
@@ -54,17 +53,23 @@ _W_FLOOR = 1e-12
 _EPS_CAP_DIVISOR = 100.0
 # reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, _U_EPS_CAP].
 _U_EPS_CAP = 1e-3
-# The march runs at 1e-2 * rtol, but no tighter than this.  The floor sets
-# the march's tolerance, and so the profile bytes, for every rtol under
-# 1e-11, and it keeps the march above 100 machine epsilons (2.2e-14), where
-# scipy clips rtol with a warning that the march's loop does not carry.
-_PROFILE_RTOL_FLOOR = 1e-13
 # The profile march covers |z| <= _MARCH_Z_RANGE, one sample every dz, so
 # _MARCH_Z_RANGE / dz must lie in [1, _MARCH_SAMPLE_CAP].
 _MARCH_Z_RANGE = 400.0
 _MARCH_SAMPLE_CAP = 40_000_000
+# The march's quadrature: 8 Gauss-Legendre points per path step (exact to
+# rounding on the paths' steps, whose integrand tends to a constant at the
+# equilibria) and 3 over each Newton step, which is short; a fixed number
+# of Newton steps per sample from a cubic Hermite guess (two already reach
+# rounding on coarse rtol 1e-6 paths); and at most _MARCH_BLOCK samples
+# solved at once, which bounds the temporaries at the sample cap and keeps
+# them in cache (blocks of 65,536 took twice the time per sample).
+_GAUSS = np.polynomial.legendre.leggauss(8)
+_GAUSS_NEWTON = np.polynomial.legendre.leggauss(3)
+_NEWTON_STEPS = 4
+_MARCH_BLOCK = 8_192
 
-# The RK45 and DOP853 loops' settings and scipy's rules for them
+# The RK45 loop's settings and scipy's rules for it
 # (scipy.integrate._ivp: rk.py, common.py and ivp.py).
 _ATOL = 1e-16
 _EPS = float(np.finfo(float).eps)
@@ -72,7 +77,6 @@ _RTOL_MIN = 100 * _EPS  # smaller rtols are clipped to this, with a warning
 _EVENT_TOL = 4 * _EPS  # solve_ivp's xtol for an event root; brentq's default rtol
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _RK45_EXPONENT = -1 / (RK45.error_estimator_order + 1)
-_DOP853_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 
 
 def _norm(v: float) -> float:
@@ -87,12 +91,11 @@ def _initial_step(
     y0: float,
     f0: float,
     t_bound: float,
-    order: int,
     rtol: float,
     atol: float = _ATOL,
 ) -> float:
     """scipy's select_initial_step for the scalar ODE y' = rhs(t, y) with
-    y'(t0) = f0 and no maximum step; order is the error estimator's."""
+    y'(t0) = f0, no maximum step and RK45's error estimator order."""
     interval = abs(t_bound - t0)
     if interval == 0.0:
         return 0.0
@@ -106,7 +109,7 @@ def _initial_step(
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
     return min(100 * h0, h1, interval)
 
 
@@ -117,15 +120,14 @@ def _accepted_steps(
     f: float,
     h_abs: float,
     t_bound: float,
-    exponent: float,
 ) -> Iterator[tuple[float, float, float]]:
     """scipy's RungeKutta stepping from (t, y), where y'(t) = f, toward
     t_bound, from the suggested step size h_abs: the minimum step of 10
-    ulps, the clamp at t_bound and the accept/reject factor law, with
-    exponent = -1/(error estimator order + 1).  attempt(t, y, f, h) takes
-    one trial step and returns (y_new, f_new, error_norm).
+    ulps, the clamp at t_bound and RK45's accept/reject factor law.
+    attempt(t, y, f, h) takes one trial step and returns
+    (y_new, f_new, error_norm).
 
-    Yields (t_new, y_new, f_new) for each accepted step.  Ends at t_bound,
+    Yields (t_new, y_new) for each accepted step.  Ends at t_bound,
     or early when the step size falls below the minimum; a caller tells
     the two apart by whether its last t is t_bound.
     """
@@ -148,14 +150,14 @@ def _accepted_steps(
                 if error_norm == 0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
             rejected = True
-        yield t_new, y_new, f_new
+        yield t_new, y_new
         t, y, f = t_new, y_new, f_new
 
 
@@ -240,9 +242,9 @@ def _rk45(
 
     t, y = t0, y0
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_bound, RK45.error_estimator_order, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     ts, ys, segments = [t], [y], []
-    for t_new, y_new, _ in _accepted_steps(attempt, t, y, f, h_abs, t_bound, _RK45_EXPONENT):
+    for t_new, y_new in _accepted_steps(attempt, t, y, f, h_abs, t_bound):
         segment = (t, t_new - t, y, K_all.dot(RK45.P))
         segments.append(segment)
         if floor_event and y - _W_FLOOR >= 0 and y_new - _W_FLOOR <= 0:
@@ -260,6 +262,17 @@ def _rk45(
     return _Steps(0 if t == t_bound else -1, ts, ys, segments)
 
 
+class _Interpolants(NamedTuple):
+    """A path's RK45 steps in integration order, from the seed to u = a:
+    segments[i] = (t_old, h, w_old, Q) is step i's quartic interpolant,
+    w = w_old + h * Q.(x, x^2, x^3, x^4) with x = (u - t_old) / h, as
+    _Steps.segments holds it.  Past the seed the path is the manifold line
+    w = lam_seed * (distance to the seed's equilibrium)."""
+
+    segments: list[tuple[float, float, float, np.ndarray]]
+    lam_seed: float
+
+
 @dataclass
 class PhasePath:
     """One half of the heteroclinic connection, as w over u.
@@ -268,7 +281,8 @@ class PhasePath:
     path anywhere: between the nodes with the steps' quartic interpolants
     (bit-identical to solve_ivp's OdeSolution, for scalar and array
     queries alike), past u = a with the value at a, and past the seed with
-    the manifold line the path was seeded on.
+    the manifold line the path was seeded on.  interpolants holds those
+    quartics and that line for the profile march.
     """
 
     side: PathSide
@@ -276,6 +290,7 @@ class PhasePath:
     u: np.ndarray
     w: np.ndarray
     w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    interpolants: _Interpolants = field(repr=False, compare=False)
 
     @property
     def w_at_a(self) -> float:
@@ -308,17 +323,24 @@ def _dense_w_of_u(
     search = bisect_left if left else bisect_right
     side = "left" if left else "right"
 
+    # The scalar query is a function of its own, not a recursive call of
+    # w_of_u: a closure that refers to itself is a reference cycle, and a
+    # path kept with its wave would then outlive its last reference until
+    # the cyclic collector's oldest generation runs.
+    def scalar(u: float) -> float:
+        if left and u < lo:
+            return float(lam_seed * u)
+        if not left and u > hi:
+            return float(lam_seed * (1.0 - u))
+        q = lo if u < lo else hi if u > hi else u  # np.clip; NaN passes
+        return _interpolate(*segments[min(max(search(ts, q) - 1, 0), last)], q)
+
     def w_of_u(u):
         if isinstance(u, float):  # a Python float or NumPy float64
-            if left and u < lo:
-                return float(lam_seed * u)
-            if not left and u > hi:
-                return float(lam_seed * (1.0 - u))
-            q = lo if u < lo else hi if u > hi else u  # np.clip; NaN passes
-            return _interpolate(*segments[min(max(search(ts, q) - 1, 0), last)], q)
+            return scalar(u)
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            return w_of_u(float(u))
+            return scalar(float(u))
         if u.size == 0:  # where OdeSolution raises
             return np.empty_like(u)
         q = np.clip(u, lo, hi)
@@ -430,8 +452,15 @@ def shoot_half(
     u_samples, w_samples = np.array(steps.ts), np.array(steps.ys)
     if not left:
         u_samples, w_samples = u_samples[::-1], w_samples[::-1]
-    w_of_u = _dense_w_of_u(steps, left, lam_seed=w0 / eps)
-    return PhasePath(side=side, c=c, u=u_samples, w=w_samples, w_of_u=w_of_u)
+    interpolants = _Interpolants(steps.segments, w0 / eps)
+    return PhasePath(
+        side=side,
+        c=c,
+        u=u_samples,
+        w=w_samples,
+        w_of_u=_dense_w_of_u(steps, left, interpolants.lam_seed),
+        interpolants=interpolants,
+    )
 
 
 def speed_mismatch(
@@ -542,7 +571,8 @@ def find_speed(
 
 @dataclass
 class WaveSolution:
-    """Sampled C^1 traveling-wave profile at the matched speed."""
+    """Sampled C^1 traveling-wave profile at the matched speed, with the
+    (left, right) phase paths it was marched along."""
 
     c_star: float
     z_grid: np.ndarray
@@ -550,89 +580,144 @@ class WaveSolution:
     w_values: np.ndarray
     derivative_jump_at_0: float
     bracket: SpeedBracket | None = None
+    paths: tuple[PhasePath, PhasePath] | None = field(default=None, repr=False, compare=False)
 
 
-def _march(
-    w_of_u: Callable, u_start: float, target: float, dz: float, forward: bool, rtol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One adaptive solve of du/dz = w(u) from u(0) = u_start, sampled at
-    z = dz, 2 dz, ... (or -dz, -2 dz, ...) up to the first sample past the
-    target level.
+def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the profile along one phase path from u(0) = a at z = dz,
+    2 dz, ... (forward, on the right path) or -dz, -2 dz, ... (backward, on
+    the left path), up to the first sample at or past the target level and
+    at least one sample.  Returns u and w at the samples.
 
-    The solve is Dormand-Prince 8(5,3) with atol = 1e-16, by a dedicated
-    loop that does the float operations of scipy's DOP853 solver object on
-    this scalar ODE, with scipy's DOP853 tableau (_tableaux.DOP853), and
-    shares scipy's initial step and step control with _rk45.  Each sample
-    is read from the 7th-order dense output of the step that covers it:
-    three extra stages and a 7-row interpolant, built only for steps that
-    hold a sample.  The solve stops with the step that holds the last
-    sample, so nothing is extrapolated past the solved interval.  It runs
-    100x tighter than the phase paths it reads, which keeps its own error
-    at the paths' level (~1e-12 against the linear closed forms).
+    Along the path |z|(u) is the integral of 1/w from a, taken in
+    sigma = -ln d, where d is the distance to the path's equilibrium
+    (1 - u forward, u backward).  There g = |dz/dsigma| = d / w tends to the
+    constant 1/lam of the seed line w = lam d, so an 8-point Gauss-Legendre
+    rule over each RK45 step's quartic interpolant is exact to rounding,
+    even on the ratio-10 steps RK45 takes where w is linear in u.  The
+    cumulative sums give z at the path nodes; past the seed the path
+    follows the seed line, where g = 1/lam exactly.  A sample finds its
+    step by its |z| among the nodes, starts from the cubic Hermite guess of
+    sigma over z with node slopes 1/g, and takes Newton steps
+    sigma -= (z(sigma) - z_k) / g(sigma): z at the guess by the same rule
+    over [sigma_j, sigma], then z at each iterate by adding a 3-point rule
+    over the step just taken.  w at the sample comes from the same quartic.
+
+    Raises RuntimeError when the target lies beyond |z| = _MARCH_Z_RANGE,
+    or when w is not positive and finite on a step the samples need.
     """
-    direction = 1.0 if forward else -1.0
-    z_bound = direction * int(round(_MARCH_Z_RANGE / dz)) * dz
-    rtol = max(1e-2 * rtol, _PROFILE_RTOL_FLOOR)
-
-    # K holds the step's stages, then the dense output's extra stages; the
-    # views are the ones scipy's rk_step and _dense_output_impl reduce.
-    n = DOP853.n_stages
-    K = np.empty((n + 1 + len(DOP853.C_EXTRA), 1))
-    k = K[:, 0]
-    stages = [(K[:s].T, DOP853.A[s, :s]) for s in range(1, n)]
-    extra = [(s, K[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=n + 1)]
-    K_B, K_err = K[:n].T, K[: n + 1].T
-
-    def attempt(t: float, y: float, f: float, h: float) -> tuple[float, float, float]:
-        k[0] = f
-        for s, (K_s, a_s) in enumerate(stages, start=1):
-            k[s] = w_of_u(y + float(np.dot(K_s, a_s)[0]) * h)
-        y_new = y + h * float(np.dot(K_B, DOP853.B)[0])
-        f_new = w_of_u(y_new)
-        k[n] = f_new
-        y_mag, y_new_mag = abs(y), abs(y_new)
-        scale = _ATOL + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
-        err5 = _norm(float(np.dot(K_err, DOP853.E5)[0]) / scale) ** 2
-        err3 = _norm(float(np.dot(K_err, DOP853.E3)[0]) / scale) ** 2
-        if err5 == 0 and err3 == 0:
-            return y_new, f_new, 0.0
-        return y_new, f_new, abs(h) * err5 / math.sqrt(err5 + 0.01 * err3)
-
-    t, y = 0.0, u_start
-    f = w_of_u(y)
-    h_abs = _initial_step(
-        lambda z, u: w_of_u(u), t, y, f, z_bound, DOP853.error_estimator_order, rtol
+    segments, lam = path.interpolants
+    # One row per step outward from u = a, the reverse of the integration
+    # order: t_old, h, w_old and the quartic's coefficients Q.
+    outward = segments[::-1]
+    steps = np.hstack(
+        [np.array([seg[:3] for seg in outward]), np.concatenate([seg[3] for seg in outward])]
     )
-    chunks: list[np.ndarray] = []
-    first = 1  # index of the next grid sample
-    for t_new, y_new, f_new in _accepted_steps(attempt, t, y, f, h_abs, z_bound, _DOP853_EXPONENT):
-        z_done = abs(t_new)
-        last = int(z_done / dz) + 1
-        while last >= first and last * dz > z_done:
-            last -= 1
-        if last >= first:
-            # Dop853DenseOutput over the step, evaluated at its samples.
-            h = t_new - t
-            for s, K_s, a_s in extra:
-                k[s] = w_of_u(y + float(np.dot(K_s, a_s)[0]) * h)
-            dy = y_new - y
-            F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(DOP853.D, K))[:, 0]]
-            x = (direction * (np.arange(first, last + 1) * dz) - t) / h
-            u = np.zeros_like(x)
-            for i, row in enumerate(reversed(F)):
-                u += row
-                u *= x if i % 2 == 0 else 1 - x
-            u += y
-            passed = np.flatnonzero(u >= target if forward else u <= target)
-            if passed.size:
-                chunks.append(u[: passed[0] + 1])
-                us = np.concatenate(chunks)
-                return us, w_of_u(us)
-            chunks.append(u)
-            first = last + 1
-        t, y, f = t_new, y_new, f_new
-    if t != z_bound:
-        raise RuntimeError(f"profile solve failed at z={t:.6g}: {DOP853.TOO_SMALL_STEP}")
+    u_nodes, w_nodes = (path.u, path.w) if forward else (path.u[::-1], path.w[::-1])
+    d_nodes = 1.0 - u_nodes if forward else u_nodes
+    sig_nodes = -np.log(d_nodes)
+    g_nodes = d_nodes / w_nodes
+
+    def g_w(sig: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g and w at the points sig[i, :] on the step of row p[i]."""
+        d = np.exp(-sig)
+        x = (1.0 - d if forward else d) - p[:, :1]
+        x /= p[:, 1:2]
+        w = p[:, 6:7] * x  # w_old + h * (((Q3 x + Q2) x + Q1) x + Q0) x
+        for col in (5, 4, 3):
+            w += p[:, col : col + 1]
+            w *= x
+        w *= p[:, 1:2]
+        w += p[:, 2:3]
+        return d / w, w
+
+    def rule(
+        lo: np.ndarray, sig: np.ndarray, p: np.ndarray, gauss: tuple[np.ndarray, np.ndarray] = _GAUSS
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gauss-Legendre integral of g over [lo[i], sig[i]] on the step
+        of row p[i], g at sig, and w at the rule's points and sig."""
+        x, weights = gauss
+        half = 0.5 * (sig - lo)
+        points = np.empty((len(sig), len(x) + 1))
+        np.multiply(half[:, None], x, out=points[:, :-1])
+        points[:, :-1] += (0.5 * (sig + lo))[:, None]
+        points[:, -1] = sig
+        g, w = g_w(points, p)
+        return half * (g[:, :-1] @ weights), g[:, -1], w
+
+    step_z, _, w_rule = rule(sig_nodes[:-1], sig_nodes[1:], steps)
+    bad = np.flatnonzero(~np.all((w_rule > 0.0) & (w_rule < math.inf), axis=1))
+    n_ok = int(bad[0]) if bad.size else len(steps)  # steps usable from u = a
+    z_nodes = np.concatenate([[0.0], np.cumsum(step_z[:n_ok])])
+    z_end = z_nodes[-1]
+
+    def z_of(sig: float) -> float:
+        """|z| at sigma: 0 before a, the rule inside the usable steps, the
+        seed line past the seed, and inf past a bad step."""
+        if sig <= sig_nodes[0]:
+            return 0.0
+        if sig < sig_nodes[n_ok]:
+            j = np.searchsorted(sig_nodes, [sig], side="right") - 1
+            return float(z_nodes[j[0]] + rule(sig_nodes[j], np.array([sig]), steps[j])[0][0])
+        return z_end + (sig - sig_nodes[-1]) / lam if n_ok == len(steps) else math.inf
+
+    def solve(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and w at the samples |z|."""
+        j = np.searchsorted(z_nodes, z, side="right") - 1
+        inside = j < n_ok
+        if n_ok < len(steps) and not inside.all():
+            lo, hi = sorted(u_nodes[n_ok : n_ok + 2])
+            raise RuntimeError(
+                f"profile march met a non-positive or non-finite w on the {path.side} path "
+                f"in u=[{lo:.6g}, {hi:.6g}] (dz={dz})"
+            )
+        sig = sig_nodes[-1] + (z - z_end) * lam  # the seed line
+        j, zi = j[inside], z[inside]
+        p = steps[j]
+        s0, s1, z0 = sig_nodes[j], sig_nodes[j + 1], z_nodes[j]
+        width = z_nodes[j + 1] - z0
+        s = (zi - z0) / width
+        s2, s3 = s * s, s * s * s
+        guess = (
+            (2 * s3 - 3 * s2 + 1) * s0
+            + (s3 - 2 * s2 + s) * width / g_nodes[j]
+            + (3 * s2 - 2 * s3) * s1
+            + (s3 - s2) * width / g_nodes[j + 1]
+        )
+        sig_in = np.clip(guess, s0, s1)
+        z_in, g, _ = rule(s0, sig_in, p)
+        z_in += z0
+        for _ in range(_NEWTON_STEPS - 1):
+            sig_next = sig_in - (z_in - zi) / g
+            dz_in, g, _ = rule(sig_in, sig_next, p, _GAUSS_NEWTON)
+            z_in += dz_in
+            sig_in = sig_next
+        sig_in -= (z_in - zi) / g
+        sig[inside] = sig_in
+        d = np.exp(-sig)
+        u = 1.0 - d if forward else d
+        w = lam * d
+        w[inside] = g_w(sig_in[:, None], p)[1][:, 0]
+        return u, w
+
+    # The samples up to one past the target's z, within the z range: none
+    # when the target lies past the range (an infinite z_target lies past
+    # a bad step, which the samples meet first if it is in range).
+    n_range = int(round(_MARCH_Z_RANGE / dz))
+    z_target = z_of(-math.log(1.0 - target if forward else target))
+    k_last = min(math.ceil(min(z_target / dz, n_range)) + 1, n_range)
+    if math.isfinite(z_target) and z_target > (n_range + 1) * dz:
+        k_last = 0
+    u_parts, w_parts = [], []
+    for k in range(1, k_last + 1, _MARCH_BLOCK):
+        u, w = solve(np.arange(k, min(k + _MARCH_BLOCK, k_last + 1)) * dz)
+        passed = np.flatnonzero(u >= target if forward else u <= target)
+        if passed.size:
+            u_parts.append(u[: passed[0] + 1])
+            w_parts.append(w[: passed[0] + 1])
+            return np.concatenate(u_parts), np.concatenate(w_parts)
+        u_parts.append(u)
+        w_parts.append(w)
     raise RuntimeError(
         f"profile march did not reach u={target} within z range {_MARCH_Z_RANGE:g} (dz={dz})"
     )
@@ -666,12 +751,14 @@ def reconstruct_profile(
     eps: float | None = None,
     rtol: float = 1e-10,
 ) -> WaveSolution:
-    """Rebuild u(z) from the phase paths at c_star by integrating du/dz = w(u).
+    """Rebuild u(z) from the phase paths at c_star, z(u) = int_a^u dv / w(v).
 
-    Marches forward from u(0) = a until u >= 1 - u_eps on the right path
-    and backward until u <= u_eps on the left path, on a uniform z grid.
-    Each march covers |z| <= _MARCH_Z_RANGE, so dz must leave between 1
-    and _MARCH_SAMPLE_CAP samples per side there.
+    Samples forward from u(0) = a until u >= 1 - u_eps on the right path
+    and backward until u <= u_eps on the left path, on a uniform z grid
+    (_march).  Each side covers |z| <= _MARCH_Z_RANGE, so dz must leave
+    between 1 and _MARCH_SAMPLE_CAP samples per side there.  eps and rtol
+    are the two paths' seed distance and tolerance (shoot_half); the
+    quadrature along them has no tolerance of its own.
     """
     _check_u_eps(u_eps)
     _check_dz(dz)
@@ -679,8 +766,8 @@ def reconstruct_profile(
     right = shoot_half(f, "right", c_star, eps=eps, rtol=rtol)
     jump = abs(left.w_at_a - right.w_at_a)
 
-    u_fwd, w_fwd = _march(right.w_of_u, f.a, 1.0 - u_eps, dz, forward=True, rtol=rtol)
-    u_bwd, w_bwd = _march(left.w_of_u, f.a, u_eps, dz, forward=False, rtol=rtol)
+    u_fwd, w_fwd = _march(right, 1.0 - u_eps, dz, forward=True)
+    u_bwd, w_bwd = _march(left, u_eps, dz, forward=False)
 
     n_b, n_f = len(u_bwd), len(u_fwd)
     z = np.arange(-n_b, n_f + 1, dtype=float) * dz
@@ -694,6 +781,7 @@ def reconstruct_profile(
         w_values=w,
         derivative_jump_at_0=jump,
         bracket=bracket,
+        paths=(left, right),
     )
 
 

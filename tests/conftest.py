@@ -4,9 +4,9 @@ The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
 reaction term written out branch by branch, the phase paths integrated
-by solve_ivp with an npp.polyval right-hand side, the profile march
-stepped by scipy's DOP853 solver object, and the comparison ODEs
-integrated by solve_ivp.
+by solve_ivp with an npp.polyval right-hand side, the profile as the ODE
+du/dz = w(u) stepped by scipy's DOP853 solver object, and the comparison
+ODEs integrated by solve_ivp.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def reference_phase_path(
 ) -> bw.PhasePath:
     """A PhasePath backed by reference_shoot_half, with w_of_u as shoot_half
     first wrote it over solve_ivp's OdeSolution: the path clipped to its
-    u range, and past the seed the manifold line it was seeded on."""
+    u range, and past the seed the manifold line it was seeded on.  Its
+    interpolants, which the profile march reads, are OdeSolution's."""
     u_ref, w_ref, dense = reference_shoot_half(f, side, c, eps=eps, rtol=rtol)
     if eps is None:
         eps = bw.shooting.default_eps(f)
@@ -162,7 +163,15 @@ def reference_phase_path(
         out = np.where(u < lo if left else u > hi, tail, w)
         return float(out) if out.ndim == 0 else out
 
-    return bw.PhasePath(side=side, c=float(c), u=u_ref, w=w_ref, w_of_u=w_of_u)
+    segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in dense.interpolants]
+    return bw.PhasePath(
+        side=side,
+        c=float(c),
+        u=u_ref,
+        w=w_ref,
+        w_of_u=w_of_u,
+        interpolants=bw.shooting._Interpolants(segments, lam_seed),
+    )
 
 
 def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
@@ -176,10 +185,10 @@ def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
 
 
 def reference_march(w_of_u, u_start: float, target: float, dz: float, forward: bool, rtol: float):
-    """The profile march as shooting._march first ran it: scipy's DOP853
-    solver object on du/dz = w(u), stepped one step at a time, each grid
-    sample read from the dense output of the step that covers it, up to the
-    first sample past the target level."""
+    """The profile march as an initial-value problem: scipy's DOP853 solver
+    object on du/dz = w(u) at rtol max(1e-2 * rtol, 1e-13), stepped one step
+    at a time, each grid sample read from the dense output of the step that
+    covers it, up to the first sample past the target level."""
     sign = 1.0 if forward else -1.0
     cap = int(round(400.0 / dz))
     solver = DOP853(

@@ -582,6 +582,29 @@ def test_profile_command(tmp_path, demo_wave):
     assert summary["c_star"] == pytest.approx(demo_wave.c_star, abs=1e-8)
 
 
+def test_profile_writes_phase_c_star_from_the_wave_paths(tmp_path, monkeypatch):
+    """profile shoots two paths per mismatch evaluation, two for the wave
+    and two for each phase file but phase_c_star.csv, which reads the
+    paths the wave was marched along: 24 shoot_half calls on the demo."""
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, {"reaction": "quadratic_demo", "output": {"directory": str(out)}})
+    shots, evaluations = [], []
+    real_shoot, real_mismatch = cli.shooting.shoot_half, cli.shooting.speed_mismatch
+
+    def counting_shoot(*args, **kwargs):
+        shots.append(args)
+        return real_shoot(*args, **kwargs)
+
+    def counting_mismatch(*args, **kwargs):
+        evaluations.append(args)
+        return real_mismatch(*args, **kwargs)
+
+    monkeypatch.setattr(cli.shooting, "shoot_half", counting_shoot)
+    monkeypatch.setattr(cli.shooting, "speed_mismatch", counting_mismatch)
+    assert cli.main(["profile", "--config", cfgp]) == 0
+    assert len(shots) == 2 * len(evaluations) + 2 + 2 * 5 == 24
+
+
 def test_simulate_and_stability_commands(tmp_path):
     out = tmp_path / "out"
     doc = {
