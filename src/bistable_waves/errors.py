@@ -21,11 +21,15 @@ class NoPositiveRoot(BistableWavesError):
 
 
 class PathCollapse(BistableWavesError):
-    """A phase-plane path hit the w floor before reaching the branch point."""
+    """A phase-plane path hit the w floor before reaching the branch point.
 
-    def __init__(self, message: str, u_at: float | None = None):
+    nfev counts the right-hand-side evaluations the path took up to there.
+    """
+
+    def __init__(self, message: str, u_at: float | None = None, nfev: int = 0):
         super().__init__(message)
         self.u_at = u_at
+        self.nfev = nfev
 
 
 class BracketFailure(BistableWavesError):

@@ -12,7 +12,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, get_args
+from typing import Callable, Literal, get_args
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -32,8 +32,9 @@ def _check_branch_point(a: float) -> float:
     return a
 
 
-def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarray | float:
-    """npp.polyval(u, coefficients) in one buffer, bit for bit.
+def _horner(coefficients: tuple[float, ...]) -> Callable[[np.ndarray | float], np.ndarray | float]:
+    """The evaluator u -> npp.polyval(u, coefficients), bit for bit, with
+    the coefficients laid out once.
 
     polyval starts from c[-1] + u*0 and then takes c[-i] + c0*u; the same
     products and sums, commuted, are exact.  For finite u a nonzero c[-1]
@@ -43,16 +44,18 @@ def _horner(u: np.ndarray | float, coefficients: tuple[float, ...]) -> np.ndarra
     steps in float arithmetic and returns a float.
     """
     *rest, top = coefficients
-    if rest and top != 0.0:
-        out = u * top
-        out += rest.pop()
-    else:
-        out = u * 0.0
-        out += top
-    for c in reversed(rest):
-        out *= u
-        out += c
-    return out
+    head, start = (top, rest.pop()) if rest and top != 0.0 else (0.0, top)
+    rest = tuple(reversed(rest))
+
+    def horner(u):
+        out = u * head
+        out += start
+        for c in rest:
+            out *= u
+            out += c
+        return out
+
+    return horner
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class BranchPoly:
         """Evaluate at a finite float or array u by _horner, bit for bit
         npp.polyval.  No domain enforcement here; callers that need the
         domain contract go through ReactionTerm."""
-        return _horner(u, self.coefficients)
+        return _horner(self.coefficients)(u)
 
     def derivative(self) -> "BranchPoly":
         """The derivative branch; a coefficient that overflows is refused
@@ -182,9 +185,9 @@ class ReactionTerm:
         below, above = not lo >= 0.0, not hi <= 1.0
         quiet = np.errstate(over="ignore", invalid="ignore") if below or above else contextlib.nullcontext()
         with quiet:
-            out = _horner(u, self.f1.coefficients)
+            out = _horner(self.f1.coefficients)(u)
             left = u <= self.a if self.branch_rule == "left_closed" else u < self.a
-            np.copyto(out, _horner(u, self.f0.coefficients), where=left)
+            np.copyto(out, _horner(self.f0.coefficients)(u), where=left)
             if below:
                 np.copyto(out, self.slope_at_zero * u, where=u < 0.0)
             if above:

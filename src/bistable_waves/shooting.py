@@ -16,10 +16,12 @@ it is integrated by a dedicated Dormand-Prince 5(4) loop (_rk45) rather
 than through solve_ivp's generic machinery.  The loop performs exactly the
 float operations of scipy's solve_ivp(method="RK45", dense_output=True) on
 this problem: its steps, samples, collapse points and step interpolants are
-bit-identical to solve_ivp's.
-scipy's weighted sums over the stages are np.dot calls, which BLAS may
-evaluate as fused multiply-adds; a sum in plain floats would round
-differently, so those reductions stay np.dot calls on the same shapes.
+bit-identical to solve_ivp's.  It is one loop: step control and the
+unrolled stages inline, with no generator or closure per step.  scipy's
+weighted sums over the stages are np.dot calls, which BLAS may evaluate
+as fused multiply-adds; a sum in plain floats would round differently, so
+those reductions stay BLAS dot calls on the same (1, s) views of the stage
+matrix, made as bound ndarray.dot methods rather than through np.dot.
 
 The profile is a quadrature, not a second ODE solve: along a solved path
 z(u) = int_a^u dv / w(v), so _march integrates 1/w over each RK45 step's
@@ -36,7 +38,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -113,54 +115,6 @@ def _initial_step(
     return min(100 * h0, h1, interval)
 
 
-def _accepted_steps(
-    attempt: Callable[[float, float, float, float], tuple[float, float, float]],
-    t: float,
-    y: float,
-    f: float,
-    h_abs: float,
-    t_bound: float,
-) -> Iterator[tuple[float, float, float]]:
-    """scipy's RungeKutta stepping from (t, y), where y'(t) = f, toward
-    t_bound, from the suggested step size h_abs: the minimum step of 10
-    ulps, the clamp at t_bound and RK45's accept/reject factor law.
-    attempt(t, y, f, h) takes one trial step and returns
-    (y_new, f_new, error_norm).
-
-    Yields (t_new, y_new) for each accepted step.  Ends at t_bound,
-    or early when the step size falls below the minimum; a caller tells
-    the two apart by whether its last t is t_bound.
-    """
-    direction = 1.0 if t_bound > t else -1.0
-    while t != t_bound:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, error_norm = attempt(t, y, f, h)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
-            rejected = True
-        yield t_new, y_new
-        t, y, f = t_new, y_new, f_new
-
-
 def _interpolate(t_old: float, h: float, y_old: float, Q: np.ndarray, t: float) -> float:
     """RkDenseOutput at a scalar t: the quartic in x = (t - t_old)/h with
     coefficients Q = K.T P, reduced by the same (1, 4).(4,) np.dot."""
@@ -187,13 +141,16 @@ class _Steps:
     status follows solve_ivp: 0 reached t_bound, 1 the floor event fired
     (the last node is its root), -1 the step size underflowed (the last node
     is the last accepted step).  segments[i] = (t_old, h, y_old, Q) is the
-    step from ts[i] to ts[i + 1].
+    step from ts[i] to ts[i + 1].  nfev counts the right-hand-side
+    evaluations as solve_ivp's nfev does: the initial slope, the initial
+    step's probe and six per trial step, accepted or rejected.
     """
 
     status: int
     ts: list[float]
     ys: list[float]
     segments: list[tuple[float, float, float, np.ndarray]]
+    nfev: int
 
 
 def _rk45(
@@ -208,10 +165,15 @@ def _rk45(
     """Integrate the scalar ODE y' = rhs(t, y) from (t0, y0) to t_bound as
     solve_ivp(rhs, (t0, t_bound), [y0], method="RK45", rtol=rtol,
     atol=atol, dense_output=True) does, float operation for float
-    operation: scipy's initial step, step control (_accepted_steps) and
-    rtol floor.  With floor_event, integration stops where y falls through
-    _W_FLOOR, at the root bracketed_root finds on the step's interpolant
-    (solve_ivp's terminal event with direction -1).
+    operation: scipy's rtol floor, initial step and RungeKutta step
+    control (the minimum step of 10 ulps, the clamp at t_bound and RK45's
+    accept/reject factor law), in one loop with the stages unrolled.
+    The stage, solution, error and dense-output sums are the BLAS dot
+    products of scipy's rk_step, on the same (1, s) views of the stage
+    matrix K, called as bound ndarray.dot methods.  With floor_event,
+    integration stops where y falls through _W_FLOOR, at the root
+    bracketed_root finds on the step's interpolant (solve_ivp's terminal
+    event with direction -1).
     """
     if rtol < _RTOL_MIN:
         warnings.warn(
@@ -222,30 +184,61 @@ def _rk45(
         )
         rtol = _RTOL_MIN
 
-    # The stage matrix K and the views scipy's rk_step reduces with np.dot.
+    # The stage matrix K and the views scipy's rk_step reduces with np.dot,
+    # as bound methods: dot_s(A[s, :s]) is K[:s].T.dot(A[s, :s]).
     K = np.empty((RK45.n_stages + 1, 1))
     k = K[:, 0]
-    stages = [(float(RK45.C[s]), K[:s].T, RK45.A[s, :s]) for s in range(1, RK45.n_stages)]
-    K_B, K_all = K[:-1].T, K.T
-
-    def attempt(t: float, y: float, f: float, h: float) -> tuple[float, float, float]:
-        k[0] = f
-        for s, (c_s, K_s, a_s) in enumerate(stages, start=1):
-            k[s] = rhs(t + c_s * h, y + float(np.dot(K_s, a_s)[0]) * h)
-        y_new = y + h * float(np.dot(K_B, RK45.B)[0])
-        f_new = rhs(t + h, y_new)
-        k[-1] = f_new
-        y_mag, y_new_mag = abs(y), abs(y_new)
-        # np.maximum: a NaN y_new propagates
-        scale = atol + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
-        return y_new, f_new, _norm(float(np.dot(K_all, RK45.E)[0]) * h / scale)
+    dot1, dot2, dot3, dot4, dot5, dot_b = (K[:s].T.dot for s in range(1, RK45.n_stages + 1))
+    dot_all = K.T.dot
+    c1, c2, c3, c4, c5 = (float(c) for c in RK45.C[1 : RK45.n_stages])
+    a1, a2, a3, a4, a5 = (RK45.A[s, :s] for s in range(1, RK45.n_stages))
+    B, E, P = RK45.B, RK45.E, RK45.P
 
     t, y = t0, y0
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
+    nfev = 1 if t == t_bound else 2
     ts, ys, segments = [t], [y], []
-    for t_new, y_new in _accepted_steps(attempt, t, y, f, h_abs, t_bound):
-        segment = (t, t_new - t, y, K_all.dot(RK45.P))
+    direction = 1.0 if t_bound > t else -1.0
+    while t != t_bound:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _Steps(-1, ts, ys, segments, nfev)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = f
+            k[1] = rhs(t + c1 * h, y + dot1(a1).item() * h)
+            k[2] = rhs(t + c2 * h, y + dot2(a2).item() * h)
+            k[3] = rhs(t + c3 * h, y + dot3(a3).item() * h)
+            k[4] = rhs(t + c4 * h, y + dot4(a4).item() * h)
+            k[5] = rhs(t + c5 * h, y + dot5(a5).item() * h)
+            y_new = y + h * dot_b(B).item()
+            f_new = rhs(t + h, y_new)
+            k[6] = f_new
+            nfev += 6
+            y_mag, y_new_mag = abs(y), abs(y_new)
+            # np.maximum: a NaN y_new propagates
+            scale = atol + (y_mag if y_mag > y_new_mag else y_new_mag) * rtol
+            error_norm = _norm(dot_all(E).item() * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_RK45_EXPONENT)
+            rejected = True
+        segment = (t, h, y, dot_all(P))
         segments.append(segment)
         if floor_event and y - _W_FLOOR >= 0 and y_new - _W_FLOOR <= 0:
 
@@ -255,11 +248,11 @@ def _rk45(
             root, _, _ = bracketed_root(event, t, t_new, event(t), event(t_new), 0.0, xtol=_EVENT_TOL)
             ts.append(root)
             ys.append(_interpolate(*segment, root))
-            return _Steps(1, ts, ys, segments)
-        t, y = t_new, y_new
+            return _Steps(1, ts, ys, segments, nfev)
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return _Steps(0 if t == t_bound else -1, ts, ys, segments)
+    return _Steps(0, ts, ys, segments, nfev)
 
 
 class _Interpolants(NamedTuple):
@@ -282,7 +275,8 @@ class PhasePath:
     (bit-identical to solve_ivp's OdeSolution, for scalar and array
     queries alike), past u = a with the value at a, and past the seed with
     the manifold line the path was seeded on.  interpolants holds those
-    quartics and that line for the profile march.
+    quartics and that line for the profile march.  nfev is the number of
+    right-hand-side evaluations the integration took, solve_ivp's nfev.
     """
 
     side: PathSide
@@ -291,6 +285,7 @@ class PhasePath:
     w: np.ndarray
     w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     interpolants: _Interpolants = field(repr=False, compare=False)
+    nfev: int = field(default=0, repr=False, compare=False)
 
     @property
     def w_at_a(self) -> float:
@@ -395,8 +390,9 @@ def shoot_half(
     The integration is Dormand-Prince 5(4) with atol = 1e-16, by a
     dedicated loop that is bit-identical to solve_ivp(method="RK45",
     dense_output=True): the same steps, samples, interpolants and collapse
-    points.  Its stage sums stay np.dot calls, since BLAS may fuse their
-    multiply-adds and plain float sums would not round alike.  An rtol
+    points.  Its stage sums stay BLAS dot calls on scipy's shapes, since
+    BLAS may fuse their multiply-adds and plain float sums would not round
+    alike.  An rtol
     below 100 machine epsilons is clipped to that, with solve_ivp's
     UserWarning.
 
@@ -410,11 +406,11 @@ def shoot_half(
     eps = _check_eps(default_eps(f) if eps is None else eps, f.a)
 
     if side == "left":
-        coefficients = f.f0.coefficients
+        branch = _horner(f.f0.coefficients)
         u0, u1 = eps, f.a
         w0 = lambda0_plus(c, f.slope_at_zero) * eps
     elif side == "right":
-        coefficients = f.f1.coefficients
+        branch = _horner(f.f1.coefficients)
         u0, u1 = 1.0 - eps, f.a
         w0 = -lambda1_minus(c, f.slope_at_one) * eps
     else:
@@ -427,7 +423,7 @@ def shoot_half(
         # Horner on a Python float: npp.polyval's arithmetic without its
         # per-call array set-up, bit for bit.  At w == 0 the division takes
         # NumPy's inf and RuntimeWarning, where a float one would raise.
-        p = _horner(u, coefficients)
+        p = branch(u)
         return c - (p / w if w else np.float64(p) / w)
 
     left = side == "left"
@@ -435,7 +431,9 @@ def shoot_half(
     if steps.status == 1:
         u_at = steps.ts[-1]
         raise PathCollapse(
-            f"right path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}", u_at=u_at
+            f"right path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}",
+            u_at=u_at,
+            nfev=steps.nfev,
         )
     if steps.status == -1:
         # A vanishing w makes dw/du ~ 1/w stiff enough that the step size
@@ -446,6 +444,7 @@ def shoot_half(
             raise PathCollapse(
                 f"right path at c={c} collapsed to w={w_end:.3g} at u={u_at:.6g}",
                 u_at=u_at,
+                nfev=steps.nfev,
             )
         raise RuntimeError(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
 
@@ -460,19 +459,29 @@ def shoot_half(
         w=w_samples,
         w_of_u=_dense_w_of_u(steps, left, interpolants.lam_seed),
         interpolants=interpolants,
+        nfev=steps.nfev,
     )
 
 
 def speed_mismatch(
-    f: ReactionTerm, c: float, eps: float | None = None, rtol: float = 1e-10
+    f: ReactionTerm,
+    c: float,
+    eps: float | None = None,
+    rtol: float = 1e-10,
+    *,
+    details: dict | None = None,
 ) -> float:
     """S(c) = w_left(a; c) - w_right(a; c); a right-side collapse counts as
-    w_right(a; c) = 0."""
+    w_right(a; c) = 0.  details["ode_nfev"] is set to the right-hand-side
+    evaluations of both paths, a collapsed one included."""
     left = shoot_half(f, "left", c, eps=eps, rtol=rtol)
     try:
-        w_right = shoot_half(f, "right", c, eps=eps, rtol=rtol).w_at_a
-    except PathCollapse:
-        w_right = 0.0
+        right = shoot_half(f, "right", c, eps=eps, rtol=rtol)
+        w_right, right_nfev = right.w_at_a, right.nfev
+    except PathCollapse as collapse:
+        w_right, right_nfev = 0.0, collapse.nfev
+    if details is not None:
+        details["ode_nfev"] = left.nfev + right_nfev
     return left.w_at_a - w_right
 
 
@@ -501,13 +510,18 @@ def find_speed(
     ones lie in the bracket (a fallback bracket or a root found at once),
     the five interior points of linspace(c_check, c_hat, 7) are evaluated
     first.  The check runs after the root is found and never moves it;
-    details["evaluations"] counts its probes too.
+    details["evaluations"] counts its probes too, and details["ode_nfev"]
+    totals the right-hand-side evaluations of every path shot.
     """
     evaluated: list[tuple[float, float]] = []  # every (c, S(c)) computed
+    ode_nfev = 0
 
     def S(c: float) -> float:
-        s = speed_mismatch(f, c, eps=eps, rtol=rtol)
+        nonlocal ode_nfev
+        counts: dict = {}
+        s = speed_mismatch(f, c, eps=eps, rtol=rtol, details=counts)
         evaluated.append((c, s))
+        ode_nfev += counts["ode_nfev"]
         return s
 
     if bracket is not None and bracket.ordering_ok:
@@ -566,6 +580,7 @@ def find_speed(
         details["evaluations"] = len(evaluated)
         details["residual"] = s_star
         details["monotone_ok"] = monotone_ok
+        details["ode_nfev"] = ode_nfev
     return c_star
 
 

@@ -659,10 +659,12 @@ def reaction_ode(
     and grows toward 1.  Returns q at 513 evenly spaced times on
     [0, t_end], read from the step interpolants of shooting's RK45 loop
     with rtol 1e-10 and atol 1e-13, bit for bit the values of
-    solve_ivp(method="RK45", t_eval=...) at those tolerances.
+    solve_ivp(method="RK45", t_eval=...) at those tolerances.  t_end must
+    be positive and finite: toward an infinite end the loop would step on
+    forever.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be positive and finite")
     if branch == "q0":
         poly = f.f0
     elif branch == "q1":

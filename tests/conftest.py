@@ -103,14 +103,20 @@ def written_out_reaction(f: bw.ReactionTerm, u) -> np.ndarray:
 
 
 def reference_shoot_half(
-    f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
+    f: bw.ReactionTerm,
+    side: str,
+    c: float,
+    eps: float | None = None,
+    rtol: float = 1e-10,
+    details: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
     """One phase-plane half path as shoot_half first integrated it: solve_ivp
     with an npp.polyval right-hand side, the same seeds, tolerances, dense
     output and collapse event.  Returns the ascending (u, w) samples and
     solve_ivp's OdeSolution, and raises PathCollapse where the library does,
     with solve_ivp's status (1: the event fired, -1: the step underflowed)
-    in the message."""
+    in the message and its nfev as the exception's.  details["nfev"] is
+    set to solve_ivp's nfev."""
     if eps is None:
         eps = bw.shooting.default_eps(f)
     if side == "left":
@@ -131,11 +137,15 @@ def reference_shoot_half(
         rhs, (u0, f.a), [w0], method="RK45", rtol=rtol, atol=1e-16,
         dense_output=True, events=collapse,
     )
+    if details is not None:
+        details["nfev"] = sol.nfev
     if sol.status == 1:
-        raise PathCollapse("reference collapse, status 1", u_at=float(sol.t_events[0][0]))
+        raise PathCollapse("reference collapse, status 1", u_at=float(sol.t_events[0][0]), nfev=sol.nfev)
     if not sol.success:
         if side == "right" and sol.y[0][-1] <= 1e-6:
-            raise PathCollapse(f"reference collapse, status {sol.status}", u_at=float(sol.t[-1]))
+            raise PathCollapse(
+                f"reference collapse, status {sol.status}", u_at=float(sol.t[-1]), nfev=sol.nfev
+            )
         raise RuntimeError(sol.message)
     if side == "left":
         return sol.t, sol.y[0], sol.sol

@@ -114,16 +114,44 @@ def _phase_oracle_terms(quartic):
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
 def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
     """The float-Horner right-hand side takes the same RK45 steps as an
-    npp.polyval one: samples, w(a) and S(c) are bit-identical."""
+    npp.polyval one: samples, w(a), S(c) and the evaluation count nfev are
+    solve_ivp's."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
     for c in (0.0, 0.55, 1.2):
         for side in ("left", "right"):
             path = bw.shoot_half(f, side, c)
-            u_ref, w_ref, _ = reference_shoot_half(f, side, c)
+            details = {}
+            u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
             np.testing.assert_array_equal(path.u, u_ref)
             np.testing.assert_array_equal(path.w, w_ref)
             assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
+            assert path.nfev == details["nfev"]
         assert bw.speed_mismatch(f, c) == reference_speed_mismatch(f, c)
+
+
+def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
+    """Both half paths of the 20 seeded quartics at their c* are solve_ivp's:
+    nodes, w and nfev.  The set pins every branch of _rk45's step control:
+    some path rejects a trial step (nfev above 2 + 6 per accepted step),
+    and some path clamps its last step at u = a.  Without a rejection each
+    step is at least 0.9 times the one before (RK45's least growth factor
+    after an accepted step), so a last step below 0.8 times its
+    predecessor, on a path with none, was cut short by the clamp."""
+    rejected = clamped = 0
+    for f in quartic_terms:
+        c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
+        for side in ("left", "right"):
+            path = bw.shoot_half(f, side, c)
+            details = {}
+            u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
+            assert path.u.tobytes() == u_ref.tobytes()
+            assert path.w.tobytes() == w_ref.tobytes()
+            assert path.nfev == details["nfev"]
+            steps = np.diff(path.u) if side == "left" else -np.diff(path.u)[::-1]
+            trials = 2 + 6 * len(steps)
+            rejected += path.nfev > trials
+            clamped += path.nfev == trials and steps[-1] < 0.8 * steps[-2]
+    assert rejected > 0 and clamped > 0
 
 
 def test_collapsing_path_matches_polyval_reference():
@@ -141,6 +169,7 @@ def test_collapsing_path_matches_polyval_reference():
         assert str(want.value).endswith(f"status {status}")
         assert ("w<=1e-12" in str(got.value)) == (status == 1)
         assert got.value.u_at.hex() == want.value.u_at.hex()
+        assert got.value.nfev == want.value.nfev
     assert bw.speed_mismatch(_STARVED, 0.0) == reference_speed_mismatch(_STARVED, 0.0)
 
 
@@ -163,6 +192,7 @@ def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
             with pytest.raises(PathCollapse) as want:
                 reference_shoot_half(_STARVED, "right", c, rtol=rtol)
             assert got.value.u_at.hex() == want.value.u_at.hex()
+            assert got.value.nfev == want.value.nfev
             event = str(want.value).endswith("status 1")
             assert ("w<=1e-12" in str(got.value)) == event
             events += event
@@ -177,11 +207,13 @@ def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):
         with pytest.warns(UserWarning) as got:
             path = bw.shoot_half(demo, side, 0.55, rtol=1e-16)
         with pytest.warns(UserWarning) as want:
-            u_ref, w_ref, _ = reference_shoot_half(demo, side, 0.55, rtol=1e-16)
+            details = {}
+            u_ref, w_ref, _ = reference_shoot_half(demo, side, 0.55, rtol=1e-16, details=details)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
         assert "rtol" in str(got[0].message)
         assert path.u.tobytes() == u_ref.tobytes()
         assert path.w.tobytes() == w_ref.tobytes()
+        assert path.nfev == details["nfev"]
 
 
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
@@ -427,6 +459,35 @@ def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypa
     assert det["residual"] == real(f, c)
 
 
+@pytest.mark.parametrize("use_bracket", [True, False], ids=["bracket", "no-bracket"])
+def test_find_speed_totals_ode_nfev_over_every_path(use_bracket, demo, demo_bracket, monkeypatch):
+    """details["ode_nfev"] is the sum of nfev over every half path
+    find_speed shot; speed_mismatch counts a collapsed right path by the
+    nfev its PathCollapse carries."""
+    real = bw.shooting.shoot_half
+    shot = []
+
+    def recording(*args, **kwargs):
+        try:
+            path = real(*args, **kwargs)
+        except PathCollapse as exc:
+            shot.append(exc.nfev)
+            raise
+        shot.append(path.nfev)
+        return path
+
+    monkeypatch.setattr(bw.shooting, "shoot_half", recording)
+    det = {}
+    bw.find_speed(demo, demo_bracket if use_bracket else None, details=det)
+    assert len(shot) == 2 * det["evaluations"]
+    assert det["ode_nfev"] == sum(shot) > 0
+
+    shot.clear()
+    det = {}
+    bw.speed_mismatch(_STARVED, 0.0, details=det)
+    assert shot[1] > 0 and det["ode_nfev"] == sum(shot)
+
+
 def test_find_speed_demo_evaluation_budget(demo, demo_bracket, monkeypatch):
     """Brent's method on [c_check, c_hat] takes 6 evaluations where
     bisection needed 32, and the spot check reuses them: none of its
@@ -459,8 +520,10 @@ def _stub_mismatch(monkeypatch, s_of_c):
     """Replace S by s_of_c and return the list of speeds it is called at."""
     calls = []
 
-    def stub(f, c, eps=None, rtol=1e-10):
+    def stub(f, c, eps=None, rtol=1e-10, details=None):
         calls.append(c)
+        if details is not None:
+            details["ode_nfev"] = 0
         return s_of_c(c)
 
     monkeypatch.setattr(bw.shooting, "speed_mismatch", stub)

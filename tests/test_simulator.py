@@ -545,6 +545,21 @@ def test_reaction_ode_matches_solve_ivp_bitwise(demo, branch):
     np.testing.assert_array_equal(q, q_ref)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+def test_reaction_ode_refuses_a_non_finite_or_non_positive_end(demo, t_end, monkeypatch):
+    """t_end is checked before integrating: toward t_end = inf the loop
+    never ends and a NaN one failed late with a step-size error.  The
+    integrator raises if reached, so a regression fails instead of hanging."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reaction_ode integrated a refused t_end")
+
+    monkeypatch.setattr(bw.simulator, "_rk45", unreachable)
+    monkeypatch.setattr(bw.shooting, "_rk45", unreachable)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bw.reaction_ode(demo, "q0", t_end)
+
+
 def test_reaction_ode_limits(demo):
     t, q1 = bw.reaction_ode(demo, "q1", 20.0)
     assert q1[0] == pytest.approx(0.3)
