@@ -23,6 +23,10 @@ BranchRule = Literal["left_closed", "right_closed", "average"]
 EnvelopeKind = Literal["f_lo", "f_hi", "g_lo", "g_hi"]
 
 _AUDIT_TOL = 1e-9  # margin of the audit's strict inequalities
+# _poly_extremes polishes the critical points that polyroots finds within
+# _POLISH_MARGIN * (hi - lo) of [lo, hi] by _POLISH_STEPS Newton steps.
+_POLISH_MARGIN = 1e-3
+_POLISH_STEPS = 2
 
 
 def _check_branch_point(a: float) -> float:
@@ -128,6 +132,17 @@ class ReactionTerm:
     def slope_at_one(self) -> float:
         """f1'(1), the decay rate of the 1 equilibrium."""
         return float(self.f1.derivative()(1.0))
+
+    @cached_property
+    def f1_about_one(self) -> tuple[float, ...]:
+        """The coefficients of g(d) = f1(1 - d), ascending in d: the right
+        branch about its equilibrium, by the Taylor shift
+        g_k = (-1)^k sum_j C(j, k) p_j over f1's coefficients p_j."""
+        p = self.f1.coefficients
+        return tuple(
+            (-1) ** k * math.fsum(math.comb(j, k) * p[j] for j in range(k, len(p)))
+            for k in range(len(p))
+        )
 
     def branch_value(self) -> float:
         """Value returned exactly at u = a under the configured rule."""
@@ -252,17 +267,35 @@ def _ratio_polys(f: ReactionTerm) -> tuple[np.ndarray, np.ndarray]:
 def _poly_extremes(coeffs: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The points where a polynomial takes its extremes on [lo, hi], the
     endpoints and the real critical points between them, and its values
-    there."""
+    there.
+
+    A companion-matrix root is inexact when the derivative has a root many
+    orders of magnitude larger (2e-5 off at a second root near 1e12), so
+    each real root within _POLISH_MARGIN of [lo, hi] is polished by
+    _POLISH_STEPS Newton steps on the full derivative, clamped to [lo, hi];
+    the polished point joins the candidates, beside the root itself when
+    that lies in [lo, hi].
+    """
     candidates = [lo, hi]
     # Top coefficients below 1e-13 of the largest only add roots far outside
     # [0, 1], but they swamp polyroots' companion matrix, which then loses
     # (or overflows on) the roots inside: the roots are found without them.
-    der = npp.polyder(coeffs)
-    der = npp.polytrim(der, 1e-13 * np.max(np.abs(der)))
+    full = npp.polyder(coeffs)
+    der = npp.polytrim(full, 1e-13 * np.max(np.abs(full)))
     if len(der) >= 2:
+        slope = npp.polyder(full)
+        margin = _POLISH_MARGIN * (hi - lo)
         for r in npp.polyroots(der):
-            if abs(r.imag) < 1e-10 and lo <= r.real <= hi:
-                candidates.append(float(r.real))
+            x = float(r.real)
+            if abs(r.imag) < 1e-10 and lo - margin <= x <= hi + margin:
+                if lo <= x <= hi:
+                    candidates.append(x)
+                for _ in range(_POLISH_STEPS):
+                    s = npp.polyval(x, slope)
+                    if s != 0.0:
+                        x -= npp.polyval(x, full) / s
+                    x = min(max(x, lo), hi)
+                candidates.append(float(x))
     points = np.asarray(candidates)
     return points, npp.polyval(points, coeffs)
 

@@ -1,42 +1,49 @@
 """Phase-plane shooting for the true wave speed and C^1 profile.
 
 In the phase plane (u, w) with w = u_z > 0 the wave ODE becomes
-dw/du = c - f(u)/w.  The left half path starts on the unstable manifold of
-(0, 0), the right half path is integrated backward from the stable
-manifold of (1, 0); both equilibria are singular points of the ODE, so the
-integrations are seeded a distance eps away with the linearized slope.
+dw/du = c - f(u)/w.  The left half path is the unstable manifold of
+(0, 0), the right half path the stable manifold of (1, 0), integrated
+backward.  Both equilibria are saddles and singular points of the ODE, and
+both manifolds are analytic: in the distance d to the saddle
+w(d) = sum_k a_k d^k, whose first 12 coefficients follow from a
+recurrence.  Each path is seeded on that series as far out as its last
+two terms allow at the integration tolerance (at half the distance to a
+for a linear branch, whose series is the exact line), so RK45 spends no
+steps where w is still nearly linear; a given eps caps the seed distance.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
 envelope bracket (both ends and the Brent iterates) and adds five evenly
 spaced probes only when fewer than five distinct speeds lie there.
 
-Each half path is a scalar ODE whose right-hand side costs a few flops, so
-it is integrated by a dedicated Dormand-Prince 5(4) loop (_rk45) rather
-than through solve_ivp's generic machinery.  The loop performs exactly the
-float operations of scipy's solve_ivp(method="RK45", dense_output=True) on
-this problem: its steps, samples, collapse points and step interpolants are
-bit-identical to solve_ivp's.  It is one loop: step control and the
-unrolled stages inline, with no generator or closure per step.  scipy's
-weighted sums over the stages are np.dot calls, which BLAS may evaluate
-as fused multiply-adds; a sum in plain floats would round differently, so
-those reductions stay BLAS dot calls on the same (1, s) views of the stage
+From the seed each half path is a scalar ODE whose right-hand side costs
+a few flops, so it is integrated by a dedicated Dormand-Prince 5(4) loop
+(_rk45) rather than through solve_ivp's generic machinery.  The loop
+performs exactly the float operations of scipy's solve_ivp(method="RK45",
+dense_output=True) on this problem from the same seed: its steps,
+samples, collapse points and step interpolants are bit-identical to
+solve_ivp's.  It is one loop: step control and the unrolled stages
+inline, with no generator or closure per step.  scipy's weighted sums over
+the stages are np.dot calls, which BLAS may evaluate as fused
+multiply-adds; a sum in plain floats would round differently, so those
+reductions stay BLAS dot calls on the same (1, s) views of the stage
 matrix, made as bound ndarray.dot methods rather than through np.dot.
 
 The profile is a quadrature, not a second ODE solve: along a solved path
 z(u) = int_a^u dv / w(v), so _march integrates 1/w over each RK45 step's
 own quartic interpolant (Gauss-Legendre, in the log distance to the path's
 equilibrium) and inverts z(u) at the sample spacing by Newton steps on the
-same rule, vectorized over the samples.  The RK45 tableau is SciPy's,
-copied into _tableaux, and the collapse root is found by roots'
-transcription of brentq, so shooting runs on NumPy alone.
+same rule, vectorized over the samples.  Past the seed, where most samples
+lie, 1/w of the series integrates in closed form and is inverted by
+Newton steps.  The RK45 tableau is SciPy's, copied into _tableaux, and the
+collapse root is found by roots' transcription of brentq, so shooting runs
+on NumPy alone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple
 
@@ -51,7 +58,12 @@ from .roots import EXPANSION_CAP, bracketed_root
 PathSide = Literal["left", "right"]
 
 _W_FLOOR = 1e-12
-# The seed distance eps lies in (0, min(a, 1 - a) / _EPS_CAP_DIVISOR].
+# A path leaves its equilibrium along _SERIES_TERMS terms of the manifold
+# series and RK45 takes over where the last two terms are _SERIES_TAIL * rtol
+# of the first (shoot_half).  A given cap eps on that seed distance lies in
+# (0, min(a, 1 - a) / _EPS_CAP_DIVISOR].
+_SERIES_TERMS = 12
+_SERIES_TAIL = 1e-3
 _EPS_CAP_DIVISOR = 100.0
 # reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, _U_EPS_CAP].
 _U_EPS_CAP = 1e-3
@@ -69,6 +81,7 @@ _MARCH_SAMPLE_CAP = 40_000_000
 _GAUSS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NEWTON = np.polynomial.legendre.leggauss(3)
 _NEWTON_STEPS = 4
+_SERIES_NEWTON_STEPS = 4
 _MARCH_BLOCK = 8_192
 
 # The RK45 loop's settings and scipy's rules for it
@@ -259,31 +272,31 @@ class _Interpolants(NamedTuple):
     """A path's RK45 steps in integration order, from the seed to u = a:
     segments[i] = (t_old, h, w_old, Q) is step i's quartic interpolant,
     w = w_old + h * Q.(x, x^2, x^3, x^4) with x = (u - t_old) / h, as
-    _Steps.segments holds it.  Past the seed the path is the manifold line
-    w = lam_seed * (distance to the seed's equilibrium)."""
+    _Steps.segments holds it.  Between the path's equilibrium and the seed
+    the path is the manifold series w = sum_k series[k-1] * d^k, d the
+    distance to that equilibrium."""
 
     segments: list[tuple[float, float, float, np.ndarray]]
-    lam_seed: float
+    series: tuple[float, ...]
 
 
 @dataclass
 class PhasePath:
     """One half of the heteroclinic connection, as w over u.
 
-    u and w are the RK45 step nodes, ascending in u.  w_of_u evaluates the
-    path anywhere: between the nodes with the steps' quartic interpolants
-    (bit-identical to solve_ivp's OdeSolution, for scalar and array
-    queries alike), past u = a with the value at a, and past the seed with
-    the manifold line the path was seeded on.  interpolants holds those
-    quartics and that line for the profile march.  nfev is the number of
-    right-hand-side evaluations the integration took, solve_ivp's nfev.
+    u and w are the path's nodes, ascending in u: the manifold series
+    evaluated at the seed distance over 10, 100, ... down to
+    default_eps(f) (none when the seed lies that close), then the RK45
+    step nodes from the seed to u = a.  interpolants holds the steps'
+    quartics and the series, which the profile march reads.  nfev is the
+    number of right-hand-side evaluations the integration took,
+    solve_ivp's nfev.
     """
 
     side: PathSide
     c: float
     u: np.ndarray
     w: np.ndarray
-    w_of_u: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     interpolants: _Interpolants = field(repr=False, compare=False)
     nfev: int = field(default=0, repr=False, compare=False)
 
@@ -294,70 +307,8 @@ class PhasePath:
         return float(self.w[-1] if self.side == "left" else self.w[0])
 
 
-def _dense_w_of_u(
-    steps: _Steps, left: bool, lam_seed: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """w_of_u of a completed path: OdeSolution's segment lookup and
-    evaluation over the step interpolants, clipped to the path and
-    continued past the seed by w = lam_seed * (distance to the seed's
-    equilibrium).
-
-    OdeSolution bisects the nodes sorted ascending, with side "left" on an
-    ascending path and "right" on a descending one, and takes the lower
-    segment index.  An array query is sorted, grouped by segment and
-    evaluated by _interpolate_array per group, as OdeSolution.__call__
-    does; its product rounds differently from the scalar one in the last
-    bit, so the two paths are kept apart.
-    """
-    ts, segments = steps.ts, steps.segments
-    if not left:  # store both in ascending u
-        ts, segments = ts[::-1], segments[::-1]
-    nodes = np.array(ts)
-    lo, hi = ts[0], ts[-1]
-    last = len(segments) - 1
-    search = bisect_left if left else bisect_right
-    side = "left" if left else "right"
-
-    # The scalar query is a function of its own, not a recursive call of
-    # w_of_u: a closure that refers to itself is a reference cycle, and a
-    # path kept with its wave would then outlive its last reference until
-    # the cyclic collector's oldest generation runs.
-    def scalar(u: float) -> float:
-        if left and u < lo:
-            return float(lam_seed * u)
-        if not left and u > hi:
-            return float(lam_seed * (1.0 - u))
-        q = lo if u < lo else hi if u > hi else u  # np.clip; NaN passes
-        return _interpolate(*segments[min(max(search(ts, q) - 1, 0), last)], q)
-
-    def w_of_u(u):
-        if isinstance(u, float):  # a Python float or NumPy float64
-            return scalar(u)
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return scalar(float(u))
-        if u.size == 0:  # where OdeSolution raises
-            return np.empty_like(u)
-        q = np.clip(u, lo, hi)
-        order = np.argsort(q)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        q_sorted = q[order]
-        index = np.searchsorted(nodes, q_sorted, side=side) - 1
-        np.clip(index, 0, last, out=index)
-        cuts = np.flatnonzero(np.diff(index)) + 1
-        pieces = []
-        for start, stop in zip([0, *cuts], [*cuts, len(index)]):
-            pieces.append(_interpolate_array(*segments[index[start]], q_sorted[start:stop]))
-        w = np.hstack(pieces)[reverse]
-        tail = lam_seed * u if left else lam_seed * (1.0 - u)
-        return np.where(u < lo if left else u > hi, tail, w)
-
-    return w_of_u
-
-
 def default_eps(f: ReactionTerm) -> float:
-    """Seed distance from the singular equilibria."""
+    """The distance from its equilibrium down to which a path's nodes reach."""
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
 
 
@@ -373,6 +324,63 @@ def _check_eps(eps: float, a: float) -> float:
     return eps
 
 
+def _manifold_series(a1: float, c: float, b: tuple[float, ...]) -> tuple[float, ...]:
+    """The Taylor coefficients a_1, ..., a_K (K = _SERIES_TERMS) of the
+    manifold w(d) = sum_k a_k d^k of w dw/dd = c w - b(d), where
+    b(d) = sum_n b_n d^n has b_0 = 0 (b_0 is not read) and a_1 > 0 is the
+    manifold's linear rate.  Matching the powers d^n gives, for n >= 2,
+    a_n = -(b_n + sum_{k=2}^{n-1} (n + 1 - k) a_k a_{n+1-k}) / ((n + 1) a_1 - c),
+    whose denominator is positive."""
+    a = [0.0, a1]
+    for n in range(2, _SERIES_TERMS + 1):
+        s = b[n] if n < len(b) else 0.0
+        for k in range(2, n):
+            s += (n + 1 - k) * a[k] * a[n + 1 - k]
+        a.append(-s / ((n + 1) * a1 - c))
+    return tuple(a[1:])
+
+
+def _series_value(series: tuple[float, ...], d):
+    """w(d) = sum_k series[k-1] * d^k at a float or array d, by Horner."""
+    w = 0.0
+    for coefficient in reversed(series):
+        w = (w + coefficient) * d
+    return w
+
+
+def _manifold_seed(
+    f: ReactionTerm, side: PathSide, c: float, eps: float | None, rtol: float
+) -> tuple[tuple[float, ...], float, float]:
+    """The manifold series of the side's path at speed c and the seed
+    (u0, w0) on it where RK45 takes over (shoot_half)."""
+    if eps is not None:
+        _check_eps(eps, f.a)
+    if side == "left":
+        a1, dist = lambda0_plus(c, f.slope_at_zero), f.a
+        b, c_d = f.f0.coefficients, c
+    elif side == "right":
+        a1, dist = -lambda1_minus(c, f.slope_at_one), 1.0 - f.a
+        b, c_d = tuple(-g for g in f.f1_about_one), -c
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    if not math.isfinite(a1):
+        raise ValueError(f"manifold slope {a1} of the {side} path at c={c} is not finite")
+    series = _manifold_series(a1, c_d, b)
+    d0 = 0.5 * dist
+    tail = max(abs(series[-2]), abs(series[-1]))
+    if tail > 0.0:
+        bound = _SERIES_TAIL * max(rtol, _RTOL_MIN) * a1 / tail  # at _rk45's floored rtol
+        d0 = min(d0, bound ** (1.0 / (_SERIES_TERMS - 1)))
+    if eps is not None:
+        d0 = min(d0, eps)
+    u0 = d0 if side == "left" else 1.0 - d0
+    d0 = u0 if side == "left" else 1.0 - u0  # the distance 1 - u0 is exact
+    w0 = _series_value(series, d0)
+    if not (d0 > 0.0 and 0.0 < w0 < math.inf):
+        raise ValueError(f"seed w={w0} at distance {d0} of the {side} path at c={c} is not usable")
+    return series, u0, w0
+
+
 def shoot_half(
     f: ReactionTerm,
     side: PathSide,
@@ -382,17 +390,27 @@ def shoot_half(
 ) -> PhasePath:
     """Integrate one phase-plane half path up to u = a.
 
-    left:  dw/du = c - f0(u)/w from u = eps, seeded on the unstable
-           manifold w(eps) = lambda0_plus(c; f0'(0)) * eps.
-    right: dw/du = c - f1(u)/w backward from u = 1 - eps, seeded on the
-           stable manifold w(1-eps) = -lambda1_minus(c; f1'(1)) * eps.
+    left:  dw/du = c - f0(u)/w from the unstable manifold of (0, 0).
+    right: dw/du = c - f1(u)/w backward from the stable manifold of (1, 0).
 
-    The integration is Dormand-Prince 5(4) with atol = 1e-16, by a
-    dedicated loop that is bit-identical to solve_ivp(method="RK45",
-    dense_output=True): the same steps, samples, interpolants and collapse
-    points.  Its stage sums stay BLAS dot calls on scipy's shapes, since
-    BLAS may fuse their multiply-adds and plain float sums would not round
-    alike.  An rtol
+    Both manifolds are analytic: in the distance d to the equilibrium
+    (d = u on the left, 1 - u on the right) w(d) = sum_k a_k d^k, whose
+    first _SERIES_TERMS coefficients follow from a recurrence
+    (_manifold_series, with b = f0's coefficients on the left, and on the
+    right c -> -c and b = -g, g(d) = f1(1 - d)).  a_1 is the linear rate,
+    lambda0_plus(c; f0'(0)) on the left and -lambda1_minus(c; f1'(1)) on
+    the right.  The path is seeded on the series at the largest distance
+    d0 <= min(a, 1 - a)/2 with max(|a_11|, |a_12|) d0^11 <= 1e-3 rtol a_1
+    (for a linear branch the series is the exact line and d0 is the half
+    distance); eps, when given, caps d0.  The nodes ahead of the seed are
+    the series at d0/10, d0/100, ... down to default_eps(f).
+
+    From the seed the integration is Dormand-Prince 5(4) with atol =
+    1e-16, by a dedicated loop that is bit-identical to
+    solve_ivp(method="RK45", dense_output=True) from the same seed: the
+    same steps, samples, interpolants and collapse points.  Its stage sums
+    stay BLAS dot calls on scipy's shapes, since BLAS may fuse their
+    multiply-adds and plain float sums would not round alike.  An rtol
     below 100 machine epsilons is clipped to that, with solve_ivp's
     UserWarning.
 
@@ -403,21 +421,10 @@ def shoot_half(
     """
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
-    eps = _check_eps(default_eps(f) if eps is None else eps, f.a)
-
-    if side == "left":
-        branch = _horner(f.f0.coefficients)
-        u0, u1 = eps, f.a
-        w0 = lambda0_plus(c, f.slope_at_zero) * eps
-    elif side == "right":
-        branch = _horner(f.f1.coefficients)
-        u0, u1 = 1.0 - eps, f.a
-        w0 = -lambda1_minus(c, f.slope_at_one) * eps
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    if not math.isfinite(w0):
-        raise ValueError(f"seed w={w0} of the {side} path at c={c} is not finite")
     c = float(c)
+    series, u0, w0 = _manifold_seed(f, side, c, eps, rtol)
+    left = side == "left"
+    branch = _horner(f.f0.coefficients if left else f.f1.coefficients)
 
     def rhs(u: float, w: float) -> float:
         # Horner on a Python float: npp.polyval's arithmetic without its
@@ -426,8 +433,7 @@ def shoot_half(
         p = branch(u)
         return c - (p / w if w else np.float64(p) / w)
 
-    left = side == "left"
-    steps = _rk45(rhs, float(u0), float(u1), float(w0), rtol, floor_event=not left)
+    steps = _rk45(rhs, u0, f.a, w0, rtol, floor_event=not left)
     if steps.status == 1:
         u_at = steps.ts[-1]
         raise PathCollapse(
@@ -448,17 +454,25 @@ def shoot_half(
             )
         raise RuntimeError(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
 
-    u_samples, w_samples = np.array(steps.ts), np.array(steps.ys)
-    if not left:
-        u_samples, w_samples = u_samples[::-1], w_samples[::-1]
-    interpolants = _Interpolants(steps.segments, w0 / eps)
+    # The series nodes ahead of the seed, outward from it, each evaluated
+    # at its node's exact distance, as the seed is.
+    u_ahead, w_ahead = [], []
+    d, d_min = (u0 if left else 1.0 - u0), default_eps(f)
+    while d > d_min:
+        d = max(0.1 * d, d_min)
+        u = d if left else 1.0 - d
+        u_ahead.append(u)
+        w_ahead.append(_series_value(series, u if left else 1.0 - u))
+    if left:
+        u_nodes, w_nodes = u_ahead[::-1] + steps.ts, w_ahead[::-1] + steps.ys
+    else:
+        u_nodes, w_nodes = steps.ts[::-1] + u_ahead, steps.ys[::-1] + w_ahead
     return PhasePath(
         side=side,
         c=c,
-        u=u_samples,
-        w=w_samples,
-        w_of_u=_dense_w_of_u(steps, left, interpolants.lam_seed),
-        interpolants=interpolants,
+        u=np.array(u_nodes),
+        w=np.array(w_nodes),
+        interpolants=_Interpolants(steps.segments, series),
         nfev=steps.nfev,
     )
 
@@ -598,6 +612,17 @@ class WaveSolution:
     paths: tuple[PhasePath, PhasePath] | None = field(default=None, repr=False, compare=False)
 
 
+def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
+    """e_1, ..., e_{K-1} of 1 / r(d) = 1 + sum_k e_k d^k, where
+    r(d) = w(d) / (a_1 d) = 1 + sum_k (a_{k+1} / a_1) d^k is the manifold
+    series over its linear term, to the order the series determines."""
+    r = [a / series[0] for a in series[1:]]
+    e = [1.0]
+    for k in range(1, len(series)):
+        e.append(-math.fsum(r[j - 1] * e[k - j] for j in range(1, k + 1)))
+    return np.array(e[1:])
+
+
 def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np.ndarray, np.ndarray]:
     """Sample the profile along one phase path from u(0) = a at z = dz,
     2 dz, ... (forward, on the right path) or -dz, -2 dz, ... (backward, on
@@ -607,28 +632,36 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     Along the path |z|(u) is the integral of 1/w from a, taken in
     sigma = -ln d, where d is the distance to the path's equilibrium
     (1 - u forward, u backward).  There g = |dz/dsigma| = d / w tends to the
-    constant 1/lam of the seed line w = lam d, so an 8-point Gauss-Legendre
-    rule over each RK45 step's quartic interpolant is exact to rounding,
-    even on the ratio-10 steps RK45 takes where w is linear in u.  The
-    cumulative sums give z at the path nodes; past the seed the path
-    follows the seed line, where g = 1/lam exactly.  A sample finds its
+    constant 1/a_1 of the manifold's linear term, so an 8-point
+    Gauss-Legendre rule over each RK45 step's quartic interpolant is exact
+    to rounding, even on the ratio-10 steps RK45 takes where w is linear in
+    u.  The cumulative sums give z at the RK45 nodes.  A sample finds its
     step by its |z| among the nodes, starts from the cubic Hermite guess of
     sigma over z with node slopes 1/g, and takes Newton steps
     sigma -= (z(sigma) - z_k) / g(sigma): z at the guess by the same rule
     over [sigma_j, sigma], then z at each iterate by adding a 3-point rule
     over the step just taken.  w at the sample comes from the same quartic.
 
+    Past the seed the path is the manifold series w = a_1 d r(d), so
+    1/w = (1 + sum_k e_k d^k) / (a_1 d) (_reciprocal_series) integrates in
+    closed form: |z| = z_seed + (sigma - sigma_seed + P(d_seed) - P(d)) / a_1
+    with P(d) = sum_k e_k d^k / k.  A sample there takes Newton steps on
+    sigma from the guess P(d) = 0, exact as d -> 0, with g = (1 + sum_k
+    e_k d^k) / a_1, and w from the series.
+
     Raises RuntimeError when the target lies beyond |z| = _MARCH_Z_RANGE,
     or when w is not positive and finite on a step the samples need.
     """
-    segments, lam = path.interpolants
+    segments, series = path.interpolants
     # One row per step outward from u = a, the reverse of the integration
     # order: t_old, h, w_old and the quartic's coefficients Q.
     outward = segments[::-1]
     steps = np.hstack(
         [np.array([seg[:3] for seg in outward]), np.concatenate([seg[3] for seg in outward])]
     )
+    # The RK45 nodes, outward from u = a; the series nodes beyond them are not read.
     u_nodes, w_nodes = (path.u, path.w) if forward else (path.u[::-1], path.w[::-1])
+    u_nodes, w_nodes = u_nodes[: len(segments) + 1], w_nodes[: len(segments) + 1]
     d_nodes = 1.0 - u_nodes if forward else u_nodes
     sig_nodes = -np.log(d_nodes)
     g_nodes = d_nodes / w_nodes
@@ -666,15 +699,30 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     z_nodes = np.concatenate([[0.0], np.cumsum(step_z[:n_ok])])
     z_end = z_nodes[-1]
 
+    # Past the seed: P(d) and 1 + sum_k e_k d^k as one product of the powers
+    # of d with the columns (e_k / k, e_k).
+    a1, sig_seed, d_seed = series[0], sig_nodes[-1], d_nodes[-1]
+    e = _reciprocal_series(series)
+    pq = np.stack([e / np.arange(1, len(e) + 1), e], axis=1)
+
+    def p_q(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        powers = np.cumprod(np.repeat(d[:, None], len(e), axis=1), axis=1)
+        p, q = (powers @ pq).T
+        return p, q + 1.0
+
+    p_seed = float(p_q(np.array([d_seed]))[0][0])
+
     def z_of(sig: float) -> float:
         """|z| at sigma: 0 before a, the rule inside the usable steps, the
-        seed line past the seed, and inf past a bad step."""
+        series past the seed, and inf past a bad step."""
         if sig <= sig_nodes[0]:
             return 0.0
         if sig < sig_nodes[n_ok]:
             j = np.searchsorted(sig_nodes, [sig], side="right") - 1
             return float(z_nodes[j[0]] + rule(sig_nodes[j], np.array([sig]), steps[j])[0][0])
-        return z_end + (sig - sig_nodes[-1]) / lam if n_ok == len(steps) else math.inf
+        if n_ok < len(steps):
+            return math.inf
+        return z_end + (sig - sig_seed + p_seed - p_q(np.array([math.exp(-sig)]))[0][0]) / a1
 
     def solve(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u and w at the samples |z|."""
@@ -686,7 +734,18 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
                 f"profile march met a non-positive or non-finite w on the {path.side} path "
                 f"in u=[{lo:.6g}, {hi:.6g}] (dz={dz})"
             )
-        sig = sig_nodes[-1] + (z - z_end) * lam  # the seed line
+        sig = np.empty_like(z)
+        w = np.empty_like(z)
+        past = ~inside
+        if past.any():
+            # Newton on sigma - sigma_seed + p_seed - P(d) = a_1 (|z| - z_seed).
+            rhs = a1 * (z[past] - z_end) + sig_seed - p_seed
+            sig_past = rhs.copy()
+            for _ in range(_SERIES_NEWTON_STEPS):
+                p, q = p_q(np.exp(-sig_past))
+                sig_past -= (sig_past - p - rhs) / q
+            sig[past] = sig_past
+            w[past] = _series_value(series, np.exp(-sig_past))
         j, zi = j[inside], z[inside]
         p = steps[j]
         s0, s1, z0 = sig_nodes[j], sig_nodes[j + 1], z_nodes[j]
@@ -709,11 +768,9 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             sig_in = sig_next
         sig_in -= (z_in - zi) / g
         sig[inside] = sig_in
-        d = np.exp(-sig)
-        u = 1.0 - d if forward else d
-        w = lam * d
         w[inside] = g_w(sig_in[:, None], p)[1][:, 0]
-        return u, w
+        d = np.exp(-sig)
+        return (1.0 - d if forward else d), w
 
     # The samples up to one past the target's z, within the z range: none
     # when the target lies past the range (an infinite z_target lies past
@@ -770,10 +827,12 @@ def reconstruct_profile(
 
     Samples forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid
-    (_march).  Each side covers |z| <= _MARCH_Z_RANGE, so dz must leave
-    between 1 and _MARCH_SAMPLE_CAP samples per side there.  eps and rtol
-    are the two paths' seed distance and tolerance (shoot_half); the
-    quadrature along them has no tolerance of its own.
+    (_march): over the RK45 steps between a and the seed, and past the seed
+    along the manifold series the path was seeded on.  Each side covers
+    |z| <= _MARCH_Z_RANGE, so dz must leave between 1 and _MARCH_SAMPLE_CAP
+    samples per side there.  eps and rtol are the two paths' cap on the
+    seed distance and tolerance (shoot_half); the quadrature along them has
+    no tolerance of its own.
     """
     _check_u_eps(u_eps)
     _check_dz(dz)

@@ -4,7 +4,9 @@ The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
 reaction term written out branch by branch, the phase paths integrated
-by solve_ivp with an npp.polyval right-hand side, the profile as the ODE
+by solve_ivp with an npp.polyval right-hand side from the library's seed
+and read back through scipy's OdeSolution, the speed as the parameter of
+a collocation boundary-value problem, the profile as the ODE
 du/dz = w(u) stepped by scipy's DOP853 solver object, and the comparison
 ODEs integrated by solve_ivp.
 """
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_bvp, solve_ivp
+from scipy.integrate._ivp.rk import RkDenseOutput
 
 import bistable_waves as bw
 from bistable_waves.errors import PathCollapse
@@ -110,20 +113,16 @@ def reference_shoot_half(
     rtol: float = 1e-10,
     details: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
-    """One phase-plane half path as shoot_half first integrated it: solve_ivp
-    with an npp.polyval right-hand side, the same seeds, tolerances, dense
-    output and collapse event.  Returns the ascending (u, w) samples and
-    solve_ivp's OdeSolution, and raises PathCollapse where the library does,
-    with solve_ivp's status (1: the event fired, -1: the step underflowed)
-    in the message and its nfev as the exception's.  details["nfev"] is
-    set to solve_ivp's nfev."""
-    if eps is None:
-        eps = bw.shooting.default_eps(f)
-    if side == "left":
-        coefficients, u0, w0 = f.f0.coefficients, eps, bw.lambda0_plus(c, f.slope_at_zero) * eps
-    else:
-        coefficients, u0 = f.f1.coefficients, 1.0 - eps
-        w0 = -bw.lambda1_minus(c, f.slope_at_one) * eps
+    """One phase-plane half path from shoot_half's seed on the manifold
+    series, integrated by solve_ivp with an npp.polyval right-hand side,
+    the same tolerances, dense output and collapse event.  Returns the
+    ascending (u, w) samples of the integration (the RK45 nodes of the
+    library's path) and solve_ivp's OdeSolution, and raises PathCollapse
+    where the library does, with solve_ivp's status (1: the event fired,
+    -1: the step underflowed) in the message and its nfev as the
+    exception's.  details["nfev"] is set to solve_ivp's nfev."""
+    _series, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), eps, rtol)
+    coefficients = f.f0.coefficients if side == "left" else f.f1.coefficients
 
     def rhs(u, w):
         return c - np.polynomial.polynomial.polyval(u, coefficients) / w[0]
@@ -152,35 +151,53 @@ def reference_shoot_half(
     return sol.t[::-1], sol.y[0][::-1], sol.sol
 
 
+def rk45_nodes(path: bw.PhasePath) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending (u, w) nodes of a path's RK45 integration, without the
+    series nodes ahead of its seed."""
+    n = len(path.interpolants.segments) + 1
+    nodes = slice(-n, None) if path.side == "left" else slice(0, n)
+    return path.u[nodes], path.w[nodes]
+
+
+def series_w(series, d) -> np.ndarray:
+    """The manifold series sum_k series[k-1] * d^k, by npp.polyval."""
+    return np.polynomial.polynomial.polyval(d, (0.0, *series))
+
+
+def path_w(path: bw.PhasePath, u) -> np.ndarray:
+    """w on a path at u, read from its interpolants alone: between the RK45
+    nodes scipy's OdeSolution over the steps' quartics (RkDenseOutput),
+    past the seed the manifold series, past u = a the value at a."""
+    segments, series = path.interpolants
+    u_nodes, _ = rk45_nodes(path)
+    ts = u_nodes if path.side == "left" else u_nodes[::-1]
+    dense = OdeSolution(
+        ts,
+        [RkDenseOutput(t0, t1, np.array([w0]), q) for (t0, _h, w0, q), t1 in zip(segments, ts[1:])],
+    )
+    u = np.asarray(u, dtype=float)
+    lo, hi = u_nodes[0], u_nodes[-1]
+    w = dense(np.clip(u, lo, hi))[0]
+    left = path.side == "left"
+    w = np.where(u < lo, series_w(series, u), w) if left else np.where(u > hi, series_w(series, 1.0 - u), w)
+    return float(w) if w.ndim == 0 else w
+
+
 def reference_phase_path(
     f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
 ) -> bw.PhasePath:
-    """A PhasePath backed by reference_shoot_half, with w_of_u as shoot_half
-    first wrote it over solve_ivp's OdeSolution: the path clipped to its
-    u range, and past the seed the manifold line it was seeded on.  Its
-    interpolants, which the profile march reads, are OdeSolution's."""
+    """A PhasePath backed by reference_shoot_half: its RK45 nodes, and as
+    interpolants solve_ivp's OdeSolution steps with shoot_half's manifold
+    series, which the profile march reads."""
     u_ref, w_ref, dense = reference_shoot_half(f, side, c, eps=eps, rtol=rtol)
-    if eps is None:
-        eps = bw.shooting.default_eps(f)
-    left = side == "left"
-    lam_seed = (w_ref[0] if left else w_ref[-1]) / eps
-    lo, hi = u_ref[0], u_ref[-1]
-
-    def w_of_u(u):
-        u = np.asarray(u, dtype=float)
-        w = dense(np.clip(u, lo, hi))[0]
-        tail = lam_seed * u if left else lam_seed * (1.0 - u)
-        out = np.where(u < lo if left else u > hi, tail, w)
-        return float(out) if out.ndim == 0 else out
-
+    series, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), eps, rtol)
     segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in dense.interpolants]
     return bw.PhasePath(
         side=side,
         c=float(c),
         u=u_ref,
         w=w_ref,
-        w_of_u=w_of_u,
-        interpolants=bw.shooting._Interpolants(segments, lam_seed),
+        interpolants=bw.shooting._Interpolants(segments, series),
     )
 
 
@@ -231,6 +248,53 @@ def reference_march(w_of_u, u_start: float, target: float, dz: float, forward: b
     raise RuntimeError(
         f"profile march did not reach u={target} within z range 400 (dz={dz})"
     )
+
+
+def reference_bvp_speed(f: bw.ReactionTerm, c0: float, L: float = 30.0):
+    """c* as the parameter of a two-piece collocation boundary-value problem
+    (scipy's solve_bvp, tol 1e-10), sharing no code with shooting.
+
+    z in [-L, 0] and [0, L] map to s in [0, 1]; the unknowns are
+    (U_L, V_L, U_R, V_R) with U' = L V and V' = L (c V - f_i(U)), f0 on the
+    left piece and f1 on the right, and the speed c.  The five boundary
+    conditions put both ends on their linear manifolds,
+    V_L(-L) = lambda0+(c) U_L(-L) and V_R(L) = lambda1-(c) (U_R(L) - 1),
+    and join the pieces at z = 0 with U_L = U_R = a and V_L = V_R.  The
+    initial guess is the exponential wave at c0.  Returns (c, the solve_bvp
+    result)."""
+    polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    p0, p1, a = f.f0.coefficients, f.f1.coefficients, f.a
+    s0 = float(polyval(0.0, polyder(p0)))
+    s1 = float(polyval(1.0, polyder(p1)))
+
+    def lam0(c):
+        return 0.5 * (c + np.sqrt(c * c - 4.0 * s0))
+
+    def lam1(c):
+        return 0.5 * (c - np.sqrt(c * c - 4.0 * s1))
+
+    def rhs(s, y, p):
+        c = p[0]
+        ul, vl, ur, vr = y
+        return np.vstack([L * vl, L * (c * vl - polyval(ul, p0)), L * vr, L * (c * vr - polyval(ur, p1))])
+
+    def bc(ya, yb, p):
+        c = p[0]
+        return np.array([
+            ya[1] - lam0(c) * ya[0],
+            yb[0] - a,
+            ya[2] - a,
+            yb[1] - ya[3],
+            yb[3] - lam1(c) * (yb[2] - 1.0),
+        ])
+
+    s = np.linspace(0.0, 1.0, 401)
+    l0, l1 = lam0(c0), lam1(c0)
+    left = a * np.exp(l0 * L * (s - 1.0))
+    right = (a - 1.0) * np.exp(l1 * L * s)
+    guess = np.vstack([left, l0 * left, 1.0 + right, l1 * right])
+    sol = solve_bvp(rhs, bc, s, guess, p=[c0], tol=1e-10, max_nodes=100_000)
+    return float(sol.p[0]), sol
 
 
 def reference_reaction_ode(f: bw.ReactionTerm, branch: str, t_end: float) -> tuple[np.ndarray, np.ndarray]:

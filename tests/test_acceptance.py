@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import bistable_waves as bw
-from conftest import ACCEPTANCE_LINES, closed_form_speed, oracle_match_speed
+from conftest import ACCEPTANCE_LINES, closed_form_speed, oracle_match_speed, path_w
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -121,10 +121,10 @@ def test_c4_phase_path_oracle():
         lam1 = bw.lambda1_minus(c, -1.0)
         left = bw.shoot_half(lin, "left", c)
         u = np.linspace(1e-6, 0.3, 500)
-        worst = max(worst, float(np.max(np.abs(left.w_of_u(u) - lam0 * u))))
+        worst = max(worst, float(np.max(np.abs(path_w(left, u) - lam0 * u))))
         right = bw.shoot_half(lin, "right", c)
         u = np.linspace(0.3, 1.0 - 1e-6, 500)
-        worst = max(worst, float(np.max(np.abs(right.w_of_u(u) - lam1 * (u - 1.0)))))
+        worst = max(worst, float(np.max(np.abs(path_w(right, u) - lam1 * (u - 1.0)))))
     ok = worst <= 1e-8
     assert report("C4 phase-path-oracle", ok, f"sup-norm error {worst:.2e}")
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bistable_waves as bw
 from bistable_waves import reaction
@@ -359,6 +359,10 @@ _GOOD_F1 = (1.0, -1.0)  # 1 - u
     g=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=4),
     side=st.sampled_from(["f0", "f1"]),
 )
+# Two terms whose derivative has a second root near 1e12, which puts the
+# companion-matrix root inside [lo, hi] 2e-5 off the true critical point.
+@example(a=0.5, g=[1.0144559799408732, -4.0, 3.2655663920062293e-12], side="f0")
+@example(a=0.25, g=[0.0, 0.516, 1e-12], side="f1")
 def test_h2_is_decided_at_the_branch_extremes(a, g, side):
     """A drawn cubic or quartic branch f0 = u g(u) or f1 = (u - 1) g(u),
     paired with a linear branch that passes: when H2 fails, its one
