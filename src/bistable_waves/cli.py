@@ -452,8 +452,9 @@ def _write_phase_csvs(
     ws: shooting.WaveSolution,
 ) -> None:
     """Phase-plane CSVs (u, w) of shooting paths with the bounding linear
-    paths, one file per labelled speed; at c_star they are the paths the
-    wave ws was marched along."""
+    paths, one file per labelled speed, each path from within
+    shooting.default_eps(f) of its equilibrium up to a; at c_star they are
+    the paths the wave ws was marched along."""
     for tag, c in speeds.items():
         rows: list[list[Any]] = []
         if tag == "c_star":
@@ -464,15 +465,16 @@ def _write_phase_csvs(
                 for side in ("left", "right")
             ]
         for path in paths:
+            u_nodes, w_nodes = shooting.path_nodes(path, shooting.default_eps(f))
             if path.side == "left":
-                env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * path.u
-                env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * path.u
+                env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * u_nodes
+                env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * u_nodes
             else:
-                env_lo = linear_theory.lambda1_minus(c, bounds.beta_hi) * (path.u - 1.0)
-                env_hi = linear_theory.lambda1_minus(c, bounds.beta_lo) * (path.u - 1.0)
+                env_lo = linear_theory.lambda1_minus(c, bounds.beta_hi) * (u_nodes - 1.0)
+                env_hi = linear_theory.lambda1_minus(c, bounds.beta_lo) * (u_nodes - 1.0)
             rows.extend(
                 [path.side, u, w, lo, hi]
-                for u, w, lo, hi in zip(path.u, path.w, env_lo, env_hi)
+                for u, w, lo, hi in zip(u_nodes, w_nodes, env_lo, env_hi)
             )
         _write_csv(outdir / f"phase_{tag}.csv", ["side", "u", "w", "w_env_lo", "w_env_hi"], rows)
 

@@ -6,10 +6,11 @@ dw/du = c - f(u)/w.  The left half path is the unstable manifold of
 backward.  Both equilibria are saddles and singular points of the ODE, and
 both manifolds are analytic: in the distance d to the saddle
 w(d) = sum_k a_k d^k, whose first 12 coefficients follow from a
-recurrence.  Each path is seeded on that series as far out as its last
-two terms allow at the integration tolerance (at half the distance to a
-for a linear branch, whose series is the exact line), so RK45 spends no
-steps where w is still nearly linear; a given eps caps the seed distance.
+recurrence.  Each path is seeded on that series as far out as the last
+two terms of the series and of its reciprocal allow at the integration
+tolerance (at half the distance to a for a linear branch, whose series is
+the exact line), so RK45 spends no steps where w is still nearly linear;
+a given eps caps the seed distance.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
@@ -59,8 +60,9 @@ PathSide = Literal["left", "right"]
 
 _W_FLOOR = 1e-12
 # A path leaves its equilibrium along _SERIES_TERMS terms of the manifold
-# series and RK45 takes over where the last two terms are _SERIES_TAIL * rtol
-# of the first (shoot_half).  A given cap eps on that seed distance lies in
+# series and RK45 takes over where the last two terms of the series, and of
+# the reciprocal series the march integrates, are _SERIES_TAIL * rtol of the
+# first (shoot_half).  A given cap eps on that seed distance lies in
 # (0, min(a, 1 - a) / _EPS_CAP_DIVISOR].
 _SERIES_TERMS = 12
 _SERIES_TAIL = 1e-3
@@ -81,7 +83,6 @@ _MARCH_SAMPLE_CAP = 40_000_000
 _GAUSS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NEWTON = np.polynomial.legendre.leggauss(3)
 _NEWTON_STEPS = 4
-_SERIES_NEWTON_STEPS = 4
 _MARCH_BLOCK = 8_192
 
 # The RK45 loop's settings and scipy's rules for it
@@ -284,13 +285,11 @@ class _Interpolants(NamedTuple):
 class PhasePath:
     """One half of the heteroclinic connection, as w over u.
 
-    u and w are the path's nodes, ascending in u: the manifold series
-    evaluated at the seed distance over 10, 100, ... down to
-    default_eps(f) (none when the seed lies that close), then the RK45
-    step nodes from the seed to u = a.  interpolants holds the steps'
-    quartics and the series, which the profile march reads.  nfev is the
-    number of right-hand-side evaluations the integration took,
-    solve_ivp's nfev.
+    u and w are the RK45 step nodes from the seed to u = a, ascending in
+    u; path_nodes extends them toward the equilibrium along the series.
+    interpolants holds the steps' quartics and the series, which the
+    profile march reads.  nfev is the number of right-hand-side
+    evaluations the integration took, solve_ivp's nfev.
     """
 
     side: PathSide
@@ -308,8 +307,28 @@ class PhasePath:
 
 
 def default_eps(f: ReactionTerm) -> float:
-    """The distance from its equilibrium down to which a path's nodes reach."""
+    """The distance from its equilibrium down to which a path's nodes reach
+    in the phase CSVs (path_nodes)."""
     return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
+
+
+def path_nodes(path: PhasePath, d_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """The path's (u, w) nodes, ascending in u, reaching within d_min of its
+    equilibrium: the manifold series at the seed distance over 10, 100, ...
+    down to d_min (none when the seed lies that close), each evaluated at
+    its node's exact distance as the seed is, then the RK45 nodes."""
+    left = path.side == "left"
+    series = path.interpolants.series
+    u_ahead, w_ahead = [], []
+    d = float(path.u[0] if left else 1.0 - path.u[-1])
+    while d > d_min:
+        d = max(0.1 * d, d_min)
+        u = d if left else 1.0 - d
+        u_ahead.append(u)
+        w_ahead.append(_series_value(series, u if left else 1.0 - u))
+    if left:
+        return np.concatenate([u_ahead[::-1], path.u]), np.concatenate([w_ahead[::-1], path.w])
+    return np.concatenate([path.u, u_ahead]), np.concatenate([path.w, w_ahead])
 
 
 def _check_eps(eps: float, a: float) -> float:
@@ -348,6 +367,17 @@ def _series_value(series: tuple[float, ...], d):
     return w
 
 
+def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
+    """e_1, ..., e_{K-1} of 1 / r(d) = 1 + sum_k e_k d^k, where
+    r(d) = w(d) / (a_1 d) = 1 + sum_k (a_{k+1} / a_1) d^k is the manifold
+    series over its linear term, to the order the series determines."""
+    r = [a / series[0] for a in series[1:]]
+    e = [1.0]
+    for k in range(1, len(series)):
+        e.append(-math.fsum(r[j - 1] * e[k - j] for j in range(1, k + 1)))
+    return np.array(e[1:])
+
+
 def _manifold_seed(
     f: ReactionTerm, side: PathSide, c: float, eps: float | None, rtol: float
 ) -> tuple[tuple[float, ...], float, float]:
@@ -366,11 +396,14 @@ def _manifold_seed(
     if not math.isfinite(a1):
         raise ValueError(f"manifold slope {a1} of the {side} path at c={c} is not finite")
     series = _manifold_series(a1, c_d, b)
+    # The march integrates the reciprocal series past the seed, whose radius
+    # can be far smaller than the series' own, so both tails bound d0.
+    e = _reciprocal_series(series)
     d0 = 0.5 * dist
-    tail = max(abs(series[-2]), abs(series[-1]))
-    if tail > 0.0:
-        bound = _SERIES_TAIL * max(rtol, _RTOL_MIN) * a1 / tail  # at _rk45's floored rtol
-        d0 = min(d0, bound ** (1.0 / (_SERIES_TERMS - 1)))
+    for tail in (max(abs(series[-2]), abs(series[-1])) / a1, float(max(abs(e[-2]), abs(e[-1])))):
+        if tail > 0.0:
+            bound = _SERIES_TAIL * max(rtol, _RTOL_MIN) / tail  # at _rk45's floored rtol
+            d0 = min(d0, bound ** (1.0 / (_SERIES_TERMS - 1)))
     if eps is not None:
         d0 = min(d0, eps)
     u0 = d0 if side == "left" else 1.0 - d0
@@ -400,10 +433,12 @@ def shoot_half(
     right c -> -c and b = -g, g(d) = f1(1 - d)).  a_1 is the linear rate,
     lambda0_plus(c; f0'(0)) on the left and -lambda1_minus(c; f1'(1)) on
     the right.  The path is seeded on the series at the largest distance
-    d0 <= min(a, 1 - a)/2 with max(|a_11|, |a_12|) d0^11 <= 1e-3 rtol a_1
-    (for a linear branch the series is the exact line and d0 is the half
-    distance); eps, when given, caps d0.  The nodes ahead of the seed are
-    the series at d0/10, d0/100, ... down to default_eps(f).
+    d0, at most half the distance from the equilibrium to a, with
+    max(|a_11|, |a_12|) d0^11 <= 1e-3 rtol a_1 and the same bound on the
+    reciprocal series 1/r = 1 + sum_k e_k d^k the march integrates
+    (_reciprocal_series): max(|e_10|, |e_11|) d0^11 <= 1e-3 rtol.  For a
+    linear branch both series are exact and d0 is the half distance; eps,
+    when given, caps d0.
 
     From the seed the integration is Dormand-Prince 5(4) with atol =
     1e-16, by a dedicated loop that is bit-identical to
@@ -454,24 +489,11 @@ def shoot_half(
             )
         raise RuntimeError(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
 
-    # The series nodes ahead of the seed, outward from it, each evaluated
-    # at its node's exact distance, as the seed is.
-    u_ahead, w_ahead = [], []
-    d, d_min = (u0 if left else 1.0 - u0), default_eps(f)
-    while d > d_min:
-        d = max(0.1 * d, d_min)
-        u = d if left else 1.0 - d
-        u_ahead.append(u)
-        w_ahead.append(_series_value(series, u if left else 1.0 - u))
-    if left:
-        u_nodes, w_nodes = u_ahead[::-1] + steps.ts, w_ahead[::-1] + steps.ys
-    else:
-        u_nodes, w_nodes = steps.ts[::-1] + u_ahead, steps.ys[::-1] + w_ahead
     return PhasePath(
         side=side,
         c=c,
-        u=np.array(u_nodes),
-        w=np.array(w_nodes),
+        u=np.array(steps.ts if left else steps.ts[::-1]),
+        w=np.array(steps.ys if left else steps.ys[::-1]),
         interpolants=_Interpolants(steps.segments, series),
         nfev=steps.nfev,
     )
@@ -612,17 +634,6 @@ class WaveSolution:
     paths: tuple[PhasePath, PhasePath] | None = field(default=None, repr=False, compare=False)
 
 
-def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
-    """e_1, ..., e_{K-1} of 1 / r(d) = 1 + sum_k e_k d^k, where
-    r(d) = w(d) / (a_1 d) = 1 + sum_k (a_{k+1} / a_1) d^k is the manifold
-    series over its linear term, to the order the series determines."""
-    r = [a / series[0] for a in series[1:]]
-    e = [1.0]
-    for k in range(1, len(series)):
-        e.append(-math.fsum(r[j - 1] * e[k - j] for j in range(1, k + 1)))
-    return np.array(e[1:])
-
-
 def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np.ndarray, np.ndarray]:
     """Sample the profile along one phase path from u(0) = a at z = dz,
     2 dz, ... (forward, on the right path) or -dz, -2 dz, ... (backward, on
@@ -659,9 +670,8 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     steps = np.hstack(
         [np.array([seg[:3] for seg in outward]), np.concatenate([seg[3] for seg in outward])]
     )
-    # The RK45 nodes, outward from u = a; the series nodes beyond them are not read.
+    # The nodes, outward from u = a.
     u_nodes, w_nodes = (path.u, path.w) if forward else (path.u[::-1], path.w[::-1])
-    u_nodes, w_nodes = u_nodes[: len(segments) + 1], w_nodes[: len(segments) + 1]
     d_nodes = 1.0 - u_nodes if forward else u_nodes
     sig_nodes = -np.log(d_nodes)
     g_nodes = d_nodes / w_nodes
@@ -741,7 +751,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             # Newton on sigma - sigma_seed + p_seed - P(d) = a_1 (|z| - z_seed).
             rhs = a1 * (z[past] - z_end) + sig_seed - p_seed
             sig_past = rhs.copy()
-            for _ in range(_SERIES_NEWTON_STEPS):
+            for _ in range(_NEWTON_STEPS):
                 p, q = p_q(np.exp(-sig_past))
                 sig_past -= (sig_past - p - rhs) / q
             sig[past] = sig_past

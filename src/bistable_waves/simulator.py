@@ -446,8 +446,10 @@ def shift_distance(
     margin from the norm.  The window is centred at -front_position(s,
     profile.a) when a front exists, else at the co-moving shift c*t.  A
     caller that has found that front already passes it as front, NaN when
-    there is none.  Returns (distance, zeta_best - c*t), the co-moving
-    residual shift.
+    there is none.  Returns (distance, z_best) with z_best = zeta_best - c*t,
+    the co-moving residual shift, rounded, and distance the sup norm at
+    z_best + c*t, the shift a caller recovers from it (within an ulp of
+    zeta_best, where it is evaluated once more when it differs).
 
     u* is nondecreasing, so for any state each error
     e_i(zeta) = u_i - u*(x_i + zeta) is nonincreasing in zeta: max_i e_i
@@ -455,7 +457,7 @@ def shift_distance(
     phi = max_i e_i + min_i e_i changes sign.  phi is evaluated at both
     window ends; when it falls through zero between them, bracketed_root
     finds the crossing to 1e-12*dx, and otherwise F is least at an end.
-    The result is the smallest F among the evaluated shifts.
+    zeta_best is the shift of least F among those evaluated.
     """
     c = profile.c
     g = s.grid
@@ -485,8 +487,11 @@ def shift_distance(
     phi_lo, phi_hi = phi(lo), phi(hi)
     if phi_lo > 0.0 > phi_hi:
         bracketed_root(phi, lo, hi, phi_lo, phi_hi, 0.0, xtol=1e-12 * g.dx)
-    best_zeta = min(sup_norms, key=sup_norms.__getitem__)
-    return sup_norms[best_zeta], best_zeta - c * s.t
+    z_best = min(sup_norms, key=sup_norms.__getitem__) - c * s.t
+    zeta = z_best + c * s.t
+    if zeta not in sup_norms:
+        phi(zeta)
+    return sup_norms[zeta], z_best
 
 
 def run(

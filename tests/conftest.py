@@ -151,14 +151,6 @@ def reference_shoot_half(
     return sol.t[::-1], sol.y[0][::-1], sol.sol
 
 
-def rk45_nodes(path: bw.PhasePath) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending (u, w) nodes of a path's RK45 integration, without the
-    series nodes ahead of its seed."""
-    n = len(path.interpolants.segments) + 1
-    nodes = slice(-n, None) if path.side == "left" else slice(0, n)
-    return path.u[nodes], path.w[nodes]
-
-
 def series_w(series, d) -> np.ndarray:
     """The manifold series sum_k series[k-1] * d^k, by npp.polyval."""
     return np.polynomial.polynomial.polyval(d, (0.0, *series))
@@ -169,7 +161,7 @@ def path_w(path: bw.PhasePath, u) -> np.ndarray:
     nodes scipy's OdeSolution over the steps' quartics (RkDenseOutput),
     past the seed the manifold series, past u = a the value at a."""
     segments, series = path.interpolants
-    u_nodes, _ = rk45_nodes(path)
+    u_nodes = path.u
     ts = u_nodes if path.side == "left" else u_nodes[::-1]
     dense = OdeSolution(
         ts,

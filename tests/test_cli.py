@@ -570,8 +570,14 @@ def test_profile_command(tmp_path, demo_wave):
     assert np.all(np.diff(data[:, 1]) > 0.0)  # u strictly increasing
     i0 = int(np.argmin(np.abs(data[:, 0])))
     assert data[i0, 1] == pytest.approx(0.3, abs=1e-9)
+    # each phase path runs from within default_eps of its saddle up to a
+    d_min = bw.shooting.default_eps(bw.quadratic_demo())
     for tag in ("c0", "c_check", "c_under", "c_over", "c_hat", "c_star"):
-        assert (out / f"phase_{tag}.csv").exists()
+        phase = [ln.split(",") for ln in (out / f"phase_{tag}.csv").read_text().splitlines()[1:]]
+        left = [float(u) for side, u, *_ in phase if side == "left"]
+        right = [float(u) for side, u, *_ in phase if side == "right"]
+        assert min(left) <= d_min * (1.0 + 1e-12) and max(left) == 0.3
+        assert 1.0 - max(right) <= d_min * (1.0 + 1e-12) and min(right) == 0.3
     # shooting paths stay between the bounding linear paths, row by row
     rows = (out / "phase_c_star.csv").read_text().splitlines()[1:]
     for row in rows:

@@ -24,7 +24,6 @@ from conftest import (
     reference_phase_path,
     reference_shoot_half,
     reference_speed_mismatch,
-    rk45_nodes,
 )
 
 
@@ -91,11 +90,12 @@ def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
 
 
 def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
-    """The series nodes of each path at c*, from default_eps(f) to the
-    seed, lie on the invariant manifold as scipy's DOP853 integrates it at
-    rtol 1e-13 in the distance d from the linear seed w = a_1 d at
-    d = 1e-12, to 1e-12 relative (3e-14 measured on the demo and the 20
-    quartics), and the RK45 nodes to 1e-10 (4.8e-11)."""
+    """The nodes path_nodes gives each path at c*, the series nodes from
+    default_eps(f) to the seed and the RK45 nodes, lie on the invariant
+    manifold as scipy's DOP853 integrates it at rtol 1e-13 in the distance
+    d from the linear seed w = a_1 d at d = 1e-12: the series nodes to
+    1e-12 relative (1.6e-15 measured on the demo and the 20 quartics), and
+    the RK45 nodes to 1e-10 (5.1e-11)."""
     for f in [demo, *quartic_terms[:3]]:
         c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
         for side in ("left", "right"):
@@ -108,10 +108,12 @@ def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
                 method="DOP853", rtol=1e-13, atol=1e-30, dense_output=True,
             )
             assert sol.status == 0
-            d = path.u if side == "left" else 1.0 - path.u
-            relative = np.abs(path.w - sol.sol(d)[0]) / path.w
-            n_rk45 = len(path.interpolants.segments) + 1
+            u, w = bw.shooting.path_nodes(path, bw.shooting.default_eps(f))
+            d = u if side == "left" else 1.0 - u
+            relative = np.abs(w - sol.sol(d)[0]) / w
+            n_rk45 = len(path.u)
             rk45 = slice(-n_rk45, None) if side == "left" else slice(0, n_rk45)
+            assert np.array_equal(u[rk45], path.u) and np.array_equal(w[rk45], path.w)
             ahead = np.ones(d.size, dtype=bool)
             ahead[rk45] = False
             assert d.min() <= bw.shooting.default_eps(f) + 1e-16 and ahead.sum() >= 3
@@ -186,7 +188,7 @@ def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
             path = bw.shoot_half(f, side, c)
             details = {}
             u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
-            u, w = rk45_nodes(path)
+            u, w = path.u, path.w
             np.testing.assert_array_equal(u, u_ref)
             np.testing.assert_array_equal(w, w_ref)
             assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
@@ -209,7 +211,7 @@ def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
             path = bw.shoot_half(f, side, c)
             details = {}
             u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
-            u, w = rk45_nodes(path)
+            u, w = path.u, path.w
             assert u.tobytes() == u_ref.tobytes()
             assert w.tobytes() == w_ref.tobytes()
             assert path.nfev == details["nfev"]
@@ -277,7 +279,7 @@ def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):
             u_ref, w_ref, _ = reference_shoot_half(demo, side, 0.55, rtol=1e-16, details=details)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
         assert "rtol" in str(got[0].message)
-        u, w = rk45_nodes(path)
+        u, w = path.u, path.w
         assert u.tobytes() == u_ref.tobytes()
         assert w.tobytes() == w_ref.tobytes()
         assert path.nfev == details["nfev"]
@@ -329,6 +331,49 @@ def test_march_matches_dop853_bitwise(name, rtol, quartic_terms):
         u_ref, _ = reference_march(lambda u, path=path: path_w(path, u), f.a, target, 1e-2, forward, 0.0)
         assert len(u) == len(w) == len(u_ref)
         assert np.max(np.abs(u - u_ref)) <= bound
+
+
+def _quadratic_manifold_term(a):
+    """A term whose two manifolds at c = 0.5 are exactly w = d + 3 d^2 in
+    the distance d to their equilibrium: f0 = -0.5 u - 7.5 u^2 - 18 u^3 and
+    f1(1 - d) = 1.5 d + 10.5 d^2 + 18 d^3.  The manifold series stops at
+    a_2 = 3, but 1/w's reciprocal series, 1/d times sum_k (-3 d)^k, has
+    radius 1/3."""
+    g = np.polynomial.Polynomial([0.0, 1.5, 10.5, 18.0])
+    f1 = g(np.polynomial.Polynomial([1.0, -1.0])).coef
+    return bw.ReactionTerm(
+        a=a,
+        f0=bw.BranchPoly((0.0, -0.5, -7.5, -18.0), 0.0, a),
+        f1=bw.BranchPoly(tuple(f1), a, 1.0),
+    )
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7])
+def test_march_past_the_seed_on_an_exact_quadratic_manifold(a):
+    """On _quadratic_manifold_term at c = 0.5 the march samples the closed
+    form d(|z|) = K e^-|z| / (1 - 3 K e^-|z|), K = D / (1 + 3 D), D the
+    distance from the equilibrium to a, on both paths: the same number of
+    samples, u to 1e-10 (2e-11 measured) and, past the seed, w = d + 3 d^2
+    to 1e-12 relative (5.5e-13).  The reciprocal series' tail bounds the
+    seed, not the series' own, which vanishes: from a seed at D / 2 the
+    closed form past the seed was 6e-7 off for D = 0.3 and 0.04 for
+    D = 0.7, where the reciprocal series diverges."""
+    f = _quadratic_manifold_term(a)
+    for side, target, forward, dist in (("right", 1.0 - 1e-4, True, 1.0 - a), ("left", 1e-4, False, a)):
+        path = bw.shoot_half(f, side, 0.5)
+        assert path.interpolants.series[:2] == pytest.approx((1.0, 3.0), rel=1e-14)
+        seed = path.u[0] if side == "left" else 1.0 - path.u[-1]
+        assert seed <= 0.1 / 3.0
+        u, w = bw.shooting._march(path, target, 1e-2, forward)
+        k = 1.0 / (3.0 + 1.0 / dist)
+        decay = k * np.exp(-1e-2 * np.arange(1, len(u) + 1))
+        d_exact = decay / (1.0 - 3.0 * decay)
+        assert d_exact[-1] <= 1e-4 < d_exact[-2]
+        d = 1.0 - u if forward else u
+        assert np.max(np.abs(d - d_exact)) <= 1e-10
+        past = d < seed
+        assert past.sum() > len(d) / 2
+        assert np.max(np.abs(w[past] / (d[past] + 3.0 * d[past] ** 2) - 1.0)) <= 1e-12
 
 
 def _hand_path(side, nodes, w_of_u):
@@ -469,7 +514,7 @@ def test_stiff_right_path_starts_on_its_line_halfway():
     assert abs(c - closed_form_speed(5e-4)) <= 1e-7
     right = bw.shoot_half(lin, "right", c)
     assert right.interpolants.series[1:] == (0.0,) * (len(right.interpolants.series) - 1)
-    assert rk45_nodes(right)[0][-1] == 1.0 - 0.5 * (1.0 - lin.a)
+    assert right.u[-1] == 1.0 - 0.5 * (1.0 - lin.a)
     assert right.nfev <= 3_000
 
 
@@ -564,15 +609,15 @@ def test_find_speed_quartic_evaluation_budget(quartic_terms):
 
 def test_find_speed_ode_work_budget(demo, quartic_terms):
     """The right-hand-side evaluations find_speed spends on the demo and the
-    20 quartics, a count that no timing noise moves: 43,378 with the paths
+    20 quartics, a count that no timing noise moves: 48,382 with the paths
     seeded on their manifold series, against 152,350 from the linear seed
-    at 1e-6 min(a, 1 - a).  The budget is 48,000, 31.5% of the latter."""
+    at 1e-6 min(a, 1 - a).  The budget is 53,000, 34.8% of the latter."""
     total = 0
     for f in [demo, *quartic_terms]:
         details = {}
         bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=details)
         total += details["ode_nfev"]
-    assert total <= 48_000
+    assert total <= 53_000
 
 
 def _stub_mismatch(monkeypatch, s_of_c):
