@@ -33,7 +33,7 @@ import numpy as np
 from . import linear_theory, reaction, shooting, simulator
 from .errors import BistableWavesError, ConfigError, Divergence, HypothesisFailure
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,10 +159,7 @@ class ReactionConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    eps: float | None = _rule(_positive, None)
-    tol_phi: float = _rule(_positive, 1e-12)
     tol_c: float = _rule(_positive, 1e-10)
-    c1_tol: float = _rule(_positive, 1e-6)
     dz: float = _rule(_owned(shooting._check_dz), 1e-2)
     u_eps: float = _rule(_owned(shooting._check_u_eps), 1e-4)
     ode_rtol: float = _rule(_positive, 1e-10)
@@ -340,19 +337,15 @@ def parse_config(text: str) -> RunConfig:
         dt = grid.dt if steps_ok else None
         _report(errs, "output.snapshot_times", simulator._check_snapshot_times, output.snapshot_times, t_end, dt)
 
-    # Term-dependent limits: dt against the explicit-reaction stability
-    # bound, once the grid's steps are valid, and eps against the
-    # singular-seed window, which needs no grid.
-    if rc is not None:
-        if steps_ok:
-            try:
-                lipschitz = max(reaction.max_abs_slopes(build_term(rc)))
-            except ValueError as exc:  # a slope beyond the float range
-                errs.append(("reaction", f"slopes are not finite: {exc}"))
-            else:
-                _report(errs, "grid.dt", simulator._check_dt, grid.dt, lipschitz)
-        if solver.eps is not None:
-            _report(errs, "solver.eps", shooting._check_eps, solver.eps, rc.a)
+    # The term-dependent limit: dt against the explicit-reaction stability
+    # bound, once the grid's steps are valid.
+    if rc is not None and steps_ok:
+        try:
+            lipschitz = max(reaction.max_abs_slopes(build_term(rc)))
+        except ValueError as exc:  # a slope beyond the float range
+            errs.append(("reaction", f"slopes are not finite: {exc}"))
+        else:
+            _report(errs, "grid.dt", simulator._check_dt, grid.dt, lipschitz)
 
     if errs:
         raise ConfigError(errs)
@@ -367,7 +360,7 @@ def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         return "null"
     if x == int(x) and abs(x) < 1e16:
-        return repr(int(x)) if float(int(x)) == x else format(x, ".17g")
+        return repr(int(x))
     return format(x, ".17g")
 
 
@@ -452,20 +445,17 @@ def _write_phase_csvs(
     ws: shooting.WaveSolution,
 ) -> None:
     """Phase-plane CSVs (u, w) of shooting paths with the bounding linear
-    paths, one file per labelled speed, each path from within
-    shooting.default_eps(f) of its equilibrium up to a; at c_star they are
-    the paths the wave ws was marched along."""
+    paths, one file per labelled speed, each path's nodes as
+    shooting.path_nodes extends them toward its equilibrium; at c_star
+    they are the paths the wave ws was marched along."""
     for tag, c in speeds.items():
         rows: list[list[Any]] = []
         if tag == "c_star":
             paths = ws.paths
         else:
-            paths = [
-                shooting.shoot_half(f, side, c, eps=solver.eps, rtol=solver.ode_rtol)
-                for side in ("left", "right")
-            ]
+            paths = [shooting.shoot_half(f, side, c, rtol=solver.ode_rtol) for side in ("left", "right")]
         for path in paths:
-            u_nodes, w_nodes = shooting.path_nodes(path, shooting.default_eps(f))
+            u_nodes, w_nodes = shooting.path_nodes(path)
             if path.side == "left":
                 env_lo = linear_theory.lambda0_plus(c, bounds.alpha_hi) * u_nodes
                 env_hi = linear_theory.lambda0_plus(c, bounds.alpha_lo) * u_nodes
@@ -498,15 +488,13 @@ def _stages(cfg: RunConfig) -> Iterator[Any]:
         raise HypothesisFailure(
             f"hypothesis audit failed (h1={report.h1_ok}, h2={report.h2_ok}, h3={report.h3_ok})"
         )
-    bracket = linear_theory.speed_bracket(report.slope_bounds, term.a, tol=solver.tol_phi)
+    bracket = linear_theory.speed_bracket(report.slope_bounds, term.a)
     yield bracket
     details: dict[str, Any] = {}
-    c_star = shooting.find_speed(
-        term, bracket, solver.tol_c, eps=solver.eps, rtol=solver.ode_rtol, details=details
-    )
+    c_star = shooting.find_speed(term, bracket, solver.tol_c, rtol=solver.ode_rtol, details=details)
     yield c_star, details
     ws = shooting.reconstruct_profile(
-        term, c_star, u_eps=solver.u_eps, dz=solver.dz, bracket=bracket, eps=solver.eps, rtol=solver.ode_rtol
+        term, c_star, u_eps=solver.u_eps, dz=solver.dz, bracket=bracket, rtol=solver.ode_rtol
     )
     yield ws
     grid = simulator.Grid1D(**asdict(cfg.grid))
@@ -606,7 +594,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
                 c_star=c_star,
                 bracket=asdict(bracket),
                 derivative_jump=abs(details["residual"]),  # S(c*), where find_speed stopped
-                iterations=details.get("iterations", 0),
+                iterations=details["iterations"],
             ),
         )
         return EXIT_OK
@@ -640,7 +628,7 @@ def _run_chain(cmd: str, cfg: RunConfig, outdir: Path) -> int:
                 c_star=c_star,
                 bracket=asdict(bracket),
                 derivative_jump=ws.derivative_jump_at_0,
-                c1_ok=shooting.verify_c1(ws, cfg.solver.c1_tol),
+                c1_ok=shooting.verify_c1(ws),
                 z_min=float(ws.z_grid[0]),
                 z_max=float(ws.z_grid[-1]),
                 n_samples=int(len(ws.z_grid)),

@@ -36,6 +36,11 @@ class BracketFailure(BistableWavesError):
     """No sign change of the shooting mismatch found within the expansion cap."""
 
 
+class SolverFailure(BistableWavesError, RuntimeError):
+    """An integration or profile march could not finish: the step size
+    underflowed, or the march met a bad step or ran out of z range."""
+
+
 class Divergence(BistableWavesError):
     """A simulated state left the admissible band [-0.5, 1.5]."""
 

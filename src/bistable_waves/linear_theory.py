@@ -18,6 +18,9 @@ from .errors import NoPositiveRoot
 from .reaction import SlopeBounds, _check_branch_point
 from .roots import EXPANSION_CAP, bracketed_root
 
+# match_speed solves the residual to this absolute tolerance.
+_MATCH_TOL = 1e-12
+
 
 def lambda0_plus(c: float, alpha: float) -> float:
     """Positive root of r^2 - c r + alpha = 0 (growth rate out of u=0)."""
@@ -100,24 +103,24 @@ def speed_residual(c: float, alpha: float, beta: float, a: float) -> float:
     )
 
 
-def match_speed(alpha: float, beta: float, a: float, tol: float = 1e-12) -> float:
-    """The unique c >= 0 with |residual| <= tol, by a Brent solve on an
-    expanding bracket.
+def match_speed(alpha: float, beta: float, a: float) -> float:
+    """The unique c >= 0 with |residual| <= _MATCH_TOL, by a Brent solve on
+    an expanding bracket.
 
     At the degenerate boundary residual(0) = 0 the matched speed is 0.
-    Raises NoPositiveRoot when residual(0) < -tol, i.e.
+    Raises NoPositiveRoot when residual(0) < -_MATCH_TOL, i.e.
     sqrt(-beta)*(1-a) < sqrt(-alpha)*a: the regime with no rightward wave.
     """
     if alpha >= 0.0 or beta >= 0.0:
         raise ValueError(f"branch slopes must be negative, got alpha={alpha}, beta={beta}")
     _check_branch_point(a)
     phi0 = speed_residual(0.0, alpha, beta, a)
-    if phi0 < -tol:
+    if phi0 < -_MATCH_TOL:
         raise NoPositiveRoot(
             f"sqrt(-beta)*(1-a)={math.sqrt(-beta) * (1 - a):.6g} <= "
             f"sqrt(-alpha)*a={math.sqrt(-alpha) * a:.6g}: no positive matched speed"
         )
-    if abs(phi0) <= tol:
+    if abs(phi0) <= _MATCH_TOL:
         return 0.0
     hi = 1.0
     phi_hi = speed_residual(hi, alpha, beta, a)
@@ -129,14 +132,14 @@ def match_speed(alpha: float, beta: float, a: float, tol: float = 1e-12) -> floa
         hi *= 2.0
         phi_hi = speed_residual(hi, alpha, beta, a)
     c, _, _ = bracketed_root(
-        lambda c: speed_residual(c, alpha, beta, a), 0.0, hi, phi0, phi_hi, tol, xtol=1e-16 * hi
+        lambda c: speed_residual(c, alpha, beta, a), 0.0, hi, phi0, phi_hi, _MATCH_TOL, xtol=1e-16 * hi
     )
     return c
 
 
-def matched_wave(alpha: float, beta: float, a: float, tol: float = 1e-12) -> EnvelopeWave:
+def matched_wave(alpha: float, beta: float, a: float) -> EnvelopeWave:
     """EnvelopeWave at the matched speed for the slope pair (alpha, beta)."""
-    c = match_speed(alpha, beta, a, tol=tol)
+    c = match_speed(alpha, beta, a)
     return EnvelopeWave(
         c=c, rate_left=lambda0_plus(c, alpha), rate_right=lambda1_minus(c, beta), a=a
     )
@@ -153,7 +156,7 @@ class SpeedBracket:
     ordering_ok: bool
 
 
-def speed_bracket(b: SlopeBounds, a: float, tol: float = 1e-12) -> SpeedBracket:
+def speed_bracket(b: SlopeBounds, a: float) -> SpeedBracket:
     """Match all four slope pairings.
 
     c_check pairs (alpha_lo, beta_hi), c_under (alpha_lo, beta_lo),
@@ -171,7 +174,7 @@ def speed_bracket(b: SlopeBounds, a: float, tol: float = 1e-12) -> SpeedBracket:
     failures: list[str] = []
     for name, (alpha, beta) in pairings.items():
         try:
-            speeds[name] = match_speed(alpha, beta, a, tol=tol)
+            speeds[name] = match_speed(alpha, beta, a)
         except NoPositiveRoot as exc:
             failures.append(f"{name}: {exc}")
     if failures:

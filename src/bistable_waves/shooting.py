@@ -8,9 +8,9 @@ both manifolds are analytic: in the distance d to the saddle
 w(d) = sum_k a_k d^k, whose first 12 coefficients follow from a
 recurrence.  Each path is seeded on that series as far out as the last
 two terms of the series and of its reciprocal allow at the integration
-tolerance (at half the distance to a for a linear branch, whose series is
-the exact line), so RK45 spends no steps where w is still nearly linear;
-a given eps caps the seed distance.
+tolerance rtol (at half the distance to a for a linear branch, whose series
+is the exact line), so RK45 spends no steps where w is still nearly linear;
+where a tail bound binds the seed distance moves as rtol^(1/11).
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
@@ -51,7 +51,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from ._tableaux import RK45
-from .errors import BracketFailure, NoPositiveRoot, PathCollapse
+from .errors import BracketFailure, NoPositiveRoot, PathCollapse, SolverFailure
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
 from .reaction import ReactionTerm, _horner
 from .roots import EXPANSION_CAP, bracketed_root
@@ -62,13 +62,13 @@ _W_FLOOR = 1e-12
 # A path leaves its equilibrium along _SERIES_TERMS terms of the manifold
 # series and RK45 takes over where the last two terms of the series, and of
 # the reciprocal series the march integrates, are _SERIES_TAIL * rtol of the
-# first (shoot_half).  A given cap eps on that seed distance lies in
-# (0, min(a, 1 - a) / _EPS_CAP_DIVISOR].
+# first (shoot_half).
 _SERIES_TERMS = 12
 _SERIES_TAIL = 1e-3
-_EPS_CAP_DIVISOR = 100.0
 # reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, _U_EPS_CAP].
 _U_EPS_CAP = 1e-3
+# verify_c1 accepts a derivative jump at z = 0 of at most this.
+_C1_TOL = 1e-6
 # The profile march covers |z| <= _MARCH_Z_RANGE, one sample every dz, so
 # _MARCH_Z_RANGE / dz must lie in [1, _MARCH_SAMPLE_CAP].
 _MARCH_Z_RANGE = 400.0
@@ -306,18 +306,16 @@ class PhasePath:
         return float(self.w[-1] if self.side == "left" else self.w[0])
 
 
-def default_eps(f: ReactionTerm) -> float:
-    """The distance from its equilibrium down to which a path's nodes reach
-    in the phase CSVs (path_nodes)."""
-    return max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
-
-
-def path_nodes(path: PhasePath, d_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """The path's (u, w) nodes, ascending in u, reaching within d_min of its
-    equilibrium: the manifold series at the seed distance over 10, 100, ...
-    down to d_min (none when the seed lies that close), each evaluated at
-    its node's exact distance as the seed is, then the RK45 nodes."""
+def path_nodes(path: PhasePath) -> tuple[np.ndarray, np.ndarray]:
+    """The path's (u, w) nodes, ascending in u, reaching within
+    d_min = max(1e-6 min(a, 1 - a), 1e-8) of its equilibrium, with a the
+    path's end at the branch point: the manifold series at the seed
+    distance over 10, 100, ... down to d_min (none when the seed lies that
+    close), each evaluated at its node's exact distance as the seed is,
+    then the RK45 nodes."""
     left = path.side == "left"
+    a = float(path.u[-1] if left else path.u[0])
+    d_min = max(1e-6 * min(a, 1.0 - a), 1e-8)
     series = path.interpolants.series
     u_ahead, w_ahead = [], []
     d = float(path.u[0] if left else 1.0 - path.u[-1])
@@ -329,18 +327,6 @@ def path_nodes(path: PhasePath, d_min: float) -> tuple[np.ndarray, np.ndarray]:
     if left:
         return np.concatenate([u_ahead[::-1], path.u]), np.concatenate([w_ahead[::-1], path.w])
     return np.concatenate([path.u, u_ahead]), np.concatenate([path.w, w_ahead])
-
-
-def _check_eps(eps: float, a: float) -> float:
-    """eps if it lies in the seed window (0, min(a, 1-a)/_EPS_CAP_DIVISOR]
-    of a term with branch point a, and 1 - eps, the right path's seed, is
-    not rounded onto the equilibrium u = 1; else ValueError."""
-    cap = min(a, 1.0 - a) / _EPS_CAP_DIVISOR
-    if not 0.0 < eps <= cap:
-        raise ValueError(f"eps={eps} outside (0, min(a, 1-a)/{_EPS_CAP_DIVISOR:g}] = (0, {cap:.6g}]")
-    if 1.0 - eps == 1.0:
-        raise ValueError(f"eps={eps} rounds the right seed 1 - eps onto u = 1")
-    return eps
 
 
 def _manifold_series(a1: float, c: float, b: tuple[float, ...]) -> tuple[float, ...]:
@@ -379,12 +365,10 @@ def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
 
 
 def _manifold_seed(
-    f: ReactionTerm, side: PathSide, c: float, eps: float | None, rtol: float
+    f: ReactionTerm, side: PathSide, c: float, rtol: float
 ) -> tuple[tuple[float, ...], float, float]:
     """The manifold series of the side's path at speed c and the seed
     (u0, w0) on it where RK45 takes over (shoot_half)."""
-    if eps is not None:
-        _check_eps(eps, f.a)
     if side == "left":
         a1, dist = lambda0_plus(c, f.slope_at_zero), f.a
         b, c_d = f.f0.coefficients, c
@@ -404,8 +388,6 @@ def _manifold_seed(
         if tail > 0.0:
             bound = _SERIES_TAIL * max(rtol, _RTOL_MIN) / tail  # at _rk45's floored rtol
             d0 = min(d0, bound ** (1.0 / (_SERIES_TERMS - 1)))
-    if eps is not None:
-        d0 = min(d0, eps)
     u0 = d0 if side == "left" else 1.0 - d0
     d0 = u0 if side == "left" else 1.0 - u0  # the distance 1 - u0 is exact
     w0 = _series_value(series, d0)
@@ -418,7 +400,6 @@ def shoot_half(
     f: ReactionTerm,
     side: PathSide,
     c: float,
-    eps: float | None = None,
     rtol: float = 1e-10,
 ) -> PhasePath:
     """Integrate one phase-plane half path up to u = a.
@@ -437,8 +418,8 @@ def shoot_half(
     max(|a_11|, |a_12|) d0^11 <= 1e-3 rtol a_1 and the same bound on the
     reciprocal series 1/r = 1 + sum_k e_k d^k the march integrates
     (_reciprocal_series): max(|e_10|, |e_11|) d0^11 <= 1e-3 rtol.  For a
-    linear branch both series are exact and d0 is the half distance; eps,
-    when given, caps d0.
+    linear branch both series are exact and d0 is the half distance;
+    otherwise, where a tail bound binds, d0 moves as rtol^(1/11).
 
     From the seed the integration is Dormand-Prince 5(4) with atol =
     1e-16, by a dedicated loop that is bit-identical to
@@ -457,7 +438,7 @@ def shoot_half(
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
     c = float(c)
-    series, u0, w0 = _manifold_seed(f, side, c, eps, rtol)
+    series, u0, w0 = _manifold_seed(f, side, c, rtol)
     left = side == "left"
     branch = _horner(f.f0.coefficients if left else f.f1.coefficients)
 
@@ -487,7 +468,7 @@ def shoot_half(
                 u_at=u_at,
                 nfev=steps.nfev,
             )
-        raise RuntimeError(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
+        raise SolverFailure(f"phase-path integration failed at c={c}: {RK45.TOO_SMALL_STEP}")
 
     return PhasePath(
         side=side,
@@ -502,7 +483,6 @@ def shoot_half(
 def speed_mismatch(
     f: ReactionTerm,
     c: float,
-    eps: float | None = None,
     rtol: float = 1e-10,
     *,
     details: dict | None = None,
@@ -510,9 +490,9 @@ def speed_mismatch(
     """S(c) = w_left(a; c) - w_right(a; c); a right-side collapse counts as
     w_right(a; c) = 0.  details["ode_nfev"] is set to the right-hand-side
     evaluations of both paths, a collapsed one included."""
-    left = shoot_half(f, "left", c, eps=eps, rtol=rtol)
+    left = shoot_half(f, "left", c, rtol=rtol)
     try:
-        right = shoot_half(f, "right", c, eps=eps, rtol=rtol)
+        right = shoot_half(f, "right", c, rtol=rtol)
         w_right, right_nfev = right.w_at_a, right.nfev
     except PathCollapse as collapse:
         w_right, right_nfev = 0.0, collapse.nfev
@@ -526,7 +506,6 @@ def find_speed(
     bracket: SpeedBracket | None,
     tol_c: float = 1e-10,
     *,
-    eps: float | None = None,
     rtol: float = 1e-10,
     details: dict | None = None,
 ) -> float:
@@ -555,7 +534,7 @@ def find_speed(
     def S(c: float) -> float:
         nonlocal ode_nfev
         counts: dict = {}
-        s = speed_mismatch(f, c, eps=eps, rtol=rtol, details=counts)
+        s = speed_mismatch(f, c, rtol=rtol, details=counts)
         evaluated.append((c, s))
         ode_nfev += counts["ode_nfev"]
         return s
@@ -660,7 +639,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     sigma from the guess P(d) = 0, exact as d -> 0, with g = (1 + sum_k
     e_k d^k) / a_1, and w from the series.
 
-    Raises RuntimeError when the target lies beyond |z| = _MARCH_Z_RANGE,
+    Raises SolverFailure when the target lies beyond |z| = _MARCH_Z_RANGE,
     or when w is not positive and finite on a step the samples need.
     """
     segments, series = path.interpolants
@@ -740,7 +719,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
         inside = j < n_ok
         if n_ok < len(steps) and not inside.all():
             lo, hi = sorted(u_nodes[n_ok : n_ok + 2])
-            raise RuntimeError(
+            raise SolverFailure(
                 f"profile march met a non-positive or non-finite w on the {path.side} path "
                 f"in u=[{lo:.6g}, {hi:.6g}] (dz={dz})"
             )
@@ -800,15 +779,19 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             return np.concatenate(u_parts), np.concatenate(w_parts)
         u_parts.append(u)
         w_parts.append(w)
-    raise RuntimeError(
+    raise SolverFailure(
         f"profile march did not reach u={target} within z range {_MARCH_Z_RANGE:g} (dz={dz})"
     )
 
 
 def _check_u_eps(u_eps: float) -> float:
-    """u_eps if it lies in (0, _U_EPS_CAP]; else ValueError."""
+    """u_eps if it lies in (0, _U_EPS_CAP] and 1 - u_eps, the right
+    march's target, is not rounded onto the equilibrium u = 1; else
+    ValueError."""
     if not 0.0 < u_eps <= _U_EPS_CAP:
         raise ValueError(f"u_eps={u_eps} outside (0, {_U_EPS_CAP:g}]")
+    if 1.0 - u_eps == 1.0:
+        raise ValueError(f"u_eps={u_eps} rounds the right target 1 - u_eps onto u = 1")
     return u_eps
 
 
@@ -830,7 +813,6 @@ def reconstruct_profile(
     dz: float = 1e-2,
     *,
     bracket: SpeedBracket | None = None,
-    eps: float | None = None,
     rtol: float = 1e-10,
 ) -> WaveSolution:
     """Rebuild u(z) from the phase paths at c_star, z(u) = int_a^u dv / w(v).
@@ -840,14 +822,14 @@ def reconstruct_profile(
     (_march): over the RK45 steps between a and the seed, and past the seed
     along the manifold series the path was seeded on.  Each side covers
     |z| <= _MARCH_Z_RANGE, so dz must leave between 1 and _MARCH_SAMPLE_CAP
-    samples per side there.  eps and rtol are the two paths' cap on the
-    seed distance and tolerance (shoot_half); the quadrature along them has
-    no tolerance of its own.
+    samples per side there.  rtol is the two paths' tolerance, which also
+    sets their seeds on the manifold series (shoot_half); the quadrature
+    along them has no tolerance of its own.
     """
     _check_u_eps(u_eps)
     _check_dz(dz)
-    left = shoot_half(f, "left", c_star, eps=eps, rtol=rtol)
-    right = shoot_half(f, "right", c_star, eps=eps, rtol=rtol)
+    left = shoot_half(f, "left", c_star, rtol=rtol)
+    right = shoot_half(f, "right", c_star, rtol=rtol)
     jump = abs(left.w_at_a - right.w_at_a)
 
     u_fwd, w_fwd = _march(right, 1.0 - u_eps, dz, forward=True)
@@ -869,9 +851,9 @@ def reconstruct_profile(
     )
 
 
-def verify_c1(ws: WaveSolution, tol: float = 1e-6) -> bool:
-    """True iff the derivative jump at z = 0 is within tol and w > 0 throughout."""
-    return bool(ws.derivative_jump_at_0 <= tol and np.all(ws.w_values > 0.0))
+def verify_c1(ws: WaveSolution) -> bool:
+    """True iff the derivative jump at z = 0 is within _C1_TOL and w > 0 throughout."""
+    return bool(ws.derivative_jump_at_0 <= _C1_TOL and np.all(ws.w_values > 0.0))
 
 
 def solve_wave(
@@ -880,7 +862,6 @@ def solve_wave(
     tol_c: float = 1e-10,
     u_eps: float = 1e-4,
     dz: float = 1e-2,
-    eps: float | None = None,
     rtol: float = 1e-10,
     details: dict | None = None,
 ) -> WaveSolution:
@@ -889,7 +870,5 @@ def solve_wave(
     from .reaction import slope_bounds
 
     bracket = speed_bracket(slope_bounds(f), f.a)
-    c_star = find_speed(f, bracket, tol_c, eps=eps, rtol=rtol, details=details)
-    return reconstruct_profile(
-        f, c_star, u_eps=u_eps, dz=dz, bracket=bracket, eps=eps, rtol=rtol
-    )
+    c_star = find_speed(f, bracket, tol_c, rtol=rtol, details=details)
+    return reconstruct_profile(f, c_star, u_eps=u_eps, dz=dz, bracket=bracket, rtol=rtol)

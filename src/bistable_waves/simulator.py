@@ -44,6 +44,7 @@ from .errors import (
     InsufficientData,
     NoFront,
     NonPositiveDistance,
+    SolverFailure,
 )
 from .reaction import ReactionTerm, max_abs_slopes
 from .roots import bracketed_root
@@ -679,7 +680,7 @@ def reaction_ode(
     t_end = float(t_end)
     steps = _rk45(lambda t, q: poly(q), 0.0, t_end, f.a, 1e-10, floor_event=False, atol=1e-13)
     if steps.status != 0:
-        raise RuntimeError(f"reaction ODE integration failed: {RK45.TOO_SMALL_STEP}")
+        raise SolverFailure(f"reaction ODE integration failed: {RK45.TOO_SMALL_STEP}")
     # As solve_ivp samples t_eval: each step evaluates its interpolant at
     # the times after the previous step's end, up to and with its own end.
     t_eval = np.linspace(0.0, t_end, 513)

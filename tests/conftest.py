@@ -109,7 +109,6 @@ def reference_shoot_half(
     f: bw.ReactionTerm,
     side: str,
     c: float,
-    eps: float | None = None,
     rtol: float = 1e-10,
     details: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
@@ -121,7 +120,7 @@ def reference_shoot_half(
     where the library does, with solve_ivp's status (1: the event fired,
     -1: the step underflowed) in the message and its nfev as the
     exception's.  details["nfev"] is set to solve_ivp's nfev."""
-    _series, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), eps, rtol)
+    _series, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
     coefficients = f.f0.coefficients if side == "left" else f.f1.coefficients
 
     def rhs(u, w):
@@ -176,13 +175,13 @@ def path_w(path: bw.PhasePath, u) -> np.ndarray:
 
 
 def reference_phase_path(
-    f: bw.ReactionTerm, side: str, c: float, eps: float | None = None, rtol: float = 1e-10
+    f: bw.ReactionTerm, side: str, c: float, rtol: float = 1e-10
 ) -> bw.PhasePath:
     """A PhasePath backed by reference_shoot_half: its RK45 nodes, and as
     interpolants solve_ivp's OdeSolution steps with shoot_half's manifold
     series, which the profile march reads."""
-    u_ref, w_ref, dense = reference_shoot_half(f, side, c, eps=eps, rtol=rtol)
-    series, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), eps, rtol)
+    u_ref, w_ref, dense = reference_shoot_half(f, side, c, rtol=rtol)
+    series, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
     segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in dense.interpolants]
     return bw.PhasePath(
         side=side,

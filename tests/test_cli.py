@@ -6,11 +6,12 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -129,13 +130,31 @@ def test_grid_cell_count_validated(grid, path):
 
 def test_solver_limits_validated():
     with pytest.raises(ConfigError) as exc:
-        cli.parse_config(
-            json.dumps(
-                {"reaction": "quadratic_demo", "solver": {"u_eps": 0.1, "eps": 0.1}}
-            )
-        )
-    paths = {path for path, _ in exc.value.violations}
-    assert {"solver.u_eps", "solver.eps"} <= paths
+        cli.parse_config(json.dumps({"reaction": "quadratic_demo", "solver": {"u_eps": 0.1}}))
+    assert "solver.u_eps" in {path for path, _ in exc.value.violations}
+
+
+@pytest.mark.parametrize("knob", ["eps", "tol_phi", "c1_tol"])
+def test_retired_solver_knobs_are_unknown_fields(tmp_path, capsys, knob):
+    """The seed cap, the envelope matching tolerance and the C^1 tolerance
+    are the library's own constants: a config that sets one is refused."""
+    cfgp = write_config(tmp_path, {"reaction": "quadratic_demo", "solver": {knob: 1e-6}})
+    assert cli.main(["check", "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at solver.{knob}: unknown field" in capsys.readouterr().err
+
+
+def test_every_config_field_is_named_in_the_readme():
+    """Each config field is a key of the README's example config or is
+    named there as `section.field`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    missing = [
+        f"{section}.{f.name}"
+        for section, cls in get_type_hints(cli.RunConfig).items()
+        for f in fields(cls)
+        if f.name not in example.get(section, {}) and f"`{section}.{f.name}`" not in readme
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("dz", [1000.0, 1e-9])
@@ -157,13 +176,6 @@ def test_profile_dz_outside_the_sample_range_is_refused(tmp_path, monkeypatch, c
 def test_profile_dz_at_the_sample_cap_parses():
     cfg = cli.parse_config(json.dumps({"reaction": "quadratic_demo", "solver": {"dz": 1e-5}}))
     assert cfg.solver.dz == 1e-5
-
-
-def test_eps_cap_reported_with_an_invalid_grid():
-    doc = {"reaction": "quadratic_demo", "grid": {"dx": -1}, "solver": {"eps": 0.5}}
-    with pytest.raises(ConfigError) as exc:
-        cli.parse_config(json.dumps(doc))
-    assert [p for p, _ in exc.value.violations] == ["grid.dx", "solver.eps"]
 
 
 @pytest.mark.parametrize("preset", ["piecewise_linear(-1, 1.3)", "piecewise_linear(-1, 0)"])
@@ -238,8 +250,7 @@ _DEMO_LIPSCHITZ = max(bw.max_abs_slopes(bw.quadratic_demo()))  # 1.6
     [
         pytest.param({"solver": {"u_eps": 0.5}}, "solver.u_eps", bw.shooting._check_u_eps, (0.5,), id="u_eps"),
         pytest.param({"solver": {"dz": 1000}}, "solver.dz", bw.shooting._check_dz, (1000.0,), id="dz"),
-        pytest.param({"solver": {"eps": 0.5}}, "solver.eps", bw.shooting._check_eps, (0.5, 0.3), id="eps"),
-        pytest.param({"solver": {"eps": 1e-20}}, "solver.eps", bw.shooting._check_eps, (1e-20, 0.3), id="eps_on_1"),
+        pytest.param({"solver": {"u_eps": 1e-17}}, "solver.u_eps", bw.shooting._check_u_eps, (1e-17,), id="u_eps_on_1"),
         pytest.param({"grid": {"dt": 5.0}}, "grid.dt", bw.simulator._check_dt, (5.0, _DEMO_LIPSCHITZ), id="dt"),
         pytest.param({"experiment": {"t_end": 1e9}}, "experiment.t_end", bw.simulator._check_steps, (1e9, 0.01), id="steps"),
         pytest.param(
@@ -339,7 +350,7 @@ _JSON_SCALARS = st.one_of(
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
 _SMALL = st.floats(1e-9, 1e-3) | st.sampled_from([1e-4, 1e-3])
 # A plausible value per section field; whether the document is valid is left
-# to the cross-field checks (cell count, dt stability, eps cap, table).
+# to the cross-field checks (cell count, dt stability, table).
 _PLAUSIBLE = {
     "reaction": {
         "a": st.floats(0.01, 0.99),
@@ -558,6 +569,21 @@ def test_speed_exit_code_solver_failure(tmp_path):
     assert cli.main(["speed", "--config", cfgp]) == 4
 
 
+def test_profile_march_failure_exit_code(tmp_path, capsys):
+    """A term whose speed solves but whose slow right tail does not reach
+    u = 1 - u_eps within the march's z range: profile exits 4 with the
+    march's message rather than raising."""
+    doc = {
+        "reaction": {"a": 0.5, "f0": [0, -1e-4], "f1": [1.2e-4, -1.2e-4]},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["speed", "--config", cfgp]) == 0
+    capsys.readouterr()
+    assert cli.main(["profile", "--config", cfgp]) == 4
+    assert capsys.readouterr().err.startswith("solver failure: profile march did not reach u=0.9999")
+
+
 def test_profile_command(tmp_path, demo_wave):
     out = tmp_path / "out"
     cfgp = write_config(
@@ -570,8 +596,8 @@ def test_profile_command(tmp_path, demo_wave):
     assert np.all(np.diff(data[:, 1]) > 0.0)  # u strictly increasing
     i0 = int(np.argmin(np.abs(data[:, 0])))
     assert data[i0, 1] == pytest.approx(0.3, abs=1e-9)
-    # each phase path runs from within default_eps of its saddle up to a
-    d_min = bw.shooting.default_eps(bw.quadratic_demo())
+    # each phase path runs from within 1e-6 min(a, 1 - a) of its saddle up to a
+    d_min = 1e-6 * 0.3
     for tag in ("c0", "c_check", "c_under", "c_over", "c_hat", "c_star"):
         phase = [ln.split(",") for ln in (out / f"phase_{tag}.csv").read_text().splitlines()[1:]]
         left = [float(u) for side, u, *_ in phase if side == "left"]
