@@ -5,20 +5,23 @@ dw/du = c - f(u)/w.  The left half path is the unstable manifold of
 (0, 0), the right half path the stable manifold of (1, 0), integrated
 backward.  Both equilibria are saddles and singular points of the ODE, and
 both manifolds are analytic: in the distance d to the saddle
-w(d) = sum_k a_k d^k, whose first 12 coefficients follow from a
+w(d) = sum_k a_k d^k, whose first 32 coefficients follow from a
 recurrence.  Each path is seeded on that series as far out as the last
 two terms of the series and of its reciprocal allow at the integration
-tolerance rtol (at half the distance to a for a linear branch, whose series
-is the exact line), so RK45 spends no steps where w is still nearly linear;
-where a tail bound binds the seed distance moves as rtol^(1/11).
+tolerance rtol, up to u = a itself.  Where both tails allow the whole
+distance the path is the series alone, one node at a and no ODE step: on
+every linear branch, whose series is the exact line, and on 34 of the 48
+paths of the benchmark's wave_solve terms at c*.  Elsewhere RK45 takes
+over at the seed; where a tail bound binds the seed distance moves as
+rtol^(1/31).
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
 envelope bracket (both ends and the Brent iterates) and adds five evenly
 spaced probes only when fewer than five distinct speeds lie there.
 
-From the seed each half path is a scalar ODE whose right-hand side costs
-a few flops, so it is integrated by a dedicated Dormand-Prince 5(4) loop
+From a seed short of a each half path is a scalar ODE whose right-hand
+side costs a few flops, so it is integrated by a dedicated Dormand-Prince 5(4) loop
 (_rk45) rather than through solve_ivp's generic machinery.  The loop
 performs exactly the float operations of scipy's solve_ivp(method="RK45",
 dense_output=True) on this problem from the same seed: its steps,
@@ -35,8 +38,9 @@ z(u) = int_a^u dv / w(v), so _march integrates 1/w over each RK45 step's
 own quartic interpolant (Gauss-Legendre, in the log distance to the path's
 equilibrium) and inverts z(u) at the sample spacing by Newton steps on the
 same rule, vectorized over the samples.  Past the seed, where most samples
-lie, 1/w of the series integrates in closed form and is inverted by
-Newton steps.  The RK45 tableau is SciPy's, copied into _tableaux, and the
+lie (all of them on a path the series carries to a), 1/w of the series
+integrates in closed form and is inverted by Newton steps, each decade of
+distance on the series terms that still reach rounding there.  The RK45 tableau is SciPy's, copied into _tableaux, and the
 collapse root is found by roots' transcription of brentq, so shooting runs
 on NumPy alone.
 """
@@ -44,6 +48,7 @@ on NumPy alone.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple
@@ -62,9 +67,17 @@ _W_FLOOR = 1e-12
 # A path leaves its equilibrium along _SERIES_TERMS terms of the manifold
 # series and RK45 takes over where the last two terms of the series, and of
 # the reciprocal series the march integrates, are _SERIES_TAIL * rtol of the
-# first (shoot_half).
-_SERIES_TERMS = 12
+# first, or nowhere if they stay below that up to u = a (shoot_half).
+_SERIES_TERMS = 32
 _SERIES_TAIL = 1e-3
+# Past the seed the march evaluates the series in parts of one decade of
+# distance (_LN10 in sigma) or _SERIES_CHUNK samples, whichever is more,
+# each without the terms below _SERIES_NEGLIGIBLE at its largest distance.
+_SERIES_NEGLIGIBLE = 2.0**-60
+_LN10 = math.log(10.0)
+_SERIES_CHUNK = 1024
+# path_nodes puts this many series nodes over the decade below the seed.
+_PATH_SERIES_NODES = 16
 # reconstruct_profile stops within u_eps of 0 and 1, with u_eps in (0, _U_EPS_CAP].
 _U_EPS_CAP = 1e-3
 # verify_c1 accepts a derivative jump at z = 0 of at most this.
@@ -309,21 +322,25 @@ class PhasePath:
 def path_nodes(path: PhasePath) -> tuple[np.ndarray, np.ndarray]:
     """The path's (u, w) nodes, ascending in u, reaching within
     d_min = max(1e-6 min(a, 1 - a), 1e-8) of its equilibrium, with a the
-    path's end at the branch point: the manifold series at the seed
-    distance over 10, 100, ... down to d_min (none when the seed lies that
-    close), each evaluated at its node's exact distance as the seed is,
-    then the RK45 nodes."""
+    path's end at the branch point: the manifold series at _PATH_SERIES_NODES
+    nodes evenly spaced in u from the seed distance d0 down to d0 / 10,
+    then at d0 / 100, d0 / 1000, ..., each cut at d_min (none when the seed
+    lies that close), each evaluated at its node's exact distance as the
+    seed is, then the RK45 nodes (the seed alone on a path the series
+    carries to a)."""
     left = path.side == "left"
     a = float(path.u[-1] if left else path.u[0])
     d_min = max(1e-6 * min(a, 1.0 - a), 1e-8)
     series = path.interpolants.series
-    u_ahead, w_ahead = [], []
-    d = float(path.u[0] if left else 1.0 - path.u[-1])
-    while d > d_min:
-        d = max(0.1 * d, d_min)
-        u = d if left else 1.0 - d
-        u_ahead.append(u)
-        w_ahead.append(_series_value(series, u if left else 1.0 - u))
+    d_seed = float(path.u[0] if left else 1.0 - path.u[-1])
+    distances = []
+    if d_seed > d_min:
+        distances = np.linspace(d_seed, 0.1 * d_seed, _PATH_SERIES_NODES + 1)[1:].tolist()
+        while distances[-1] > d_min:
+            distances.append(0.1 * distances[-1])
+        distances = [d for d in distances if d > d_min] + [d_min]
+    u_ahead = [d if left else 1.0 - d for d in distances]
+    w_ahead = [_series_value(series, u if left else 1.0 - u) for u in u_ahead]
     if left:
         return np.concatenate([u_ahead[::-1], path.u]), np.concatenate([w_ahead[::-1], path.w])
     return np.concatenate([path.u, u_ahead]), np.concatenate([path.w, w_ahead])
@@ -335,13 +352,17 @@ def _manifold_series(a1: float, c: float, b: tuple[float, ...]) -> tuple[float, 
     b(d) = sum_n b_n d^n has b_0 = 0 (b_0 is not read) and a_1 > 0 is the
     manifold's linear rate.  Matching the powers d^n gives, for n >= 2,
     a_n = -(b_n + sum_{k=2}^{n-1} (n + 1 - k) a_k a_{n+1-k}) / ((n + 1) a_1 - c),
-    whose denominator is positive."""
+    whose denominator is positive.  The terms k and n + 1 - k of the sum
+    share a product and their weights add to n + 1, so the sum is
+    (n + 1) times the products with k < n + 1 - k plus half the square
+    a_{(n+1)/2}^2 at odd n."""
     a = [0.0, a1]
     for n in range(2, _SERIES_TERMS + 1):
-        s = b[n] if n < len(b) else 0.0
-        for k in range(2, n):
-            s += (n + 1 - k) * a[k] * a[n + 1 - k]
-        a.append(-s / ((n + 1) * a1 - c))
+        m = n // 2
+        s = sum(map(operator.mul, a[2 : m + 1], a[n - 1 : n - m : -1]))
+        if n % 2:
+            s += 0.5 * a[m + 1] * a[m + 1]
+        a.append(-((b[n] if n < len(b) else 0.0) + (n + 1) * s) / ((n + 1) * a1 - c))
     return tuple(a[1:])
 
 
@@ -355,12 +376,13 @@ def _series_value(series: tuple[float, ...], d):
 
 def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
     """e_1, ..., e_{K-1} of 1 / r(d) = 1 + sum_k e_k d^k, where
-    r(d) = w(d) / (a_1 d) = 1 + sum_k (a_{k+1} / a_1) d^k is the manifold
-    series over its linear term, to the order the series determines."""
+    r(d) = w(d) / (a_1 d) = 1 + sum_k r_k d^k, r_k = a_{k+1} / a_1, is the
+    manifold series over its linear term, to the order the series
+    determines: e_k = -sum_{j=1}^k r_j e_{k-j} with e_0 = 1."""
     r = [a / series[0] for a in series[1:]]
     e = [1.0]
-    for k in range(1, len(series)):
-        e.append(-math.fsum(r[j - 1] * e[k - j] for j in range(1, k + 1)))
+    for _ in r:
+        e.append(-sum(map(operator.mul, r, reversed(e))))
     return np.array(e[1:])
 
 
@@ -368,7 +390,8 @@ def _manifold_seed(
     f: ReactionTerm, side: PathSide, c: float, rtol: float
 ) -> tuple[tuple[float, ...], float, float]:
     """The manifold series of the side's path at speed c and the seed
-    (u0, w0) on it where RK45 takes over (shoot_half)."""
+    (u0, w0) on it where RK45 takes over (shoot_half); u0 = a exactly when
+    the tail bounds allow the whole distance."""
     if side == "left":
         a1, dist = lambda0_plus(c, f.slope_at_zero), f.a
         b, c_d = f.f0.coefficients, c
@@ -383,13 +406,16 @@ def _manifold_seed(
     # The march integrates the reciprocal series past the seed, whose radius
     # can be far smaller than the series' own, so both tails bound d0.
     e = _reciprocal_series(series)
-    d0 = 0.5 * dist
+    d0 = dist
     for tail in (max(abs(series[-2]), abs(series[-1])) / a1, float(max(abs(e[-2]), abs(e[-1])))):
         if tail > 0.0:
             bound = _SERIES_TAIL * max(rtol, _RTOL_MIN) / tail  # at _rk45's floored rtol
             d0 = min(d0, bound ** (1.0 / (_SERIES_TERMS - 1)))
-    u0 = d0 if side == "left" else 1.0 - d0
-    d0 = u0 if side == "left" else 1.0 - u0  # the distance 1 - u0 is exact
+    if d0 == dist:
+        u0 = f.a
+    else:
+        u0 = d0 if side == "left" else 1.0 - d0
+    d0 = u0 if side == "left" else 1.0 - u0  # the distance as the march takes it from u0
     w0 = _series_value(series, d0)
     if not (d0 > 0.0 and 0.0 < w0 < math.inf):
         raise ValueError(f"seed w={w0} at distance {d0} of the {side} path at c={c} is not usable")
@@ -414,15 +440,18 @@ def shoot_half(
     right c -> -c and b = -g, g(d) = f1(1 - d)).  a_1 is the linear rate,
     lambda0_plus(c; f0'(0)) on the left and -lambda1_minus(c; f1'(1)) on
     the right.  The path is seeded on the series at the largest distance
-    d0, at most half the distance from the equilibrium to a, with
-    max(|a_11|, |a_12|) d0^11 <= 1e-3 rtol a_1 and the same bound on the
+    d0, at most the whole distance from the equilibrium to a, with
+    max(|a_31|, |a_32|) d0^31 <= 1e-3 rtol a_1 and the same bound on the
     reciprocal series 1/r = 1 + sum_k e_k d^k the march integrates
-    (_reciprocal_series): max(|e_10|, |e_11|) d0^11 <= 1e-3 rtol.  For a
-    linear branch both series are exact and d0 is the half distance;
-    otherwise, where a tail bound binds, d0 moves as rtol^(1/11).
+    (_reciprocal_series): max(|e_30|, |e_31|) d0^31 <= 1e-3 rtol, with
+    rtol floored at 100 machine epsilons.  Where both bounds allow the
+    whole distance, as on every linear branch (whose series are exact), the
+    series carries the path to u = a: the path is that one node, with w(a)
+    from the series, no steps and nfev 0.  Otherwise, where a tail bound
+    binds, d0 moves as rtol^(1/31).
 
-    From the seed the integration is Dormand-Prince 5(4) with atol =
-    1e-16, by a dedicated loop that is bit-identical to
+    From a seed short of a the integration is Dormand-Prince 5(4) with
+    atol = 1e-16, by a dedicated loop that is bit-identical to
     solve_ivp(method="RK45", dense_output=True) from the same seed: the
     same steps, samples, interpolants and collapse points.  Its stage sums
     stay BLAS dot calls on scipy's shapes, since BLAS may fuse their
@@ -439,6 +468,9 @@ def shoot_half(
         raise ValueError(f"speed c={c} must be >= 0")
     c = float(c)
     series, u0, w0 = _manifold_seed(f, side, c, rtol)
+    if u0 == f.a:
+        # The series carries the path to a: one node, no steps.
+        return PhasePath(side, c, np.array([u0]), np.array([w0]), _Interpolants([], series))
     left = side == "left"
     branch = _horner(f.f0.coefficients if left else f.f1.coefficients)
 
@@ -489,15 +521,20 @@ def speed_mismatch(
 ) -> float:
     """S(c) = w_left(a; c) - w_right(a; c); a right-side collapse counts as
     w_right(a; c) = 0.  details["ode_nfev"] is set to the right-hand-side
-    evaluations of both paths, a collapsed one included."""
+    evaluations of both paths, a collapsed one included, and
+    details["series_paths"] to the number of them the manifold series
+    carried to u = a (with no RK45 step)."""
     left = shoot_half(f, "left", c, rtol=rtol)
+    paths = [left]
     try:
         right = shoot_half(f, "right", c, rtol=rtol)
         w_right, right_nfev = right.w_at_a, right.nfev
+        paths.append(right)
     except PathCollapse as collapse:
         w_right, right_nfev = 0.0, collapse.nfev
     if details is not None:
         details["ode_nfev"] = left.nfev + right_nfev
+        details["series_paths"] = sum(not path.interpolants.segments for path in paths)
     return left.w_at_a - w_right
 
 
@@ -525,18 +562,21 @@ def find_speed(
     ones lie in the bracket (a fallback bracket or a root found at once),
     the five interior points of linspace(c_check, c_hat, 7) are evaluated
     first.  The check runs after the root is found and never moves it;
-    details["evaluations"] counts its probes too, and details["ode_nfev"]
-    totals the right-hand-side evaluations of every path shot.
+    details["evaluations"] counts its probes too, details["ode_nfev"]
+    totals the right-hand-side evaluations of every path shot, and
+    details["series_paths"] counts the paths the manifold series carried
+    to u = a, which took none.
     """
     evaluated: list[tuple[float, float]] = []  # every (c, S(c)) computed
-    ode_nfev = 0
+    ode_nfev = series_paths = 0
 
     def S(c: float) -> float:
-        nonlocal ode_nfev
+        nonlocal ode_nfev, series_paths
         counts: dict = {}
         s = speed_mismatch(f, c, rtol=rtol, details=counts)
         evaluated.append((c, s))
         ode_nfev += counts["ode_nfev"]
+        series_paths += counts["series_paths"]
         return s
 
     if bracket is not None and bracket.ordering_ok:
@@ -596,6 +636,7 @@ def find_speed(
         details["residual"] = s_star
         details["monotone_ok"] = monotone_ok
         details["ode_nfev"] = ode_nfev
+        details["series_paths"] = series_paths
     return c_star
 
 
@@ -632,12 +673,16 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     over [sigma_j, sigma], then z at each iterate by adding a 3-point rule
     over the step just taken.  w at the sample comes from the same quartic.
 
-    Past the seed the path is the manifold series w = a_1 d r(d), so
-    1/w = (1 + sum_k e_k d^k) / (a_1 d) (_reciprocal_series) integrates in
-    closed form: |z| = z_seed + (sigma - sigma_seed + P(d_seed) - P(d)) / a_1
-    with P(d) = sum_k e_k d^k / k.  A sample there takes Newton steps on
-    sigma from the guess P(d) = 0, exact as d -> 0, with g = (1 + sum_k
-    e_k d^k) / a_1, and w from the series.
+    Past the seed, and from u = a on a path the series carries there (one
+    node, no steps), the path is the manifold series w = a_1 d r(d), so
+    1/w = Q(d) / (a_1 d) with Q(d) = 1 + sum_k e_k d^k (_reciprocal_series)
+    integrates in closed form: |z| = z_seed + (sigma - sigma_seed +
+    P(d_seed) - P(d)) / a_1 with P(d) = sum_k e_k d^k / k.  A sample there
+    takes Newton steps on sigma from the guess P(d) = 0, exact as d -> 0,
+    with g = Q(d) / a_1, and w = a_1 d / Q(d).  P and Q are one product of
+    a power table of d, evaluated one decade of distance at a time (or
+    _SERIES_CHUNK samples, if more) and cut after the last term that
+    reaches _SERIES_NEGLIGIBLE at the part's largest d.
 
     Raises SolverFailure when the target lies beyond |z| = _MARCH_Z_RANGE,
     or when w is not positive and finite on a step the samples need.
@@ -646,9 +691,10 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     # One row per step outward from u = a, the reverse of the integration
     # order: t_old, h, w_old and the quartic's coefficients Q.
     outward = segments[::-1]
-    steps = np.hstack(
-        [np.array([seg[:3] for seg in outward]), np.concatenate([seg[3] for seg in outward])]
-    )
+    steps = np.empty((len(outward), 7))  # no rows on a path the series carries to a
+    if outward:
+        steps[:, :3] = [seg[:3] for seg in outward]
+        steps[:, 3:] = np.concatenate([seg[3] for seg in outward])
     # The nodes, outward from u = a.
     u_nodes, w_nodes = (path.u, path.w) if forward else (path.u[::-1], path.w[::-1])
     d_nodes = 1.0 - u_nodes if forward else u_nodes
@@ -688,18 +734,43 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     z_nodes = np.concatenate([[0.0], np.cumsum(step_z[:n_ok])])
     z_end = z_nodes[-1]
 
-    # Past the seed: P(d) and 1 + sum_k e_k d^k as one product of the powers
-    # of d with the columns (e_k / k, e_k).
+    # Past the seed: P(d) and Q(d) = 1 + sum_k e_k d^k as one product of the
+    # rows (e_k / k, e_k) with a table of the powers of d, cut after the
+    # last term that reaches _SERIES_NEGLIGIBLE at the largest d: term k
+    # falls below it where d <= d_lim[k - 1].
     a1, sig_seed, d_seed = series[0], sig_nodes[-1], d_nodes[-1]
     e = _reciprocal_series(series)
-    pq = np.stack([e / np.arange(1, len(e) + 1), e], axis=1)
+    orders = np.arange(1, len(e) + 1)
+    pq = np.stack([e / orders, e])
+    with np.errstate(divide="ignore"):
+        d_lim = (_SERIES_NEGLIGIBLE / np.abs(e)) ** (1.0 / orders)
 
     def p_q(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        powers = np.cumprod(np.repeat(d[:, None], len(e), axis=1), axis=1)
-        p, q = (powers @ pq).T
+        needed = np.flatnonzero(d.max() > d_lim)
+        n = int(needed[-1]) + 1 if needed.size else 0
+        # powers[k - 1] = d^k, by doubling: rows k ... 2k - 1 are rows
+        # 0 ... k - 1 times d^k.
+        powers = np.empty((n, len(d)))
+        powers[:1] = d
+        k = 1
+        while k < n:
+            rows = min(k, n - k)
+            np.multiply(powers[:rows], powers[k - 1], out=powers[k : k + rows])
+            k *= 2
+        p, q = pq[:, :n] @ powers
         return p, q + 1.0
 
     p_seed = float(p_q(np.array([d_seed]))[0][0])
+
+    def newton(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sigma and w = a_1 d / Q(d) past the seed where
+        sigma - P(d) = rhs, by Newton steps from the guess P(d) = 0."""
+        sig = rhs.copy()
+        for _ in range(_NEWTON_STEPS):
+            p, q = p_q(np.exp(-sig))
+            sig -= (sig - p - rhs) / q
+        d = np.exp(-sig)
+        return sig, a1 * d / p_q(d)[1]
 
     def z_of(sig: float) -> float:
         """|z| at sigma: 0 before a, the rule inside the usable steps, the
@@ -713,6 +784,30 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             return math.inf
         return z_end + (sig - sig_seed + p_seed - p_q(np.array([math.exp(-sig)]))[0][0]) / a1
 
+    def on_steps(zi: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sigma and w at the samples |z| = zi on the steps of rows j."""
+        p = steps[j]
+        s0, s1, z0 = sig_nodes[j], sig_nodes[j + 1], z_nodes[j]
+        width = z_nodes[j + 1] - z0
+        s = (zi - z0) / width
+        s2, s3 = s * s, s * s * s
+        guess = (
+            (2 * s3 - 3 * s2 + 1) * s0
+            + (s3 - 2 * s2 + s) * width / g_nodes[j]
+            + (3 * s2 - 2 * s3) * s1
+            + (s3 - s2) * width / g_nodes[j + 1]
+        )
+        sig = np.clip(guess, s0, s1)
+        z_in, g, _ = rule(s0, sig, p)
+        z_in += z0
+        for _ in range(_NEWTON_STEPS - 1):
+            sig_next = sig - (z_in - zi) / g
+            dz_in, g, _ = rule(sig, sig_next, p, _GAUSS_NEWTON)
+            z_in += dz_in
+            sig = sig_next
+        sig -= (z_in - zi) / g
+        return sig, g_w(sig[:, None], p)[1][:, 0]
+
     def solve(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u and w at the samples |z|."""
         j = np.searchsorted(z_nodes, z, side="right") - 1
@@ -725,39 +820,20 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             )
         sig = np.empty_like(z)
         w = np.empty_like(z)
+        if inside.any():
+            sig[inside], w[inside] = on_steps(z[inside], j[inside])
         past = ~inside
         if past.any():
-            # Newton on sigma - sigma_seed + p_seed - P(d) = a_1 (|z| - z_seed).
+            # sigma - sigma_seed + p_seed - P(d) = a_1 (|z| - z_seed), one
+            # decade of the guess's d, or _SERIES_CHUNK samples if more, at
+            # a time, so that each part's power table stops at the terms
+            # its own largest d needs.
             rhs = a1 * (z[past] - z_end) + sig_seed - p_seed
-            sig_past = rhs.copy()
-            for _ in range(_NEWTON_STEPS):
-                p, q = p_q(np.exp(-sig_past))
-                sig_past -= (sig_past - p - rhs) / q
-            sig[past] = sig_past
-            w[past] = _series_value(series, np.exp(-sig_past))
-        j, zi = j[inside], z[inside]
-        p = steps[j]
-        s0, s1, z0 = sig_nodes[j], sig_nodes[j + 1], z_nodes[j]
-        width = z_nodes[j + 1] - z0
-        s = (zi - z0) / width
-        s2, s3 = s * s, s * s * s
-        guess = (
-            (2 * s3 - 3 * s2 + 1) * s0
-            + (s3 - 2 * s2 + s) * width / g_nodes[j]
-            + (3 * s2 - 2 * s3) * s1
-            + (s3 - s2) * width / g_nodes[j + 1]
-        )
-        sig_in = np.clip(guess, s0, s1)
-        z_in, g, _ = rule(s0, sig_in, p)
-        z_in += z0
-        for _ in range(_NEWTON_STEPS - 1):
-            sig_next = sig_in - (z_in - zi) / g
-            dz_in, g, _ = rule(sig_in, sig_next, p, _GAUSS_NEWTON)
-            z_in += dz_in
-            sig_in = sig_next
-        sig_in -= (z_in - zi) / g
-        sig[inside] = sig_in
-        w[inside] = g_w(sig_in[:, None], p)[1][:, 0]
+            width = max(_LN10, a1 * dz * _SERIES_CHUNK)  # rhs steps by a_1 dz
+            parts = np.split(rhs, np.searchsorted(rhs, np.arange(rhs[0], rhs[-1], width)[1:]))
+            sig_w = [newton(part) for part in parts]
+            sig[past] = np.concatenate([sw[0] for sw in sig_w])
+            w[past] = np.concatenate([sw[1] for sw in sig_w])
         d = np.exp(-sig)
         return (1.0 - d if forward else d), w
 
@@ -819,8 +895,9 @@ def reconstruct_profile(
 
     Samples forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid
-    (_march): over the RK45 steps between a and the seed, and past the seed
-    along the manifold series the path was seeded on.  Each side covers
+    (_march): over the RK45 steps between a and the seed, if any, and past
+    the seed along the manifold series the path was seeded on, from u = a
+    itself on a path the series carries there.  Each side covers
     |z| <= _MARCH_Z_RANGE, so dz must leave between 1 and _MARCH_SAMPLE_CAP
     samples per side there.  rtol is the two paths' tolerance, which also
     sets their seeds on the manifold series (shoot_half); the quadrature

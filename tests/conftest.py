@@ -119,8 +119,14 @@ def reference_shoot_half(
     library's path) and solve_ivp's OdeSolution, and raises PathCollapse
     where the library does, with solve_ivp's status (1: the event fired,
     -1: the step underflowed) in the message and its nfev as the
-    exception's.  details["nfev"] is set to solve_ivp's nfev."""
+    exception's.  details["nfev"] is set to solve_ivp's nfev.  A seed at
+    u = a leaves nothing to integrate: the seed is the one sample, the
+    OdeSolution None and nfev 0."""
     _series, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
+    if u0 == f.a:
+        if details is not None:
+            details["nfev"] = 0
+        return np.array([u0]), np.array([w0]), None
     coefficients = f.f0.coefficients if side == "left" else f.f1.coefficients
 
     def rhs(u, w):
@@ -158,17 +164,21 @@ def series_w(series, d) -> np.ndarray:
 def path_w(path: bw.PhasePath, u) -> np.ndarray:
     """w on a path at u, read from its interpolants alone: between the RK45
     nodes scipy's OdeSolution over the steps' quartics (RkDenseOutput),
-    past the seed the manifold series, past u = a the value at a."""
+    past the seed the manifold series, past u = a the value at a.  A path
+    the series carries to a has one node and no steps."""
     segments, series = path.interpolants
     u_nodes = path.u
-    ts = u_nodes if path.side == "left" else u_nodes[::-1]
-    dense = OdeSolution(
-        ts,
-        [RkDenseOutput(t0, t1, np.array([w0]), q) for (t0, _h, w0, q), t1 in zip(segments, ts[1:])],
-    )
     u = np.asarray(u, dtype=float)
     lo, hi = u_nodes[0], u_nodes[-1]
-    w = dense(np.clip(u, lo, hi))[0]
+    if segments:
+        ts = u_nodes if path.side == "left" else u_nodes[::-1]
+        dense = OdeSolution(
+            ts,
+            [RkDenseOutput(t0, t1, np.array([w0]), q) for (t0, _h, w0, q), t1 in zip(segments, ts[1:])],
+        )
+        w = dense(np.clip(u, lo, hi))[0]
+    else:
+        w = np.full(u.shape, path.w[0])
     left = path.side == "left"
     w = np.where(u < lo, series_w(series, u), w) if left else np.where(u > hi, series_w(series, 1.0 - u), w)
     return float(w) if w.ndim == 0 else w
@@ -178,11 +188,12 @@ def reference_phase_path(
     f: bw.ReactionTerm, side: str, c: float, rtol: float = 1e-10
 ) -> bw.PhasePath:
     """A PhasePath backed by reference_shoot_half: its RK45 nodes, and as
-    interpolants solve_ivp's OdeSolution steps with shoot_half's manifold
-    series, which the profile march reads."""
+    interpolants solve_ivp's OdeSolution steps (none from a seed at a) with
+    shoot_half's manifold series, which the profile march reads."""
     u_ref, w_ref, dense = reference_shoot_half(f, side, c, rtol=rtol)
     series, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
-    segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in dense.interpolants]
+    interpolants = dense.interpolants if dense is not None else []
+    segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in interpolants]
     return bw.PhasePath(
         side=side,
         c=float(c),

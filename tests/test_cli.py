@@ -596,7 +596,9 @@ def test_profile_command(tmp_path, demo_wave):
     assert np.all(np.diff(data[:, 1]) > 0.0)  # u strictly increasing
     i0 = int(np.argmin(np.abs(data[:, 0])))
     assert data[i0, 1] == pytest.approx(0.3, abs=1e-9)
-    # each phase path runs from within 1e-6 min(a, 1 - a) of its saddle up to a
+    # each phase path runs from within 1e-6 min(a, 1 - a) of its saddle up to
+    # a, ascending in u, with at least 16 rows, also where the manifold series
+    # carries it to a
     d_min = 1e-6 * 0.3
     for tag in ("c0", "c_check", "c_under", "c_over", "c_hat", "c_star"):
         phase = [ln.split(",") for ln in (out / f"phase_{tag}.csv").read_text().splitlines()[1:]]
@@ -604,6 +606,8 @@ def test_profile_command(tmp_path, demo_wave):
         right = [float(u) for side, u, *_ in phase if side == "right"]
         assert min(left) <= d_min * (1.0 + 1e-12) and max(left) == 0.3
         assert 1.0 - max(right) <= d_min * (1.0 + 1e-12) and min(right) == 0.3
+        for u in (left, right):
+            assert len(u) >= 16 and np.all(np.diff(u) > 0.0)
     # shooting paths stay between the bounding linear paths, row by row
     rows = (out / "phase_c_star.csv").read_text().splitlines()[1:]
     for row in rows:

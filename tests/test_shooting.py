@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import DOP853, RK45, solve_ivp
 
 import bistable_waves as bw
@@ -19,6 +20,7 @@ from bistable_waves.roots import bracketed_root
 from conftest import (
     closed_form_speed,
     path_w,
+    random_admissible_quartic,
     reference_bvp_speed,
     reference_march,
     reference_phase_path,
@@ -74,8 +76,11 @@ def _branch_about_saddle(f, side):
 def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
     """The series w(d) = sum_k a_k d^k a path is seeded on solves
     w w' = c' w - b(d) through the order it carries: the residual's
-    coefficients of d^1 ... d^K vanish to rounding.  f1_about_one is the
-    right branch about u = 1 as numpy composes it."""
+    coefficients of d^1 ... d^K vanish to rounding.  The reciprocal series
+    the march integrates inverts r = w / (a_1 d) through the order it
+    carries: the coefficients of d^1 ... d^(K-1) of r (1 + sum_k e_k d^k)
+    vanish to rounding of their products' sums.  f1_about_one is the right
+    branch about u = 1 as numpy composes it."""
     for f in [demo, bw.piecewise_linear(-1.0, 0.3), *quartic_terms[:3]]:
         b = _branch_about_saddle(f, side)
         if side == "right":
@@ -87,6 +92,10 @@ def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
             residual = np.concatenate([residual, np.zeros(len(series) + 1)])  # numpy trims zeros
             scale = max(abs(x) for x in (*series, *b.coef)) ** 2
             assert np.max(np.abs(residual[1 : len(series) + 1])) <= 1e-14 * scale
+            r = np.array(series) / series[0]
+            e = np.concatenate([[1.0], bw.shooting._reciprocal_series(series)])
+            product = np.convolve(r, e)[1 : len(e)]
+            assert np.all(np.abs(product) <= 1e-14 * np.convolve(np.abs(r), np.abs(e))[1 : len(e)])
 
 
 def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
@@ -120,6 +129,45 @@ def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
             assert d.min() <= d_min + 1e-16 and ahead.sum() >= 3
             assert np.max(relative[ahead]) <= 1e-12
             assert np.max(relative[rk45]) <= 1e-10
+
+
+def _w_at_a_from_the_linear_seed(f, side, c):
+    """w(a) on the side's path at speed c by solve_ivp (LSODA, which the
+    stiff right paths need, rtol 1e-13) from the linear seed
+    w = rate * d at the distance d = 1e-6 min(a, 1 - a) from the
+    equilibrium, the rate written out from the eigenvalue formula."""
+    polyval, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    d = 1e-6 * min(f.a, 1.0 - f.a)
+    p = f.f0.coefficients if side == "left" else f.f1.coefficients
+    slope = float(polyval(0.0 if side == "left" else 1.0, polyder(p)))
+    if side == "left":
+        u0, w0 = d, 0.5 * (c + math.sqrt(c * c - 4.0 * slope)) * d
+    else:
+        u0, w0 = 1.0 - d, -0.5 * (c - math.sqrt(c * c - 4.0 * slope)) * d
+    sol = solve_ivp(lambda u, w: c - polyval(u, p) / w, (u0, f.a), [w0], method="LSODA", rtol=1e-13, atol=1e-30)
+    assert sol.status == 0, sol.message
+    return float(sol.y[0, -1])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
+def test_series_carried_w_at_a_matches_solve_ivp(seed, t):
+    """Wherever the manifold series carries a path to u = a, its w(a) is
+    an independent solve_ivp path's to 1e-9 relative (1.4e-12 measured
+    over 40 draws, LSODA's own error), on admissible quartics at speeds
+    across their envelope bracket.  The left series reaches a on every
+    draw measured, the right one on about a third."""
+    f = random_admissible_quartic(np.random.default_rng(seed))
+    br = bw.speed_bracket(bw.slope_bounds(f), f.a)
+    c = br.c_check + t * (br.c_hat - br.c_check)
+    carried = 0
+    for side in ("left", "right"):
+        _series, u0, w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
+        if u0 == f.a:
+            carried += 1
+            want = _w_at_a_from_the_linear_seed(f, side, c)
+            assert abs(w0 - want) <= 1e-9 * want
+    assume(carried > 0)
 
 
 def test_shoot_half_eps_guard(demo):
@@ -171,24 +219,46 @@ def _phase_oracle_terms(quartic):
     }
 
 
+def _seed_short_of_a(monkeypatch):
+    """Move every seed that _manifold_seed puts at u = a back to half the
+    distance from the equilibrium, on the series, for shoot_half and
+    reference_shoot_half alike, so that both take RK45 steps from there."""
+    real = bw.shooting._manifold_seed
+
+    def seed(f, side, c, rtol):
+        series, u0, w0 = real(f, side, c, rtol)
+        if u0 != f.a:
+            return series, u0, w0
+        u0 = 0.5 * f.a if side == "left" else 1.0 - 0.5 * (1.0 - f.a)
+        return series, u0, bw.shooting._series_value(series, u0 if side == "left" else 1.0 - u0)
+
+    monkeypatch.setattr(bw.shooting, "_manifold_seed", seed)
+
+
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
-def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms):
+def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms, monkeypatch):
     """From the same seed on the manifold series, the float-Horner
     right-hand side takes the same RK45 steps as an npp.polyval one in
     solve_ivp: the RK45 nodes, w(a), S(c) and the evaluation count nfev are
-    solve_ivp's."""
+    solve_ivp's.  Once from the series' own seeds, some at u = a, and once
+    with every seed moved short of a, where every path takes steps."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
-    for c in (0.0, 0.55, 1.2):
-        for side in ("left", "right"):
-            path = bw.shoot_half(f, side, c)
-            details = {}
-            u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
-            u, w = path.u, path.w
-            np.testing.assert_array_equal(u, u_ref)
-            np.testing.assert_array_equal(w, w_ref)
-            assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
-            assert path.nfev == details["nfev"]
-        assert bw.speed_mismatch(f, c) == reference_speed_mismatch(f, c)
+    for short in (False, True):
+        with monkeypatch.context() as patch:
+            if short:
+                _seed_short_of_a(patch)
+            for c in (0.0, 0.55, 1.2):
+                for side in ("left", "right"):
+                    path = bw.shoot_half(f, side, c)
+                    details = {}
+                    u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
+                    u, w = path.u, path.w
+                    np.testing.assert_array_equal(u, u_ref)
+                    np.testing.assert_array_equal(w, w_ref)
+                    assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
+                    assert path.nfev == details["nfev"]
+                    assert path.nfev > 0 or not short
+                assert bw.speed_mismatch(f, c) == reference_speed_mismatch(f, c)
 
 
 def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
@@ -198,8 +268,9 @@ def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
     and some path clamps its last step at u = a.  Without a rejection each
     step is at least 0.9 times the one before (RK45's least growth factor
     after an accepted step), so a last step below 0.8 times its
-    predecessor, on a path with none, was cut short by the clamp."""
-    rejected = clamped = 0
+    predecessor, on a path with none, was cut short by the clamp.  The
+    series carries 27 of the 40 paths to a; at least 10 take steps (13)."""
+    rejected = clamped = stepped = 0
     for f in quartic_terms:
         c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
         for side in ("left", "right"):
@@ -212,9 +283,10 @@ def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
             assert path.nfev == details["nfev"]
             steps = np.diff(u) if side == "left" else -np.diff(u)[::-1]
             trials = 2 + 6 * len(steps)
+            stepped += len(steps) > 0
             rejected += path.nfev > trials
-            clamped += path.nfev == trials and steps[-1] < 0.8 * steps[-2]
-    assert rejected > 0 and clamped > 0
+            clamped += path.nfev == trials and len(steps) > 1 and steps[-1] < 0.8 * steps[-2]
+    assert rejected > 0 and clamped > 0 and stepped >= 10
 
 
 def test_collapsing_path_matches_polyval_reference():
@@ -262,10 +334,12 @@ def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
     assert events == len(calls) > 0
 
 
-def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):
+def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo, monkeypatch):
     """An rtol under 100 machine epsilons is clipped to that with
     solve_ivp's UserWarning, and the path is solve_ivp's at the clipped
-    rtol."""
+    rtol.  The demo's left series reaches a even at the floor, so both
+    seeds are moved short of a, where RK45 steps."""
+    _seed_short_of_a(monkeypatch)
     for side in ("left", "right"):
         with pytest.warns(UserWarning) as got:
             path = bw.shoot_half(demo, side, 0.55, rtol=1e-16)
@@ -277,21 +351,27 @@ def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo):
         u, w = path.u, path.w
         assert u.tobytes() == u_ref.tobytes()
         assert w.tobytes() == w_ref.tobytes()
-        assert path.nfev == details["nfev"]
+        assert path.nfev == details["nfev"] > 0
 
 
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic"])
 def test_profile_matches_reference_backed_paths_bytewise(name, quartic_terms, monkeypatch):
     """reconstruct_profile over shoot_half's paths writes the same bytes as
-    over PhasePaths backed by solve_ivp's OdeSolution."""
+    over PhasePaths backed by solve_ivp's OdeSolution, from the series'
+    seeds and from seeds moved short of a, where both paths take steps."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
     c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
-    got = bw.reconstruct_profile(f, c)
-    monkeypatch.setattr(bw.shooting, "shoot_half", reference_phase_path)
-    want = bw.reconstruct_profile(f, c)
-    for attr in ("z_grid", "u_values", "w_values"):
-        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-    assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
+    for short in (False, True):
+        with monkeypatch.context() as patch:
+            if short:
+                _seed_short_of_a(patch)
+            got = bw.reconstruct_profile(f, c)
+            patch.setattr(bw.shooting, "shoot_half", reference_phase_path)
+            want = bw.reconstruct_profile(f, c)
+        for attr in ("z_grid", "u_values", "w_values"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
+        assert min(path.nfev for path in got.paths) > 0 or not short
 
 
 def _march_terms(quartic_terms):
@@ -352,13 +432,16 @@ def test_march_past_the_seed_on_an_exact_quadratic_manifold(a):
     to 1e-12 relative (5.5e-13).  The reciprocal series' tail bounds the
     seed, not the series' own, which vanishes: from a seed at D / 2 the
     closed form past the seed was 6e-7 off for D = 0.3 and 0.04 for
-    D = 0.7, where the reciprocal series diverges."""
+    D = 0.7, where the reciprocal series diverges.  Its terms are (3 d)^k,
+    so the bound (3 d0)^31 <= 1e-3 rtol = 1e-13 puts the seed at
+    d0 = 0.381 / 3 = 0.127, short of a for both D, RK45 between them."""
     f = _quadratic_manifold_term(a)
     for side, target, forward, dist in (("right", 1.0 - 1e-4, True, 1.0 - a), ("left", 1e-4, False, a)):
         path = bw.shoot_half(f, side, 0.5)
         assert path.interpolants.series[:2] == pytest.approx((1.0, 3.0), rel=1e-14)
         seed = path.u[0] if side == "left" else 1.0 - path.u[-1]
-        assert seed <= 0.1 / 3.0
+        assert seed <= 0.39 / 3.0 < dist
+        assert path.nfev > 0
         u, w = bw.shooting._march(path, target, 1e-2, forward)
         k = 1.0 / (3.0 + 1.0 / dist)
         decay = k * np.exp(-1e-2 * np.arange(1, len(u) + 1))
@@ -497,20 +580,20 @@ def test_find_speed_linear_closed_form(a):
     assert c == pytest.approx(closed_form_speed(a), abs=1e-8)
 
 
-def test_stiff_right_path_starts_on_its_line_halfway():
+def test_stiff_right_path_is_its_series_line_to_a():
     """piecewise_linear(-1, 5e-4) has c* = 44.69, where the right path is
     stiff (a perturbation of w decays at a rate ~ 2,000 / (1 - u)).  Its
-    manifold series is the exact line, seeded at half the distance, so the
-    right path takes 2,834 right-hand-side evaluations (73,262 from the
-    linear seed at 1 - 5e-7), within the budget of 3,000; c* is the closed
+    manifold series is the exact line, so the series carries the path to
+    u = a with no right-hand-side evaluation (2,834 from a seed at half the
+    distance, 73,262 from the linear seed at 1 - 5e-7); c* is the closed
     form's to 1e-7."""
     lin = bw.piecewise_linear(-1.0, 5e-4)
     c = bw.find_speed(lin, bw.speed_bracket(bw.slope_bounds(lin), lin.a))
     assert abs(c - closed_form_speed(5e-4)) <= 1e-7
     right = bw.shoot_half(lin, "right", c)
     assert right.interpolants.series[1:] == (0.0,) * (len(right.interpolants.series) - 1)
-    assert right.u[-1] == 1.0 - 0.5 * (1.0 - lin.a)
-    assert right.nfev <= 3_000
+    assert right.u.tolist() == [lin.a]
+    assert right.nfev == 0
 
 
 def test_find_speed_reports_details(demo, demo_bracket):
@@ -572,6 +655,32 @@ def test_find_speed_totals_ode_nfev_over_every_path(use_bracket, demo, demo_brac
     det = {}
     bw.speed_mismatch(_STARVED, 0.0, details=det)
     assert shot[1] > 0 and det["ode_nfev"] == sum(shot)
+    assert det["series_paths"] == (shot[0] == 0)
+
+
+def test_find_speed_counts_the_series_carried_paths(demo, quartic_terms, monkeypatch):
+    """details["series_paths"] is the number of half paths find_speed shot
+    that took no right-hand-side evaluation; on the demo and the 20
+    quartics the series carries most of them to u = a, and not all."""
+    real = bw.shooting.shoot_half
+    shot = []
+
+    def recording(*args, **kwargs):
+        path = real(*args, **kwargs)
+        shot.append(path)
+        return path
+
+    monkeypatch.setattr(bw.shooting, "shoot_half", recording)
+    carried = total = 0
+    for f in [demo, *quartic_terms]:
+        shot.clear()
+        det = {}
+        bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=det)
+        assert det["series_paths"] == sum(path.nfev == 0 for path in shot)
+        assert det["series_paths"] == sum(len(path.u) == 1 for path in shot)
+        carried += det["series_paths"]
+        total += len(shot)
+    assert total / 2 < carried < total
 
 
 def test_find_speed_demo_evaluation_budget(demo, demo_bracket, monkeypatch):
@@ -604,15 +713,17 @@ def test_find_speed_quartic_evaluation_budget(quartic_terms):
 
 def test_find_speed_ode_work_budget(demo, quartic_terms):
     """The right-hand-side evaluations find_speed spends on the demo and the
-    20 quartics, a count that no timing noise moves: 48,382 with the paths
-    seeded on their manifold series, against 152,350 from the linear seed
-    at 1e-6 min(a, 1 - a).  The budget is 53,000, 34.8% of the latter."""
+    20 quartics, a count that no timing noise moves: 10,744 with the series
+    carrying a path to u = a where its tail bounds allow, against 48,382
+    with the seed capped at half the distance and 152,350 from the linear
+    seed at 1e-6 min(a, 1 - a).  The budget is 11,800, 9.8% above the
+    count."""
     total = 0
     for f in [demo, *quartic_terms]:
         details = {}
         bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=details)
         total += details["ode_nfev"]
-    assert total <= 53_000
+    assert total <= 11_800
 
 
 def _stub_mismatch(monkeypatch, s_of_c):
@@ -622,7 +733,7 @@ def _stub_mismatch(monkeypatch, s_of_c):
     def stub(f, c, rtol=1e-10, details=None):
         calls.append(c)
         if details is not None:
-            details["ode_nfev"] = 0
+            details["ode_nfev"] = details["series_paths"] = 0
         return s_of_c(c)
 
     monkeypatch.setattr(bw.shooting, "speed_mismatch", stub)
@@ -720,12 +831,13 @@ def test_linear_profile_matches_envelope_wave():
 )
 def test_linear_profile_samples_match_closed_form(a, u_eps, tol, n_samples):
     """The samples of a linear term's profile are the matched piecewise
-    exponential's to 1e-12: also with u_eps = 1e-9, below the seed distance,
-    where the march follows the seed lines.  At a = 5e-4 with
-    u_eps = 1e-3 > a the backward side keeps its one sample; there the
-    right path, at c* = 44.7 where dw/du is the difference of two
-    numbers near 44.7, is off its line w = lambda (1 - u) by up to 4.5e-7
-    relative, and the samples by 3.3e-12."""
+    exponential's to 1e-12: also with u_eps = 1e-9, where the march follows
+    the seed lines all the way.  At a = 5e-4 with u_eps = 1e-3 > a the
+    backward side keeps its one sample; there the right path, at c* = 44.7
+    where dw/du is the difference of two numbers near 44.7, strayed from
+    its line w = lambda (1 - u) by up to 4.5e-7 relative when RK45
+    integrated it, and the samples by 3.3e-12.  The series now carries
+    every linear path to u = a, and all five cases measure 2.2e-16."""
     lin = bw.piecewise_linear(-1.0, a)
     br = bw.speed_bracket(bw.slope_bounds(lin), a)
     ws = bw.reconstruct_profile(lin, bw.find_speed(lin, br), u_eps=u_eps, bracket=br)
