@@ -28,6 +28,14 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterator, Sequence, get_args
 
+# Each command is one short process whose largest BLAS calls are far too
+# small to thread, and OpenBLAS's worker threads spin from the moment the
+# library loads.  So a process that starts here runs numpy's and scipy's
+# OpenBLAS on one thread; a value the user set wins, and a process that
+# loaded numpy before this module keeps its own threads.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import linear_theory, reaction, shooting, simulator

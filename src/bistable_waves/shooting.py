@@ -288,10 +288,13 @@ class _Interpolants(NamedTuple):
     w = w_old + h * Q.(x, x^2, x^3, x^4) with x = (u - t_old) / h, as
     _Steps.segments holds it.  Between the path's equilibrium and the seed
     the path is the manifold series w = sum_k series[k-1] * d^k, d the
-    distance to that equilibrium."""
+    distance to that equilibrium, and reciprocal holds its reciprocal
+    series' e_1, ..., e_{K-1} (_reciprocal_series), which bounded the seed
+    and which the march integrates past it."""
 
     segments: list[tuple[float, float, float, np.ndarray]]
     series: tuple[float, ...]
+    reciprocal: np.ndarray
 
 
 @dataclass
@@ -300,9 +303,9 @@ class PhasePath:
 
     u and w are the RK45 step nodes from the seed to u = a, ascending in
     u; path_nodes extends them toward the equilibrium along the series.
-    interpolants holds the steps' quartics and the series, which the
-    profile march reads.  nfev is the number of right-hand-side
-    evaluations the integration took, solve_ivp's nfev.
+    interpolants holds the steps' quartics, the series and its
+    reciprocal, which the profile march reads.  nfev is the number of
+    right-hand-side evaluations the integration took, solve_ivp's nfev.
     """
 
     side: PathSide
@@ -388,10 +391,10 @@ def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
 
 def _manifold_seed(
     f: ReactionTerm, side: PathSide, c: float, rtol: float
-) -> tuple[tuple[float, ...], float, float]:
-    """The manifold series of the side's path at speed c and the seed
-    (u0, w0) on it where RK45 takes over (shoot_half); u0 = a exactly when
-    the tail bounds allow the whole distance."""
+) -> tuple[tuple[float, ...], np.ndarray, float, float]:
+    """The manifold series of the side's path at speed c, its reciprocal
+    series, and the seed (u0, w0) on it where RK45 takes over (shoot_half);
+    u0 = a exactly when the tail bounds allow the whole distance."""
     if side == "left":
         a1, dist = lambda0_plus(c, f.slope_at_zero), f.a
         b, c_d = f.f0.coefficients, c
@@ -419,7 +422,7 @@ def _manifold_seed(
     w0 = _series_value(series, d0)
     if not (d0 > 0.0 and 0.0 < w0 < math.inf):
         raise ValueError(f"seed w={w0} at distance {d0} of the {side} path at c={c} is not usable")
-    return series, u0, w0
+    return series, e, u0, w0
 
 
 def shoot_half(
@@ -467,10 +470,10 @@ def shoot_half(
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
     c = float(c)
-    series, u0, w0 = _manifold_seed(f, side, c, rtol)
+    series, e, u0, w0 = _manifold_seed(f, side, c, rtol)
     if u0 == f.a:
         # The series carries the path to a: one node, no steps.
-        return PhasePath(side, c, np.array([u0]), np.array([w0]), _Interpolants([], series))
+        return PhasePath(side, c, np.array([u0]), np.array([w0]), _Interpolants([], series, e))
     left = side == "left"
     branch = _horner(f.f0.coefficients if left else f.f1.coefficients)
 
@@ -507,7 +510,7 @@ def shoot_half(
         c=c,
         u=np.array(steps.ts if left else steps.ts[::-1]),
         w=np.array(steps.ys if left else steps.ys[::-1]),
-        interpolants=_Interpolants(steps.segments, series),
+        interpolants=_Interpolants(steps.segments, series, e),
         nfev=steps.nfev,
     )
 
@@ -687,7 +690,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     Raises SolverFailure when the target lies beyond |z| = _MARCH_Z_RANGE,
     or when w is not positive and finite on a step the samples need.
     """
-    segments, series = path.interpolants
+    segments, series, e = path.interpolants
     # One row per step outward from u = a, the reverse of the integration
     # order: t_old, h, w_old and the quartic's coefficients Q.
     outward = segments[::-1]
@@ -739,7 +742,6 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     # last term that reaches _SERIES_NEGLIGIBLE at the largest d: term k
     # falls below it where d <= d_lim[k - 1].
     a1, sig_seed, d_seed = series[0], sig_nodes[-1], d_nodes[-1]
-    e = _reciprocal_series(series)
     orders = np.arange(1, len(e) + 1)
     pq = np.stack([e / orders, e])
     with np.errstate(divide="ignore"):

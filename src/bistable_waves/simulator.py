@@ -299,17 +299,14 @@ def step(f: ReactionTerm | None, s: SimState, g: Grid1D) -> SimState:
 
 
 def front_crossings(s: SimState, a: float) -> np.ndarray:
-    """All x where u crosses the level a, linearly interpolated."""
+    """All x where u crosses the level a, sorted: the nodes where u = a,
+    and x[i] + (d[i] / (d[i] - d[i+1])) dx, d = u - a, between each pair of
+    nodes where d changes sign."""
     d = s.u - a
     x = s.grid.x
-    crossings: list[float] = []
-    exact = np.flatnonzero(d == 0.0)
-    crossings.extend(x[exact].tolist())
-    sign_change = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    for i in sign_change:
-        frac = d[i] / (d[i] - d[i + 1])
-        crossings.append(float(x[i] + frac * s.grid.dx))
-    return np.sort(np.asarray(crossings))
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    between = x[i] + (d[i] / (d[i] - d[i + 1])) * s.grid.dx
+    return np.sort(np.concatenate([x[d == 0.0], between]))
 
 
 def front_position(s: SimState, a: float) -> float:

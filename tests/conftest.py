@@ -122,7 +122,7 @@ def reference_shoot_half(
     exception's.  details["nfev"] is set to solve_ivp's nfev.  A seed at
     u = a leaves nothing to integrate: the seed is the one sample, the
     OdeSolution None and nfev 0."""
-    _series, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
+    _series, _e, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
     if u0 == f.a:
         if details is not None:
             details["nfev"] = 0
@@ -166,7 +166,7 @@ def path_w(path: bw.PhasePath, u) -> np.ndarray:
     nodes scipy's OdeSolution over the steps' quartics (RkDenseOutput),
     past the seed the manifold series, past u = a the value at a.  A path
     the series carries to a has one node and no steps."""
-    segments, series = path.interpolants
+    segments, series, _e = path.interpolants
     u_nodes = path.u
     u = np.asarray(u, dtype=float)
     lo, hi = u_nodes[0], u_nodes[-1]
@@ -189,9 +189,10 @@ def reference_phase_path(
 ) -> bw.PhasePath:
     """A PhasePath backed by reference_shoot_half: its RK45 nodes, and as
     interpolants solve_ivp's OdeSolution steps (none from a seed at a) with
-    shoot_half's manifold series, which the profile march reads."""
+    shoot_half's manifold series and its reciprocal, which the profile
+    march reads."""
     u_ref, w_ref, dense = reference_shoot_half(f, side, c, rtol=rtol)
-    series, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
+    series, e, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
     interpolants = dense.interpolants if dense is not None else []
     segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in interpolants]
     return bw.PhasePath(
@@ -199,7 +200,7 @@ def reference_phase_path(
         c=float(c),
         u=u_ref,
         w=w_ref,
-        interpolants=bw.shooting._Interpolants(segments, series),
+        interpolants=bw.shooting._Interpolants(segments, series, e),
     )
 
 

@@ -432,11 +432,117 @@ def test_check_command_demo(tmp_path):
     assert rep["config"]["reaction"]["a"] == 0.3
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this package's source first on its path."""
+def _python(*args: str, env: dict[str, str | None] | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this package's source first on its path.
+    env sets variables over this process's environment; a None value
+    removes the variable."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], env=full, capture_output=True, text=True, timeout=300)
+
+
+def test_package_root_loads_no_numpy():
+    """`import bistable_waves` binds the exception types and nothing
+    numeric: no numpy, and no submodule but errors."""
+    proc = _python(
+        "-c",
+        "import json, sys, bistable_waves; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'bistable_waves'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["bistable_waves", "bistable_waves.errors"]
+
+
+_ROOT_PROBE = """
+import importlib, json, sys
+import bistable_waves as bw
+
+own = {}
+for name in bw.__all__:
+    value = getattr(bw, name)
+    module = importlib.import_module(value.__name__ if name == "errors" else value.__module__)
+    own[name] = [module.__name__, value is (module if name == "errors" else getattr(module, name))]
+star = {}
+exec("from bistable_waves import *", star)
+print(json.dumps({
+    "own": own,
+    "star": sorted(k for k in star if k != "__builtins__"),
+    "dir": dir(bw),
+    "modules": [getattr(bw, m).__name__ for m in ("linear_theory", "reaction", "roots", "shooting", "simulator")],
+}))
+"""
+
+
+def test_package_root_resolves_every_name():
+    """In a fresh interpreter, every name of __all__ is its submodule's own
+    object, `from bistable_waves import *` binds exactly __all__, dir()
+    lists every name, and the numeric submodules are attributes of the
+    package before anything imported them."""
+    proc = _python("-c", _ROOT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert sorted(seen["own"]) == sorted(bw.__all__)
+    assert [name for name, (_module, same) in seen["own"].items() if not same] == []
+    assert {module for module, _same in seen["own"].values()} == {
+        f"bistable_waves.{m}" for m in ("errors", "linear_theory", "reaction", "shooting", "simulator")
+    }
+    assert seen["star"] == sorted(bw.__all__)
+    assert set(bw.__all__) <= set(seen["dir"])
+    assert seen["modules"] == [f"bistable_waves.{m}" for m in ("linear_theory", "reaction", "roots", "shooting", "simulator")]
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        bw.not_a_name
+
+
+@pytest.mark.parametrize(
+    ("before", "preset", "want"),
+    [
+        pytest.param("", None, "1", id="unset"),
+        pytest.param("", "3", "3", id="user-value"),
+        pytest.param("import numpy; ", None, None, id="numpy-first"),
+    ],
+)
+def test_cli_import_runs_blas_on_one_thread(before, preset, want):
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    keeps a value the user set, and leaves a process that loaded numpy
+    first as it was."""
+    proc = _python(
+        "-c",
+        f"{before}import json, os, bistable_waves.cli; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))",
+        env={"OPENBLAS_NUM_THREADS": preset},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+
+
+def test_blas_thread_count_leaves_artifacts_unchanged(tmp_path):
+    """profile on the demo and simulate on a short demo run write the same
+    bytes on one BLAS thread (the CLI's default) and on two."""
+    demo = write_config(tmp_path, {"reaction": "quadratic_demo"}, "demo.json")
+    short = write_config(
+        tmp_path,
+        {
+            "reaction": "quadratic_demo",
+            "grid": {"x_min": -15, "x_max": 15},
+            "experiment": {"t_end": 2, "observe_every": 0.25},
+            "output": {"snapshot_times": [1, 2]},
+        },
+        "short.json",
+    )
+    written = {}
+    for threads in (None, "2"):
+        for cmd, cfgp in (("profile", demo), ("simulate", short)):
+            out = tmp_path / f"{cmd}-{threads}"
+            proc = _python("-m", "bistable_waves", cmd, "--config", cfgp, "--out", str(out), env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            written[cmd, threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for cmd in ("profile", "simulate"):
+        assert len(written[cmd, None]) >= 3
+        assert written[cmd, None] == written[cmd, "2"]
 
 
 def test_overflowing_slope_prints_the_config_error_alone(tmp_path):

@@ -86,7 +86,7 @@ def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
         if side == "right":
             np.testing.assert_allclose(f.f1_about_one[1:], -b.coef[1:], rtol=1e-14, atol=1e-15)
         for c in (0.0, 0.55, 2.0):
-            series, _u0, _w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
+            series, _e, _u0, _w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
             w = np.polynomial.Polynomial([0.0, *series])
             residual = (w * w.deriv() - (c if side == "left" else -c) * w + b).coef
             residual = np.concatenate([residual, np.zeros(len(series) + 1)])  # numpy trims zeros
@@ -162,7 +162,7 @@ def test_series_carried_w_at_a_matches_solve_ivp(seed, t):
     c = br.c_check + t * (br.c_hat - br.c_check)
     carried = 0
     for side in ("left", "right"):
-        _series, u0, w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
+        _series, _e, u0, w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
         if u0 == f.a:
             carried += 1
             want = _w_at_a_from_the_linear_seed(f, side, c)
@@ -226,11 +226,11 @@ def _seed_short_of_a(monkeypatch):
     real = bw.shooting._manifold_seed
 
     def seed(f, side, c, rtol):
-        series, u0, w0 = real(f, side, c, rtol)
+        series, e, u0, w0 = real(f, side, c, rtol)
         if u0 != f.a:
-            return series, u0, w0
+            return series, e, u0, w0
         u0 = 0.5 * f.a if side == "left" else 1.0 - 0.5 * (1.0 - f.a)
-        return series, u0, bw.shooting._series_value(series, u0 if side == "left" else 1.0 - u0)
+        return series, e, u0, bw.shooting._series_value(series, u0 if side == "left" else 1.0 - u0)
 
     monkeypatch.setattr(bw.shooting, "_manifold_seed", seed)
 
@@ -465,12 +465,13 @@ def _hand_path(side, nodes, w_of_u):
         w0, w1 = w_of_u(t0), w_of_u(t1)
         segments.append((t0, t1 - t0, w0, np.array([[(w1 - w0) / (t1 - t0), 0.0, 0.0, 0.0]])))
     seed = ts[0] if left else 1.0 - ts[0]
+    series = (w_of_u(ts[0]) / seed,)
     return bw.PhasePath(
         side=side,
         c=0.0,
         u=np.array(nodes),
         w=np.array([w_of_u(u) for u in nodes]),
-        interpolants=bw.shooting._Interpolants(segments, (w_of_u(ts[0]) / seed,)),
+        interpolants=bw.shooting._Interpolants(segments, series, bw.shooting._reciprocal_series(series)),
     )
 
 

@@ -448,6 +448,34 @@ def test_front_position_multiple_crossings(grid):
     assert bw.front_position(s, 0.3) == pytest.approx(float(np.median(crossings)))
 
 
+def _front_crossings_by_loop(s: bw.SimState, a: float) -> np.ndarray:
+    """The level-a crossings one pair of nodes at a time: the nodes where
+    u = a, then x[i] + frac * dx at each sign change."""
+    d = s.u - a
+    x = s.grid.x
+    crossings = x[np.flatnonzero(d == 0.0)].tolist()
+    for i in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+        frac = d[i] / (d[i] - d[i + 1])
+        crossings.append(float(x[i] + frac * s.grid.dx))
+    return np.sort(np.asarray(crossings))
+
+
+def test_front_crossings_match_the_loop_bitwise(grid):
+    """On a state with hundreds of fronts, three of them on nodes where
+    u = a exactly, and on a state with none, front_crossings gives the
+    loop's crossings bit for bit.  So many crossings tell the operation
+    order apart: (d[i] * dx) / (d[i] - d[i+1]) rounds some of them
+    differently."""
+    rough = np.random.default_rng(3).random(grid.n_nodes)
+    rough[[100, 731, 1100]] = 0.3
+    for state, n_min in ((rough, 400), (np.zeros(grid.n_nodes), 0)):
+        s = bw.SimState(0.0, state, grid)
+        want = _front_crossings_by_loop(s, 0.3)
+        got = bw.front_crossings(s, 0.3)
+        assert got.dtype == want.dtype and got.shape == want.shape and want.size >= n_min
+        assert got.tobytes() == want.tobytes()
+
+
 def test_estimate_speed_synthetic():
     rng = np.random.default_rng(7)
     t = np.arange(0.0, 30.0, 0.5)
