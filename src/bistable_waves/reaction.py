@@ -88,7 +88,12 @@ class BranchPoly:
         """Evaluate at a finite float or array u by _horner, bit for bit
         npp.polyval.  No domain enforcement here; callers that need the
         domain contract go through ReactionTerm."""
-        return _horner(self.coefficients)(u)
+        return self._evaluate(u)
+
+    @cached_property
+    def _evaluate(self) -> Callable[[np.ndarray | float], np.ndarray | float]:
+        """The branch's _horner evaluator, laid out once per branch."""
+        return _horner(self.coefficients)
 
     def derivative(self) -> "BranchPoly":
         """The derivative branch; a coefficient that overflows is refused
@@ -200,9 +205,9 @@ class ReactionTerm:
         below, above = not lo >= 0.0, not hi <= 1.0
         quiet = np.errstate(over="ignore", invalid="ignore") if below or above else contextlib.nullcontext()
         with quiet:
-            out = _horner(self.f1.coefficients)(u)
+            out = self.f1._evaluate(u)
             left = u <= self.a if self.branch_rule == "left_closed" else u < self.a
-            np.copyto(out, _horner(self.f0.coefficients)(u), where=left)
+            np.copyto(out, self.f0._evaluate(u), where=left)
             if below:
                 np.copyto(out, self.slope_at_zero * u, where=u < 0.0)
             if above:
