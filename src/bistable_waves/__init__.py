@@ -17,7 +17,7 @@ from . import errors
 __version__ = "0.1.0"
 
 # Each numeric submodule with the public names it defines; each is also
-# an attribute of the package, roots too, which defines none of them.
+# an attribute of the package, roots and series too, which define none.
 _EXPORTS = {
     "linear_theory": (
         "EigenRates",
@@ -47,6 +47,7 @@ _EXPORTS = {
         "slope_bounds",
     ),
     "roots": (),
+    "series": (),
     "shooting": (
         "PhasePath",
         "WaveSolution",

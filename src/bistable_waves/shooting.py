@@ -60,6 +60,7 @@ from .errors import BracketFailure, NoPositiveRoot, PathCollapse, SolverFailure
 from .linear_theory import SpeedBracket, lambda0_plus, lambda1_minus
 from .reaction import ReactionTerm, _horner
 from .roots import EXPANSION_CAP, bracketed_root
+from .series import manifold_series, power_table, reciprocal_series, series_value
 
 PathSide = Literal["left", "right"]
 
@@ -289,7 +290,7 @@ class _Interpolants(NamedTuple):
     _Steps.segments holds it.  Between the path's equilibrium and the seed
     the path is the manifold series w = sum_k series[k-1] * d^k, d the
     distance to that equilibrium, and reciprocal holds its reciprocal
-    series' e_1, ..., e_{K-1} (_reciprocal_series), which bounded the seed
+    series' e_1, ..., e_{K-1} (reciprocal_series), which bounded the seed
     and which the march integrates past it."""
 
     segments: list[tuple[float, float, float, np.ndarray]]
@@ -343,50 +344,10 @@ def path_nodes(path: PhasePath) -> tuple[np.ndarray, np.ndarray]:
             distances.append(0.1 * distances[-1])
         distances = [d for d in distances if d > d_min] + [d_min]
     u_ahead = [d if left else 1.0 - d for d in distances]
-    w_ahead = [_series_value(series, u if left else 1.0 - u) for u in u_ahead]
+    w_ahead = [series_value(series, u if left else 1.0 - u) for u in u_ahead]
     if left:
         return np.concatenate([u_ahead[::-1], path.u]), np.concatenate([w_ahead[::-1], path.w])
     return np.concatenate([path.u, u_ahead]), np.concatenate([path.w, w_ahead])
-
-
-def _manifold_series(a1: float, c: float, b: tuple[float, ...]) -> tuple[float, ...]:
-    """The Taylor coefficients a_1, ..., a_K (K = _SERIES_TERMS) of the
-    manifold w(d) = sum_k a_k d^k of w dw/dd = c w - b(d), where
-    b(d) = sum_n b_n d^n has b_0 = 0 (b_0 is not read) and a_1 > 0 is the
-    manifold's linear rate.  Matching the powers d^n gives, for n >= 2,
-    a_n = -(b_n + sum_{k=2}^{n-1} (n + 1 - k) a_k a_{n+1-k}) / ((n + 1) a_1 - c),
-    whose denominator is positive.  The terms k and n + 1 - k of the sum
-    share a product and their weights add to n + 1, so the sum is
-    (n + 1) times the products with k < n + 1 - k plus half the square
-    a_{(n+1)/2}^2 at odd n."""
-    a = [0.0, a1]
-    for n in range(2, _SERIES_TERMS + 1):
-        m = n // 2
-        s = sum(map(operator.mul, a[2 : m + 1], a[n - 1 : n - m : -1]))
-        if n % 2:
-            s += 0.5 * a[m + 1] * a[m + 1]
-        a.append(-((b[n] if n < len(b) else 0.0) + (n + 1) * s) / ((n + 1) * a1 - c))
-    return tuple(a[1:])
-
-
-def _series_value(series: tuple[float, ...], d):
-    """w(d) = sum_k series[k-1] * d^k at a float or array d, by Horner."""
-    w = 0.0
-    for coefficient in reversed(series):
-        w = (w + coefficient) * d
-    return w
-
-
-def _reciprocal_series(series: tuple[float, ...]) -> np.ndarray:
-    """e_1, ..., e_{K-1} of 1 / r(d) = 1 + sum_k e_k d^k, where
-    r(d) = w(d) / (a_1 d) = 1 + sum_k r_k d^k, r_k = a_{k+1} / a_1, is the
-    manifold series over its linear term, to the order the series
-    determines: e_k = -sum_{j=1}^k r_j e_{k-j} with e_0 = 1."""
-    r = [a / series[0] for a in series[1:]]
-    e = [1.0]
-    for _ in r:
-        e.append(-sum(map(operator.mul, r, reversed(e))))
-    return np.array(e[1:])
 
 
 def _manifold_seed(
@@ -405,10 +366,10 @@ def _manifold_seed(
         raise ValueError(f"unknown side {side!r}")
     if not math.isfinite(a1):
         raise ValueError(f"manifold slope {a1} of the {side} path at c={c} is not finite")
-    series = _manifold_series(a1, c_d, b)
+    series = manifold_series(a1, c_d, b, _SERIES_TERMS)
     # The march integrates the reciprocal series past the seed, whose radius
     # can be far smaller than the series' own, so both tails bound d0.
-    e = _reciprocal_series(series)
+    e = reciprocal_series(series)
     d0 = dist
     for tail in (max(abs(series[-2]), abs(series[-1])) / a1, float(max(abs(e[-2]), abs(e[-1])))):
         if tail > 0.0:
@@ -419,7 +380,7 @@ def _manifold_seed(
     else:
         u0 = d0 if side == "left" else 1.0 - d0
     d0 = u0 if side == "left" else 1.0 - u0  # the distance as the march takes it from u0
-    w0 = _series_value(series, d0)
+    w0 = series_value(series, d0)
     if not (d0 > 0.0 and 0.0 < w0 < math.inf):
         raise ValueError(f"seed w={w0} at distance {d0} of the {side} path at c={c} is not usable")
     return series, e, u0, w0
@@ -439,14 +400,14 @@ def shoot_half(
     Both manifolds are analytic: in the distance d to the equilibrium
     (d = u on the left, 1 - u on the right) w(d) = sum_k a_k d^k, whose
     first _SERIES_TERMS coefficients follow from a recurrence
-    (_manifold_series, with b = f0's coefficients on the left, and on the
+    (manifold_series, with b = f0's coefficients on the left, and on the
     right c -> -c and b = -g, g(d) = f1(1 - d)).  a_1 is the linear rate,
     lambda0_plus(c; f0'(0)) on the left and -lambda1_minus(c; f1'(1)) on
     the right.  The path is seeded on the series at the largest distance
     d0, at most the whole distance from the equilibrium to a, with
     max(|a_31|, |a_32|) d0^31 <= 1e-3 rtol a_1 and the same bound on the
     reciprocal series 1/r = 1 + sum_k e_k d^k the march integrates
-    (_reciprocal_series): max(|e_30|, |e_31|) d0^31 <= 1e-3 rtol, with
+    (reciprocal_series): max(|e_30|, |e_31|) d0^31 <= 1e-3 rtol, with
     rtol floored at 100 machine epsilons.  Where both bounds allow the
     whole distance, as on every linear branch (whose series are exact), the
     series carries the path to u = a: the path is that one node, with w(a)
@@ -678,7 +639,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
 
     Past the seed, and from u = a on a path the series carries there (one
     node, no steps), the path is the manifold series w = a_1 d r(d), so
-    1/w = Q(d) / (a_1 d) with Q(d) = 1 + sum_k e_k d^k (_reciprocal_series)
+    1/w = Q(d) / (a_1 d) with Q(d) = 1 + sum_k e_k d^k (reciprocal_series)
     integrates in closed form: |z| = z_seed + (sigma - sigma_seed +
     P(d_seed) - P(d)) / a_1 with P(d) = sum_k e_k d^k / k.  A sample there
     takes Newton steps on sigma from the guess P(d) = 0, exact as d -> 0,
@@ -750,16 +711,7 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
     def p_q(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         needed = np.flatnonzero(d.max() > d_lim)
         n = int(needed[-1]) + 1 if needed.size else 0
-        # powers[k - 1] = d^k, by doubling: rows k ... 2k - 1 are rows
-        # 0 ... k - 1 times d^k.
-        powers = np.empty((n, len(d)))
-        powers[:1] = d
-        k = 1
-        while k < n:
-            rows = min(k, n - k)
-            np.multiply(powers[:rows], powers[k - 1], out=powers[k : k + rows])
-            k *= 2
-        p, q = pq[:, :n] @ powers
+        p, q = pq[:, :n] @ power_table(d, n)
         return p, q + 1.0
 
     p_seed = float(p_q(np.array([d_seed]))[0][0])

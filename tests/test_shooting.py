@@ -93,7 +93,7 @@ def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
             scale = max(abs(x) for x in (*series, *b.coef)) ** 2
             assert np.max(np.abs(residual[1 : len(series) + 1])) <= 1e-14 * scale
             r = np.array(series) / series[0]
-            e = np.concatenate([[1.0], bw.shooting._reciprocal_series(series)])
+            e = np.concatenate([[1.0], bw.series.reciprocal_series(series)])
             product = np.convolve(r, e)[1 : len(e)]
             assert np.all(np.abs(product) <= 1e-14 * np.convolve(np.abs(r), np.abs(e))[1 : len(e)])
 
@@ -230,7 +230,7 @@ def _seed_short_of_a(monkeypatch):
         if u0 != f.a:
             return series, e, u0, w0
         u0 = 0.5 * f.a if side == "left" else 1.0 - 0.5 * (1.0 - f.a)
-        return series, e, u0, bw.shooting._series_value(series, u0 if side == "left" else 1.0 - u0)
+        return series, e, u0, bw.series.series_value(series, u0 if side == "left" else 1.0 - u0)
 
     monkeypatch.setattr(bw.shooting, "_manifold_seed", seed)
 
@@ -471,7 +471,7 @@ def _hand_path(side, nodes, w_of_u):
         c=0.0,
         u=np.array(nodes),
         w=np.array([w_of_u(u) for u in nodes]),
-        interpolants=bw.shooting._Interpolants(segments, series, bw.shooting._reciprocal_series(series)),
+        interpolants=bw.shooting._Interpolants(segments, series, bw.series.reciprocal_series(series)),
     )
 
 
@@ -873,7 +873,7 @@ def test_profile_reads_no_scalar_path_query(demo, monkeypatch):
     c = bw.find_speed(demo, None)
     paths = {side: bw.shoot_half(demo, side, c) for side in ("left", "right")}
     calls = []
-    real_series_value = bw.shooting._series_value
+    real_series_value = bw.series.series_value
 
     def scalar_interpolate(*args):
         calls.append(("_interpolate", args))
@@ -885,7 +885,7 @@ def test_profile_reads_no_scalar_path_query(demo, monkeypatch):
 
     monkeypatch.setattr(bw.shooting, "shoot_half", lambda f, side, c, **kwargs: paths[side])
     monkeypatch.setattr(bw.shooting, "_interpolate", scalar_interpolate)
-    monkeypatch.setattr(bw.shooting, "_series_value", series_value)
+    monkeypatch.setattr(bw.shooting, "series_value", series_value)
     ws = bw.reconstruct_profile(demo, c)
     assert calls == []
     assert [path.side for path in ws.paths] == ["left", "right"]
