@@ -23,13 +23,13 @@ class NoPositiveRoot(BistableWavesError):
 class PathCollapse(BistableWavesError):
     """A phase-plane path hit the w floor before reaching the branch point.
 
-    nfev counts the right-hand-side evaluations the path took up to there.
+    steps counts the Taylor steps the path took up to there.
     """
 
-    def __init__(self, message: str, u_at: float | None = None, nfev: int = 0):
+    def __init__(self, message: str, u_at: float | None = None, steps: int = 0):
         super().__init__(message)
         self.u_at = u_at
-        self.nfev = nfev
+        self.steps = steps
 
 
 class BracketFailure(BistableWavesError):

@@ -1,21 +1,52 @@
 """The one bracketed root finder, behind both speed searches, the phase
-paths' collapse event and the best-shift search.
+paths' collapse point and the best-shift search.
 
 The envelope matching residual (linear_theory.match_speed) and the
 phase-plane mismatch (shooting.find_speed) are monotone in c, a collapsing
-path's w crosses the floor once within the step that brackets it
-(shooting._rk45), and the balance of the two halves of the sup norm
-(simulator.shift_distance) is monotone in the shift.  Once a sign change
-is bracketed, Brent's method (Brent, *Algorithms for Minimization without
-Derivatives*, 1973) converges superlinearly while never leaving the
-bracket.
+path's w crosses the floor once on the Taylor step whose end falls through
+it (shooting.shoot_half), and the balance of the two halves of the sup
+norm (simulator.shift_distance) is monotone in the shift.  Once a sign
+change is bracketed, Brent's method (Brent, *Algorithms for Minimization
+without Derivatives*, 1973) converges superlinearly while never leaving
+the bracket.
 
 The method is _brentq, a transcription of scipy.optimize.brentq's C
-routine (scipy/optimize/Zeros/brentq.c; Copyright (c) 2001-2002 Enthought,
-Inc. 2003, SciPy Developers; BSD 3-Clause license, quoted in _tableaux)
-with brentq's default and smallest rtol.  It evaluates the same points, in
-the same order, and returns the same root and iteration count, without
-importing scipy.
+routine (scipy/optimize/Zeros/brentq.c) with brentq's default and
+smallest rtol.  It evaluates the same points, in the same order, and
+returns the same root and iteration count, without importing scipy.
+
+SciPy is distributed under the BSD 3-Clause license:
+
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+All rights reserved.
+
+Redistribution and use in source and binary forms, with or without
+modification, are permitted provided that the following conditions
+are met:
+
+1. Redistributions of source code must retain the above copyright
+   notice, this list of conditions and the following disclaimer.
+
+2. Redistributions in binary form must reproduce the above
+   copyright notice, this list of conditions and the following
+   disclaimer in the documentation and/or other materials provided
+   with the distribution.
+
+3. Neither the name of the copyright holder nor the names of its
+   contributors may be used to endorse or promote products derived
+   from this software without specific prior written permission.
+
+THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+"AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+(INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ from .errors import (
 )
 from .reaction import ReactionTerm, max_abs_slopes
 from .roots import bracketed_root
-from ._tableaux import RK45
-from .shooting import WaveSolution, _interpolate_array, _rk45
+from .series import autonomous_series
+from .shooting import _SERIES_TAIL, _SERIES_TERMS, WaveSolution, _reach
 
 BoundaryKind = Literal["dirichlet01", "neumann"]
 
@@ -73,6 +73,8 @@ _WINDOW_SLACK = 1e-12
 # A run takes at most this many steps: about six minutes on the 2,401-node
 # demo grid.
 _MAX_STEPS = 10_000_000
+# reaction_ode's Taylor steps are bounded as a phase path's are at this rtol.
+_REACTION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -446,8 +448,10 @@ def shift_distance(
     caller that has found that front already passes it as front, NaN when
     there is none.  Returns (distance, z_best) with z_best = zeta_best - c*t,
     the co-moving residual shift, rounded, and distance the sup norm at
-    z_best + c*t, the shift a caller recovers from it (within an ulp of
-    zeta_best, where it is evaluated once more when it differs).
+    z_best + c*t, the shift a caller recovers from it.  Every shift is
+    evaluated where a caller would recover it, (zeta - c*t) + c*t, so
+    that the two agree; where rounding still parts them by an ulp, the
+    recovered shift is evaluated once more.
 
     u* is nondecreasing, so for any state each error
     e_i(zeta) = u_i - u*(x_i + zeta) is nonincreasing in zeta: max_i e_i
@@ -481,10 +485,15 @@ def shift_distance(
         sup_norms[zeta] = max(e_max, -e_min)
         return e_max + e_min
 
+    def phi_recovered(zeta: float) -> float:
+        # phi at the shift a caller recovers from zeta - c*t, so that the
+        # best shift evaluated is, but for rounding, the one it recovers.
+        return phi((zeta - c * s.t) + c * s.t)
+
     lo, hi = center - radius, center + radius
-    phi_lo, phi_hi = phi(lo), phi(hi)
+    phi_lo, phi_hi = phi_recovered(lo), phi_recovered(hi)
     if phi_lo > 0.0 > phi_hi:
-        bracketed_root(phi, lo, hi, phi_lo, phi_hi, 0.0, xtol=1e-12 * g.dx)
+        bracketed_root(phi_recovered, lo, hi, phi_lo, phi_hi, 0.0, xtol=1e-12 * g.dx)
     z_best = min(sup_norms, key=sup_norms.__getitem__) - c * s.t
     zeta = z_best + c * s.t
     if zeta not in sup_norms:
@@ -660,11 +669,12 @@ def reaction_ode(
 
     q0 uses the left branch and decays toward 0; q1 uses the right branch
     and grows toward 1.  Returns q at 513 evenly spaced times on
-    [0, t_end], read from the step interpolants of shooting's RK45 loop
-    with rtol 1e-10 and atol 1e-13, bit for bit the values of
-    solve_ivp(method="RK45", t_eval=...) at those tolerances.  t_end must
-    be positive and finite: toward an infinite end the loop would step on
-    forever.
+    [0, t_end], read from Taylor steps: q is a power series about every
+    point (series.autonomous_series), and each step goes as far as the
+    last two of its terms stay within 1e-3 * _REACTION_RTOL of its first,
+    as a phase path's step does at that rtol (shooting._reach), and
+    evaluates its series at the times it covers.  t_end must be positive
+    and finite: toward an infinite end the steps would go on forever.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end={t_end} must be positive and finite")
@@ -675,16 +685,19 @@ def reaction_ode(
     else:
         raise ValueError(f"unknown branch {branch!r}")
     t_end = float(t_end)
-    steps = _rk45(lambda t, q: poly(q), 0.0, t_end, f.a, 1e-10, floor_event=False, atol=1e-13)
-    if steps.status != 0:
-        raise SolverFailure(f"reaction ODE integration failed: {RK45.TOO_SMALL_STEP}")
-    # As solve_ivp samples t_eval: each step evaluates its interpolant at
-    # the times after the previous step's end, up to and with its own end.
     t_eval = np.linspace(0.0, t_end, 513)
-    ends = np.searchsorted(t_eval, steps.ts[1:], side="right")
-    starts = [0, *ends[:-1]]
-    q = [_interpolate_array(*seg, t_eval[i:j]) for seg, i, j in zip(steps.segments, starts, ends) if j > i]
-    return t_eval, np.concatenate(q)
+    q = np.empty_like(t_eval)
+    t, q_t, i = 0.0, f.a, 0
+    while i < len(t_eval):
+        coefficients = autonomous_series(poly.coefficients, q_t, _SERIES_TERMS)
+        h = _reach(_SERIES_TAIL * _REACTION_RTOL, coefficients)
+        t_next = min(t + h, t_end)
+        if not t_next > t:
+            raise SolverFailure(f"reaction ODE integration failed: the Taylor step vanished at t={t:.6g}")
+        j = int(np.searchsorted(t_eval, t_next, side="right"))
+        q[i:j] = np.polynomial.polynomial.polyval(t_eval[i:j] - t, coefficients)
+        t, q_t, i = t_next, float(np.polynomial.polynomial.polyval(t_next - t, coefficients)), j
+    return t_eval, q
 
 
 @dataclass(frozen=True)

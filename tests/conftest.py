@@ -4,11 +4,11 @@ The oracles here are deliberately kept separate from the library code
 paths they check: a plain bisection on the speed-matching residual, an
 adaptive Simpson quadrature, closed forms for the equal-slope case, the
 reaction term written out branch by branch, the phase paths integrated
-by solve_ivp with an npp.polyval right-hand side from the library's seed
-and read back through scipy's OdeSolution, the speed as the parameter of
-a collocation boundary-value problem, the profile as the ODE
-du/dz = w(u) stepped by scipy's DOP853 solver object, and the comparison
-ODEs integrated by solve_ivp.
+by scipy's DOP853 at rtol 1e-13 from the linear seed, a path's series
+pieces read back by npp.polyval, the speed as the parameter of a
+collocation boundary-value problem, the profile as the ODE du/dz = w(u)
+stepped by scipy's DOP853 solver object, and the demo's comparison ODEs
+in closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, OdeSolution, solve_bvp, solve_ivp
-from scipy.integrate._ivp.rk import RkDenseOutput
+from scipy.integrate import DOP853, solve_bvp, solve_ivp
 
 import bistable_waves as bw
 from bistable_waves.errors import PathCollapse
@@ -105,55 +104,75 @@ def written_out_reaction(f: bw.ReactionTerm, u) -> np.ndarray:
     return out
 
 
-def reference_shoot_half(
-    f: bw.ReactionTerm,
-    side: str,
-    c: float,
-    rtol: float = 1e-10,
-    details: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, OdeSolution]:
-    """One phase-plane half path from shoot_half's seed on the manifold
-    series, integrated by solve_ivp with an npp.polyval right-hand side,
-    the same tolerances, dense output and collapse event.  Returns the
-    ascending (u, w) samples of the integration (the RK45 nodes of the
-    library's path) and solve_ivp's OdeSolution, and raises PathCollapse
-    where the library does, with solve_ivp's status (1: the event fired,
-    -1: the step underflowed) in the message and its nfev as the
-    exception's.  details["nfev"] is set to solve_ivp's nfev.  A seed at
-    u = a leaves nothing to integrate: the seed is the one sample, the
-    OdeSolution None and nfev 0."""
-    _series, _e, u0, w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
-    if u0 == f.a:
-        if details is not None:
-            details["nfev"] = 0
-        return np.array([u0]), np.array([w0]), None
-    coefficients = f.f0.coefficients if side == "left" else f.f1.coefficients
+def branch_about_saddle(f: bw.ReactionTerm, side: str) -> np.polynomial.Polynomial:
+    """b(d) of the path ODE w dw/dd = c' w - b(d) in the distance d to the
+    saddle, with c' = c on the left and -c on the right, by numpy's own
+    polynomial composition: f0(d) on the left and -f1(1 - d) on the right,
+    whose constant term, 0 by H1 up to rounding, is dropped."""
+    if side == "left":
+        return np.polynomial.Polynomial(f.f0.coefficients)
+    b = -np.polynomial.Polynomial(f.f1.coefficients)(np.polynomial.Polynomial([1.0, -1.0]))
+    b.coef[0] = 0.0
+    return b
 
-    def rhs(u, w):
-        return c - np.polynomial.polynomial.polyval(u, coefficients) / w[0]
 
-    def collapse(u, w):
+def reference_path(f: bw.ReactionTerm, side: str, c: float):
+    """One phase-plane half path integrated apart from the library: scipy's
+    DOP853 at rtol 1e-13 on w dw/dd = c' w - b(d) (branch_about_saddle) in
+    the distance d to the saddle, from the linear seed w = a_1 d at
+    d = 1e-12, with a_1 written out from the eigenvalue formula, up to the
+    distance of u = a, or to w = 1e-12, where a terminal event stops it.
+    Returns solve_ivp's solution: sol.sol(d) is w at the distance d, and
+    the path collapsed when sol.status is not 0, at the distance
+    sol.t[-1]."""
+    b = branch_about_saddle(f, side)
+    c_d, dist = (c, f.a) if side == "left" else (-c, 1.0 - f.a)
+    a1 = 0.5 * (c_d + math.sqrt(c_d * c_d - 4.0 * b.deriv()(0.0)))
+
+    def collapse(d, w):
         return w[0] - 1e-12
 
     collapse.terminal = True
     collapse.direction = -1.0
-    sol = solve_ivp(
-        rhs, (u0, f.a), [w0], method="RK45", rtol=rtol, atol=1e-16,
-        dense_output=True, events=collapse,
+    return solve_ivp(
+        lambda d, w: c_d - b(d) / w[0], (1e-12, dist), [a1 * 1e-12],
+        method="DOP853", rtol=1e-13, atol=1e-30, dense_output=True, events=collapse,
     )
-    if details is not None:
-        details["nfev"] = sol.nfev
-    if sol.status == 1:
-        raise PathCollapse("reference collapse, status 1", u_at=float(sol.t_events[0][0]), nfev=sol.nfev)
-    if not sol.success:
-        if side == "right" and sol.y[0][-1] <= 1e-6:
-            raise PathCollapse(
-                f"reference collapse, status {sol.status}", u_at=float(sol.t[-1]), nfev=sol.nfev
-            )
-        raise RuntimeError(sol.message)
-    if side == "left":
-        return sol.t, sol.y[0], sol.sol
-    return sol.t[::-1], sol.y[0][::-1], sol.sol
+
+
+def reference_collapse(f: bw.ReactionTerm, c: float) -> float:
+    """The level u where the right path's w falls to 1e-12 on its way from
+    (1, 0) toward a, integrated as the planar ODE in the variable
+    tau = -z, d' = w and w' = -b(d) - c w in the distance d = 1 - u, by
+    scipy's DOP853 at rtol 1e-13 from the linear seed w = a_1 d at
+    d = 1e-12 (a_1 written out from the eigenvalue formula): in tau a
+    collapse at a zero of w where f1 < 0 is an ordinary crossing.  Only
+    for such a collapse: a path that tends to an equilibrium, a zero of
+    f1, meets the floor only where the cancellation in b(d) has drowned
+    w, and DOP853 grinds there."""
+    b = branch_about_saddle(f, "right")
+    a1 = 0.5 * (-c + math.sqrt(c * c - 4.0 * b.deriv()(0.0)))
+
+    def floor(tau, y):
+        return y[1] - 1e-12
+
+    def at_a(tau, y):
+        return y[0] - (1.0 - f.a)
+
+    floor.terminal = at_a.terminal = True
+    floor.direction = -1.0
+    sol = solve_ivp(
+        lambda tau, y: [y[1], -b(y[0]) - c * y[1]], (0.0, 400.0), [1e-12, a1 * 1e-12],
+        method="DOP853", rtol=1e-13, atol=1e-30, events=[floor, at_a],
+    )
+    assert sol.status == 1 and sol.t_events[0].size == 1, "the reference path did not collapse"
+    return float(1.0 - sol.y[0, -1])
+
+
+def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
+    """S(c) from the reference half paths, a right collapse counting as 0."""
+    left, right = reference_path(f, "left", c), reference_path(f, "right", c)
+    return float(left.y[0, -1] - (right.y[0, -1] if right.status == 0 else 0.0))
 
 
 def series_w(series, d) -> np.ndarray:
@@ -162,56 +181,22 @@ def series_w(series, d) -> np.ndarray:
 
 
 def path_w(path: bw.PhasePath, u) -> np.ndarray:
-    """w on a path at u, read from its interpolants alone: between the RK45
-    nodes scipy's OdeSolution over the steps' quartics (RkDenseOutput),
-    past the seed the manifold series, past u = a the value at a.  A path
-    the series carries to a has one node and no steps."""
-    segments, series, _e = path.interpolants
-    u_nodes = path.u
-    u = np.asarray(u, dtype=float)
-    lo, hi = u_nodes[0], u_nodes[-1]
-    if segments:
-        ts = u_nodes if path.side == "left" else u_nodes[::-1]
-        dense = OdeSolution(
-            ts,
-            [RkDenseOutput(t0, t1, np.array([w0]), q) for (t0, _h, w0, q), t1 in zip(segments, ts[1:])],
-        )
-        w = dense(np.clip(u, lo, hi))[0]
-    else:
-        w = np.full(u.shape, path.w[0])
+    """w on a path at u, read from its series pieces alone by npp.polyval:
+    on a Taylor step w0 / sum_k e_k (t / rho)^k in the distance t from the
+    step's start u0, past the seed the manifold series, past u = a the
+    value at a.  A path the series carries to a has one node and no
+    steps."""
+    steps, series, _e = path.interpolants
     left = path.side == "left"
+    u = np.asarray(u, dtype=float)
+    lo, hi = path.u[0], path.u[-1]
+    w = np.full(u.shape, path.w_at_a)
+    for u0, h, w0, rho, e in steps:
+        t = u - u0 if left else u0 - u
+        on = (t >= 0.0) & (t <= h)
+        w = np.where(on, w0 / np.polynomial.polynomial.polyval(t / rho, e), w)
     w = np.where(u < lo, series_w(series, u), w) if left else np.where(u > hi, series_w(series, 1.0 - u), w)
     return float(w) if w.ndim == 0 else w
-
-
-def reference_phase_path(
-    f: bw.ReactionTerm, side: str, c: float, rtol: float = 1e-10
-) -> bw.PhasePath:
-    """A PhasePath backed by reference_shoot_half: its RK45 nodes, and as
-    interpolants solve_ivp's OdeSolution steps (none from a seed at a) with
-    shoot_half's manifold series and its reciprocal, which the profile
-    march reads."""
-    u_ref, w_ref, dense = reference_shoot_half(f, side, c, rtol=rtol)
-    series, e, _u0, _w0 = bw.shooting._manifold_seed(f, side, float(c), rtol)
-    interpolants = dense.interpolants if dense is not None else []
-    segments = [(q.t_old, q.h, float(q.y_old[0]), q.Q) for q in interpolants]
-    return bw.PhasePath(
-        side=side,
-        c=float(c),
-        u=u_ref,
-        w=w_ref,
-        interpolants=bw.shooting._Interpolants(segments, series, e),
-    )
-
-
-def reference_speed_mismatch(f: bw.ReactionTerm, c: float) -> float:
-    """S(c) from the reference half paths, a right collapse counting as 0."""
-    w_left = reference_shoot_half(f, "left", c)[1][-1]
-    try:
-        w_right = reference_shoot_half(f, "right", c)[1][0]
-    except PathCollapse:
-        w_right = 0.0
-    return float(w_left - w_right)
 
 
 def reference_march(w_of_u, u_start: float, target: float, dz: float, forward: bool, rtol: float):
@@ -300,17 +285,16 @@ def reference_bvp_speed(f: bw.ReactionTerm, c0: float, L: float = 30.0):
     return float(sol.p[0]), sol
 
 
-def reference_reaction_ode(f: bw.ReactionTerm, branch: str, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-    """The comparison ODE q' = f_branch(q), q(0) = a, as reaction_ode first
-    integrated it: solve_ivp's RK45 at rtol 1e-10 and atol 1e-13, sampled
-    at 513 evenly spaced times by t_eval."""
-    poly = f.f0 if branch == "q0" else f.f1
-    sol = solve_ivp(
-        lambda t, q: poly(q[0]), (0.0, t_end), [f.a], method="RK45",
-        rtol=1e-10, atol=1e-13, t_eval=np.linspace(0.0, t_end, 513),
-    )
-    assert sol.success, sol.message
-    return sol.t, sol.y[0]
+def demo_reaction_ode(branch: str, t: np.ndarray) -> np.ndarray:
+    """The demo's comparison ODEs in closed form from q(0) = a = 0.3: q0
+    solves the Bernoulli equation q' = -q - q^2, so
+    q = a e^-t / (1 + a (1 - e^-t)); q1 solves q' = (1 - q)(q + 0.2), so
+    (q + 0.2) / (1 - q) = e^(1.2 t) (a + 0.2) / (1 - a)."""
+    a = 0.3
+    if branch == "q0":
+        return a * np.exp(-t) / (1.0 + a * (1.0 - np.exp(-t)))
+    r = np.exp(1.2 * t) * (a + 0.2) / (1.0 - a)
+    return (r - 0.2) / (1.0 + r)
 
 
 def random_admissible_quartic(rng: np.random.Generator) -> bw.ReactionTerm:
@@ -382,7 +366,18 @@ def demo_wave(demo, demo_bracket):
     return bw.reconstruct_profile(demo, c_star, bracket=demo_bracket)
 
 
+def random_admissible_quartics(seed: int, n: int = 20) -> list[bw.ReactionTerm]:
+    """n admissible quartics drawn in turn from one generator of the seed."""
+    rng = np.random.default_rng(seed)
+    return [random_admissible_quartic(rng) for _ in range(n)]
+
+
 @pytest.fixture(scope="session")
 def quartic_terms():
-    rng = np.random.default_rng(20240817)
-    return [random_admissible_quartic(rng) for _ in range(20)]
+    return random_admissible_quartics(20240817)
+
+
+@pytest.fixture(scope="session")
+def held_out_quartics():
+    """Five quartics of another seed, on which nothing was tuned."""
+    return random_admissible_quartics(7, 5)

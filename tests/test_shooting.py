@@ -14,17 +14,17 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import DOP853, RK45, solve_ivp
 
 import bistable_waves as bw
-from bistable_waves import _tableaux
 from bistable_waves.errors import NoPositiveRoot, PathCollapse
 from bistable_waves.roots import bracketed_root
 from conftest import (
+    branch_about_saddle,
     closed_form_speed,
     path_w,
     random_admissible_quartic,
     reference_bvp_speed,
+    reference_collapse,
     reference_march,
-    reference_phase_path,
-    reference_shoot_half,
+    reference_path,
     reference_speed_mismatch,
 )
 
@@ -60,18 +60,6 @@ def test_left_path_increasing_at_zero_speed(demo):
     assert np.all(path.w > 0.0)
 
 
-def _branch_about_saddle(f, side):
-    """b(d) of the path ODE w dw/dd = c' w - b(d) in the distance d to the
-    saddle, with c' = c on the left and -c on the right, by numpy's own
-    polynomial composition: f0(d) on the left and -f1(1 - d) on the right,
-    whose constant term, 0 by H1 up to rounding, is dropped."""
-    if side == "left":
-        return np.polynomial.Polynomial(f.f0.coefficients)
-    b = -np.polynomial.Polynomial(f.f1.coefficients)(np.polynomial.Polynomial([1.0, -1.0]))
-    b.coef[0] = 0.0
-    return b
-
-
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
     """The series w(d) = sum_k a_k d^k a path is seeded on solves
@@ -82,53 +70,48 @@ def test_manifold_series_solves_the_path_ode(side, demo, quartic_terms):
     vanish to rounding of their products' sums.  f1_about_one is the right
     branch about u = 1 as numpy composes it."""
     for f in [demo, bw.piecewise_linear(-1.0, 0.3), *quartic_terms[:3]]:
-        b = _branch_about_saddle(f, side)
+        b = branch_about_saddle(f, side)
         if side == "right":
             np.testing.assert_allclose(f.f1_about_one[1:], -b.coef[1:], rtol=1e-14, atol=1e-15)
         for c in (0.0, 0.55, 2.0):
-            series, _e, _u0, _w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
+            series, e, _u0, _w0 = bw.shooting._manifold_seed(f, side, c, 1e-10)
             w = np.polynomial.Polynomial([0.0, *series])
             residual = (w * w.deriv() - (c if side == "left" else -c) * w + b).coef
             residual = np.concatenate([residual, np.zeros(len(series) + 1)])  # numpy trims zeros
             scale = max(abs(x) for x in (*series, *b.coef)) ** 2
             assert np.max(np.abs(residual[1 : len(series) + 1])) <= 1e-14 * scale
             r = np.array(series) / series[0]
-            e = np.concatenate([[1.0], bw.series.reciprocal_series(series)])
+            e = np.concatenate([[1.0], e])
             product = np.convolve(r, e)[1 : len(e)]
             assert np.all(np.abs(product) <= 1e-14 * np.convolve(np.abs(r), np.abs(e))[1 : len(e)])
 
 
 def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
     """The nodes path_nodes gives each path at c*, the series nodes from
-    max(1e-6 min(a, 1 - a), 1e-8) to the seed and the RK45 nodes, lie on
-    the invariant manifold as scipy's DOP853 integrates it at rtol 1e-13
-    in the distance d from the linear seed w = a_1 d at d = 1e-12: the
-    series nodes to 1e-12 relative (1.6e-15 measured on the demo and the
-    20 quartics), and the RK45 nodes to 1e-10 (5.1e-11)."""
+    max(1e-6 min(a, 1 - a), 1e-8) to the seed and the Taylor step ends, lie
+    on the invariant manifold as scipy's DOP853 integrates it at rtol 1e-13
+    in the distance d from the linear seed w = a_1 d at d = 1e-12
+    (conftest.reference_path): the series nodes to 1e-12 relative (1.6e-15
+    measured on the demo and the 20 quartics), and the step ends to 1e-11
+    (2.8e-12; the RK45 nodes that preceded them, 2.4e-11)."""
     for f in [demo, *quartic_terms[:3]]:
         d_min = max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
         c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
         for side in ("left", "right"):
             path = bw.shoot_half(f, side, c)
-            b = _branch_about_saddle(f, side)
-            c_d, dist = (c, f.a) if side == "left" else (-c, 1.0 - f.a)
-            a1 = path.interpolants.series[0]
-            sol = solve_ivp(
-                lambda d, w: c_d - b(d) / w[0], (1e-12, dist), [a1 * 1e-12],
-                method="DOP853", rtol=1e-13, atol=1e-30, dense_output=True,
-            )
+            sol = reference_path(f, side, c)
             assert sol.status == 0
             u, w = bw.shooting.path_nodes(path)
             d = u if side == "left" else 1.0 - u
             relative = np.abs(w - sol.sol(d)[0]) / w
-            n_rk45 = len(path.u)
-            rk45 = slice(-n_rk45, None) if side == "left" else slice(0, n_rk45)
-            assert np.array_equal(u[rk45], path.u) and np.array_equal(w[rk45], path.w)
+            n_steps = len(path.u)
+            steps = slice(-n_steps, None) if side == "left" else slice(0, n_steps)
+            assert np.array_equal(u[steps], path.u) and np.array_equal(w[steps], path.w)
             ahead = np.ones(d.size, dtype=bool)
-            ahead[rk45] = False
+            ahead[steps] = False
             assert d.min() <= d_min + 1e-16 and ahead.sum() >= 3
             assert np.max(relative[ahead]) <= 1e-12
-            assert np.max(relative[rk45]) <= 1e-10
+            assert np.max(relative[steps]) <= 1e-11
 
 
 def _w_at_a_from_the_linear_seed(f, side, c):
@@ -221,8 +204,8 @@ def _phase_oracle_terms(quartic):
 
 def _seed_short_of_a(monkeypatch):
     """Move every seed that _manifold_seed puts at u = a back to half the
-    distance from the equilibrium, on the series, for shoot_half and
-    reference_shoot_half alike, so that both take RK45 steps from there."""
+    distance from the equilibrium, on the series, so that every path takes
+    Taylor steps from there."""
     real = bw.shooting._manifold_seed
 
     def seed(f, side, c, rtol):
@@ -235,13 +218,23 @@ def _seed_short_of_a(monkeypatch):
     monkeypatch.setattr(bw.shooting, "_manifold_seed", seed)
 
 
+def _assert_nodes_on_reference(path, f, side, c, bound):
+    """Every node of the path lies on conftest.reference_path to bound,
+    relative in w."""
+    sol = reference_path(f, side, c)
+    assert sol.status == 0
+    d = path.u if side == "left" else 1.0 - path.u
+    assert np.max(np.abs(path.w - sol.sol(d)[0]) / path.w) <= bound
+
+
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic", "zero_top"])
-def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms, monkeypatch):
-    """From the same seed on the manifold series, the float-Horner
-    right-hand side takes the same RK45 steps as an npp.polyval one in
-    solve_ivp: the RK45 nodes, w(a), S(c) and the evaluation count nfev are
-    solve_ivp's.  Once from the series' own seeds, some at u = a, and once
-    with every seed moved short of a, where every path takes steps."""
+def test_phase_paths_match_a_tight_reference(name, quartic_terms, monkeypatch):
+    """The nodes of both half paths, w(a) with them, lie on scipy's DOP853
+    at rtol 1e-13 from the linear seed (conftest.reference_path) to 1e-11
+    relative, and S(c) is the reference's to 1e-11: once from the series'
+    own seeds, some at u = a, and once with every seed moved short of a,
+    where every path takes Taylor steps.  RK45 at rtol 1e-10 agreed with
+    the same reference to 2.4e-11."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
     for short in (False, True):
         with monkeypatch.context() as patch:
@@ -250,68 +243,78 @@ def test_phase_paths_match_polyval_reference_bitwise(name, quartic_terms, monkey
             for c in (0.0, 0.55, 1.2):
                 for side in ("left", "right"):
                     path = bw.shoot_half(f, side, c)
-                    details = {}
-                    u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
-                    u, w = path.u, path.w
-                    np.testing.assert_array_equal(u, u_ref)
-                    np.testing.assert_array_equal(w, w_ref)
-                    assert path.w_at_a == (w_ref[-1] if side == "left" else w_ref[0])
-                    assert path.nfev == details["nfev"]
-                    assert path.nfev > 0 or not short
-                assert bw.speed_mismatch(f, c) == reference_speed_mismatch(f, c)
+                    _assert_nodes_on_reference(path, f, side, c, 1e-11)
+                    assert path.steps > 0 or not short
+                assert abs(bw.speed_mismatch(f, c) - reference_speed_mismatch(f, c)) <= 1e-11
 
 
-def test_quartic_paths_at_c_star_match_solve_ivp_bitwise(quartic_terms):
-    """Both half paths of the 20 seeded quartics at their c* are solve_ivp's
-    from the same series seed: RK45 nodes, w and nfev.  The set pins every branch of _rk45's step control:
-    some path rejects a trial step (nfev above 2 + 6 per accepted step),
-    and some path clamps its last step at u = a.  Without a rejection each
-    step is at least 0.9 times the one before (RK45's least growth factor
-    after an accepted step), so a last step below 0.8 times its
-    predecessor, on a path with none, was cut short by the clamp.  The
-    series carries 27 of the 40 paths to a; at least 10 take steps (13)."""
-    rejected = clamped = stepped = 0
+def test_quartic_paths_at_c_star_match_a_tight_reference(quartic_terms):
+    """Both half paths of the 20 seeded quartics at their c* lie on
+    conftest.reference_path to 1e-11 relative at every node.  The series
+    carries 27 of the 40 paths to a; at least 10 take Taylor steps (13),
+    and some take more than one."""
+    stepped, most = 0, 0
     for f in quartic_terms:
         c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
         for side in ("left", "right"):
             path = bw.shoot_half(f, side, c)
-            details = {}
-            u_ref, w_ref, _ = reference_shoot_half(f, side, c, details=details)
-            u, w = path.u, path.w
-            assert u.tobytes() == u_ref.tobytes()
-            assert w.tobytes() == w_ref.tobytes()
-            assert path.nfev == details["nfev"]
-            steps = np.diff(u) if side == "left" else -np.diff(u)[::-1]
-            trials = 2 + 6 * len(steps)
-            stepped += len(steps) > 0
-            rejected += path.nfev > trials
-            clamped += path.nfev == trials and len(steps) > 1 and steps[-1] < 0.8 * steps[-2]
-    assert rejected > 0 and clamped > 0 and stepped >= 10
+            _assert_nodes_on_reference(path, f, side, c, 1e-11)
+            assert len(path.u) == path.steps + 1
+            stepped += path.steps > 0
+            most = max(most, path.steps)
+    assert stepped >= 10 and most > 1
+
+
+def test_taylor_step_series_is_the_w_recurrence():
+    """series.path_step's coefficients, computed through 1/W, are those of
+    the recurrence W_{n+1} = (c W_n - g_n - sum_{j=1}^{n} (n + 1 - j) W_j
+    W_{n+1-j}) / ((n + 1) W_0) of W W' = c W - g(t), scaled to t / rho, and
+    its reciprocal inverts them; taylor_shift re-expands a polynomial about
+    a point, in either direction, as numpy's composition does."""
+    w0, c, g, rho, terms = 0.7, 0.4, [0.3, -0.2, 0.5], 0.3, 24
+    w = [w0]
+    for n in range(terms - 1):
+        s = sum((n + 1 - j) * w[j] * w[n + 1 - j] for j in range(1, n + 1))
+        w.append((c * w[n] - (g[n] if n < len(g) else 0.0) - s) / ((n + 1) * w0))
+    v, e = bw.series.path_step(w0, c, g, rho, terms, 1.0, 0.0)
+    want = [w_n * rho**n / w0 for n, w_n in enumerate(w)]
+    np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-15)
+    assert np.max(np.abs(np.convolve(v, e)[1:terms])) <= 1e-14
+    p = (0.2, 0.8, -1.0, 0.3)
+    for x0, s in ((0.6, 1.0), (0.6, -1.0)):
+        shifted = np.polynomial.Polynomial(p)(np.polynomial.Polynomial([x0, s])).coef
+        np.testing.assert_allclose(bw.series.taylor_shift(p, x0, s), shifted, rtol=1e-14, atol=1e-15)
 
 
 def test_collapsing_path_matches_polyval_reference():
-    """Both ways a starved right path collapses give solve_ivp's collapse
-    point bitwise from the same series seed: the step-size underflow
-    (solve_ivp status -1, every c in [0, 0.3] at the default rtol) and the
-    w = 1e-12 event, whose root brentq finds on the step's interpolant
-    (status 1, at c = 1.2 with rtol = 1e-3 and the default rtol)."""
-    cases = [(0.0, 1e-10, -1), (0.15, 1e-10, -1), (0.3, 1e-10, -1), (1.2, 1e-3, 1), (1.2, 1e-10, 1)]
-    for c, rtol, status in cases:
+    """Both ways a starved right path collapses give the reference's
+    collapse point.  Below c = 2 sqrt(0.2) its w falls to a zero where
+    f1 < 0, like a square root, and the Taylor steps stall against u
+    there, within 1e-13 of the level where conftest.reference_collapse
+    (scipy's DOP853 at rtol 1e-13) falls to w = 1e-12 (2.7e-15 measured).
+    Above it the path runs into the equilibrium (0.9, 0), a zero of f1,
+    and a step ends below w = 1e-12 within 1e-11 of u = 0.9 (9.5e-12), at
+    rtol 1e-3 as at the default rtol."""
+    cases = [(0.0, 1e-10, 0.85), (0.15, 1e-10, None), (0.3, 1e-10, None), (1.2, 1e-3, 0.9), (1.2, 1e-10, 0.9)]
+    for c, rtol, exact in cases:
         with pytest.raises(PathCollapse) as got:
             bw.shoot_half(_STARVED, "right", c, rtol=rtol)
-        with pytest.raises(PathCollapse) as want:
-            reference_shoot_half(_STARVED, "right", c, rtol=rtol)
-        assert str(want.value).endswith(f"status {status}")
-        assert ("w<=1e-12" in str(got.value)) == (status == 1)
-        assert got.value.u_at.hex() == want.value.u_at.hex()
-        assert got.value.nfev == want.value.nfev
-    assert bw.speed_mismatch(_STARVED, 0.0) == reference_speed_mismatch(_STARVED, 0.0)
+        node = c > 2.0 * math.sqrt(0.2)
+        want = 0.9 if node else reference_collapse(_STARVED, c)
+        assert exact is None or abs(want - exact) <= 1e-14
+        assert ("w<=1e-12" in str(got.value)) == node
+        assert abs(got.value.u_at - want) <= (1e-11 if node else 1e-13)
+        assert got.value.steps > 0
+    assert bw.speed_mismatch(_STARVED, 0.0) == bw.shoot_half(_STARVED, "left", 0.0).w_at_a
 
 
 def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
-    """The floor event's root comes from roots.bracketed_root, and over 11
-    speeds and 2 rtols the starved path's collapse points and kinds are
-    solve_ivp's, bit for bit."""
+    """The floor crossing comes from roots.bracketed_root on the step that
+    ends below w = 1e-12, and over 11 speeds and 3 rtols the starved
+    path's collapse points are the reference's: where the path runs into
+    the equilibrium (0.9, 0), u = 0.9 to 1e-11, and elsewhere
+    conftest.reference_collapse to 1e-8, 1e-11 and 1e-13 at rtol 1e-3,
+    1e-6 and 1e-10 (5.5e-9, 5.1e-12 and 2.7e-15 measured)."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -320,45 +323,41 @@ def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
 
     monkeypatch.setattr(bw.shooting, "bracketed_root", counting)
     events = 0
-    for rtol in (1e-3, 1e-6):
+    for rtol, bound in ((1e-3, 1e-8), (1e-6, 1e-11), (1e-10, 1e-13)):
         for c in np.linspace(0.0, 2.0, 11):
             with pytest.raises(PathCollapse) as got:
                 bw.shoot_half(_STARVED, "right", c, rtol=rtol)
-            with pytest.raises(PathCollapse) as want:
-                reference_shoot_half(_STARVED, "right", c, rtol=rtol)
-            assert got.value.u_at.hex() == want.value.u_at.hex()
-            assert got.value.nfev == want.value.nfev
-            event = str(want.value).endswith("status 1")
+            event = c > 2.0 * math.sqrt(0.2)
+            want, tol = (0.9, 1e-11) if event else (reference_collapse(_STARVED, c), bound)
+            assert abs(got.value.u_at - want) <= tol
             assert ("w<=1e-12" in str(got.value)) == event
             events += event
     assert events == len(calls) > 0
 
 
-def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo, monkeypatch):
-    """An rtol under 100 machine epsilons is clipped to that with
-    solve_ivp's UserWarning, and the path is solve_ivp's at the clipped
-    rtol.  The demo's left series reaches a even at the floor, so both
-    seeds are moved short of a, where RK45 steps."""
+def test_rtol_below_the_floor_warns_and_clips(demo, monkeypatch):
+    """An rtol under 100 machine epsilons is clipped to that with a
+    UserWarning naming rtol, and the path is the one at the clipped rtol.
+    The demo's left series reaches a even at the floor, so both seeds are
+    moved short of a, where the path takes Taylor steps."""
     _seed_short_of_a(monkeypatch)
+    floor = bw.shooting._RTOL_MIN
     for side in ("left", "right"):
-        with pytest.warns(UserWarning) as got:
+        with pytest.warns(UserWarning, match="rtol"):
             path = bw.shoot_half(demo, side, 0.55, rtol=1e-16)
-        with pytest.warns(UserWarning) as want:
-            details = {}
-            u_ref, w_ref, _ = reference_shoot_half(demo, side, 0.55, rtol=1e-16, details=details)
-        assert [str(w.message) for w in got] == [str(w.message) for w in want]
-        assert "rtol" in str(got[0].message)
-        u, w = path.u, path.w
-        assert u.tobytes() == u_ref.tobytes()
-        assert w.tobytes() == w_ref.tobytes()
-        assert path.nfev == details["nfev"] > 0
+        want = bw.shoot_half(demo, side, 0.55, rtol=floor)
+        assert path.u.tobytes() == want.u.tobytes()
+        assert path.w.tobytes() == want.w.tobytes()
+        assert path.steps > 0
 
 
 @pytest.mark.parametrize("name", ["demo", "linear_a0.3", "quartic"])
-def test_profile_matches_reference_backed_paths_bytewise(name, quartic_terms, monkeypatch):
-    """reconstruct_profile over shoot_half's paths writes the same bytes as
-    over PhasePaths backed by solve_ivp's OdeSolution, from the series'
-    seeds and from seeds moved short of a, where both paths take steps."""
+def test_profile_matches_tight_reference_paths(name, quartic_terms, monkeypatch):
+    """reconstruct_profile at the default rtol samples the wave of paths
+    shot at rtol 1e-13 to 1.7e-11 in u and 3.2e-10 in w, the largest gaps
+    the RK45 paths left on the benchmark's terms (5.2e-12 and 1.1e-12
+    now): from the series' seeds and from seeds moved short of a, where
+    both paths take Taylor steps."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
     c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
     for short in (False, True):
@@ -366,12 +365,11 @@ def test_profile_matches_reference_backed_paths_bytewise(name, quartic_terms, mo
             if short:
                 _seed_short_of_a(patch)
             got = bw.reconstruct_profile(f, c)
-            patch.setattr(bw.shooting, "shoot_half", reference_phase_path)
-            want = bw.reconstruct_profile(f, c)
-        for attr in ("z_grid", "u_values", "w_values"):
-            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-        assert got.derivative_jump_at_0.hex() == want.derivative_jump_at_0.hex()
-        assert min(path.nfev for path in got.paths) > 0 or not short
+            want = bw.reconstruct_profile(f, c, rtol=1e-13)
+        assert got.z_grid.tobytes() == want.z_grid.tobytes()
+        assert np.max(np.abs(got.u_values - want.u_values)) <= 1.7e-11
+        assert np.max(np.abs(got.w_values - want.w_values)) <= 3.2e-10
+        assert min(path.steps for path in got.paths) > 0 or not short
 
 
 def _march_terms(quartic_terms):
@@ -433,15 +431,16 @@ def test_march_past_the_seed_on_an_exact_quadratic_manifold(a):
     seed, not the series' own, which vanishes: from a seed at D / 2 the
     closed form past the seed was 6e-7 off for D = 0.3 and 0.04 for
     D = 0.7, where the reciprocal series diverges.  Its terms are (3 d)^k,
-    so the bound (3 d0)^31 <= 1e-3 rtol = 1e-13 puts the seed at
-    d0 = 0.381 / 3 = 0.127, short of a for both D, RK45 between them."""
+    so the bound (3 d0)^(K-1) <= 1e-3 rtol = 1e-13, K = _SERIES_TERMS,
+    puts the seed at d0 = 1e-13^(1/(K-1)) / 3 (0.155 at K = 40), short of
+    a for both D, Taylor steps between them."""
     f = _quadratic_manifold_term(a)
     for side, target, forward, dist in (("right", 1.0 - 1e-4, True, 1.0 - a), ("left", 1e-4, False, a)):
         path = bw.shoot_half(f, side, 0.5)
         assert path.interpolants.series[:2] == pytest.approx((1.0, 3.0), rel=1e-14)
         seed = path.u[0] if side == "left" else 1.0 - path.u[-1]
-        assert seed <= 0.39 / 3.0 < dist
-        assert path.nfev > 0
+        assert seed <= 1.001 * 1e-13 ** (1.0 / (bw.shooting._SERIES_TERMS - 1)) / 3.0 < dist
+        assert path.steps > 0
         u, w = bw.shooting._march(path, target, 1e-2, forward)
         k = 1.0 / (3.0 + 1.0 / dist)
         decay = k * np.exp(-1e-2 * np.arange(1, len(u) + 1))
@@ -454,24 +453,25 @@ def test_march_past_the_seed_on_an_exact_quadratic_manifold(a):
         assert np.max(np.abs(w[past] / (d[past] + 3.0 * d[past] ** 2) - 1.0)) <= 1e-12
 
 
-def _hand_path(side, nodes, w_of_u):
-    """A PhasePath over the given ascending u nodes whose steps interpolate
-    w_of_u linearly, integrated from the seed end to u = a, with the
-    one-term series, the seed line, through the seed node."""
+def _hand_path(side, nodes, w_of_u, terms=32):
+    """A PhasePath over the given ascending u nodes whose Taylor steps, from
+    the seed end to u = a, carry w_of_u linearly between the nodes:
+    1/w = (1/w0) sum_k (-(w1 - w0) t / (w0 h))^k over a step of length h,
+    with the one-term series, the seed line, through the seed node."""
     left = side == "left"
     ts = nodes if left else nodes[::-1]
-    segments = []
+    steps = []
     for t0, t1 in zip(ts[:-1], ts[1:]):
         w0, w1 = w_of_u(t0), w_of_u(t1)
-        segments.append((t0, t1 - t0, w0, np.array([[(w1 - w0) / (t1 - t0), 0.0, 0.0, 0.0]])))
+        h = abs(t1 - t0)
+        steps.append((t0, h, w0, h, [(-(w1 - w0) / w0) ** k for k in range(terms)]))
     seed = ts[0] if left else 1.0 - ts[0]
-    series = (w_of_u(ts[0]) / seed,)
     return bw.PhasePath(
         side=side,
         c=0.0,
         u=np.array(nodes),
         w=np.array([w_of_u(u) for u in nodes]),
-        interpolants=bw.shooting._Interpolants(segments, series, bw.series.reciprocal_series(series)),
+        interpolants=bw.shooting._Interpolants(steps, (w_of_u(ts[0]) / seed,), []),
     )
 
 
@@ -585,16 +585,16 @@ def test_stiff_right_path_is_its_series_line_to_a():
     """piecewise_linear(-1, 5e-4) has c* = 44.69, where the right path is
     stiff (a perturbation of w decays at a rate ~ 2,000 / (1 - u)).  Its
     manifold series is the exact line, so the series carries the path to
-    u = a with no right-hand-side evaluation (2,834 from a seed at half the
-    distance, 73,262 from the linear seed at 1 - 5e-7); c* is the closed
-    form's to 1e-7."""
+    u = a with no Taylor step (RK45 took 2,834 right-hand-side evaluations
+    from a seed at half the distance, 73,262 from the linear seed at
+    1 - 5e-7); c* is the closed form's to 1e-7."""
     lin = bw.piecewise_linear(-1.0, 5e-4)
     c = bw.find_speed(lin, bw.speed_bracket(bw.slope_bounds(lin), lin.a))
     assert abs(c - closed_form_speed(5e-4)) <= 1e-7
     right = bw.shoot_half(lin, "right", c)
     assert right.interpolants.series[1:] == (0.0,) * (len(right.interpolants.series) - 1)
     assert right.u.tolist() == [lin.a]
-    assert right.nfev == 0
+    assert right.steps == 0
 
 
 def test_find_speed_reports_details(demo, demo_bracket):
@@ -630,10 +630,10 @@ def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypa
 
 
 @pytest.mark.parametrize("use_bracket", [True, False], ids=["bracket", "no-bracket"])
-def test_find_speed_totals_ode_nfev_over_every_path(use_bracket, demo, demo_bracket, monkeypatch):
-    """details["ode_nfev"] is the sum of nfev over every half path
-    find_speed shot; speed_mismatch counts a collapsed right path by the
-    nfev its PathCollapse carries."""
+def test_find_speed_totals_taylor_steps_over_every_path(use_bracket, demo, demo_bracket, monkeypatch):
+    """details["taylor_steps"] is the sum of the Taylor steps of every half
+    path find_speed shot; speed_mismatch counts a collapsed right path by
+    the steps its PathCollapse carries."""
     real = bw.shooting.shoot_half
     shot = []
 
@@ -641,28 +641,28 @@ def test_find_speed_totals_ode_nfev_over_every_path(use_bracket, demo, demo_brac
         try:
             path = real(*args, **kwargs)
         except PathCollapse as exc:
-            shot.append(exc.nfev)
+            shot.append(exc.steps)
             raise
-        shot.append(path.nfev)
+        shot.append(path.steps)
         return path
 
     monkeypatch.setattr(bw.shooting, "shoot_half", recording)
     det = {}
     bw.find_speed(demo, demo_bracket if use_bracket else None, details=det)
     assert len(shot) == 2 * det["evaluations"]
-    assert det["ode_nfev"] == sum(shot) > 0
+    assert det["taylor_steps"] == sum(shot) > 0
 
     shot.clear()
     det = {}
     bw.speed_mismatch(_STARVED, 0.0, details=det)
-    assert shot[1] > 0 and det["ode_nfev"] == sum(shot)
+    assert shot[1] > 0 and det["taylor_steps"] == sum(shot)
     assert det["series_paths"] == (shot[0] == 0)
 
 
 def test_find_speed_counts_the_series_carried_paths(demo, quartic_terms, monkeypatch):
     """details["series_paths"] is the number of half paths find_speed shot
-    that took no right-hand-side evaluation; on the demo and the 20
-    quartics the series carries most of them to u = a, and not all."""
+    that took no Taylor step; on the demo and the 20 quartics the series
+    carries most of them to u = a, and not all."""
     real = bw.shooting.shoot_half
     shot = []
 
@@ -677,7 +677,7 @@ def test_find_speed_counts_the_series_carried_paths(demo, quartic_terms, monkeyp
         shot.clear()
         det = {}
         bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=det)
-        assert det["series_paths"] == sum(path.nfev == 0 for path in shot)
+        assert det["series_paths"] == sum(path.steps == 0 for path in shot)
         assert det["series_paths"] == sum(len(path.u) == 1 for path in shot)
         carried += det["series_paths"]
         total += len(shot)
@@ -713,18 +713,16 @@ def test_find_speed_quartic_evaluation_budget(quartic_terms):
 
 
 def test_find_speed_ode_work_budget(demo, quartic_terms):
-    """The right-hand-side evaluations find_speed spends on the demo and the
-    20 quartics, a count that no timing noise moves: 10,744 with the series
-    carrying a path to u = a where its tail bounds allow, against 48,382
-    with the seed capped at half the distance and 152,350 from the linear
-    seed at 1e-6 min(a, 1 - a).  The budget is 11,800, 9.8% above the
-    count."""
+    """The Taylor steps find_speed takes on the demo and the 20 quartics, a
+    count that no timing noise moves: 176, where RK45 from the same seeds
+    spent 10,744 right-hand-side evaluations.  The budget is 190, 8% above
+    the count."""
     total = 0
     for f in [demo, *quartic_terms]:
         details = {}
         bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a), details=details)
-        total += details["ode_nfev"]
-    assert total <= 11_800
+        total += details["taylor_steps"]
+    assert total <= 190
 
 
 def _stub_mismatch(monkeypatch, s_of_c):
@@ -734,7 +732,7 @@ def _stub_mismatch(monkeypatch, s_of_c):
     def stub(f, c, rtol=1e-10, details=None):
         calls.append(c)
         if details is not None:
-            details["ode_nfev"] = details["series_paths"] = 0
+            details["taylor_steps"] = details["series_paths"] = 0
         return s_of_c(c)
 
     monkeypatch.setattr(bw.shooting, "speed_mismatch", stub)
@@ -837,8 +835,8 @@ def test_linear_profile_samples_match_closed_form(a, u_eps, tol, n_samples):
     backward side keeps its one sample; there the right path, at c* = 44.7
     where dw/du is the difference of two numbers near 44.7, strayed from
     its line w = lambda (1 - u) by up to 4.5e-7 relative when RK45
-    integrated it, and the samples by 3.3e-12.  The series now carries
-    every linear path to u = a, and all five cases measure 2.2e-16."""
+    integrated it, and the samples by 3.3e-12.  The series carries every
+    linear path to u = a, and all five cases measure 2.2e-16."""
     lin = bw.piecewise_linear(-1.0, a)
     br = bw.speed_bracket(bw.slope_bounds(lin), a)
     ws = bw.reconstruct_profile(lin, bw.find_speed(lin, br), u_eps=u_eps, bracket=br)
@@ -867,16 +865,13 @@ def test_wave_and_paths_are_freed_without_the_cycle_collector(demo, demo_wave):
 
 
 def test_profile_reads_no_scalar_path_query(demo, monkeypatch):
-    """reconstruct_profile samples the paths through their interpolants
-    alone, vectorized: past the two paths it shoots, no scalar
-    _interpolate call and no scalar series evaluation."""
+    """reconstruct_profile samples the paths through their series pieces
+    alone, vectorized: past the two paths it shoots, no scalar series
+    evaluation."""
     c = bw.find_speed(demo, None)
     paths = {side: bw.shoot_half(demo, side, c) for side in ("left", "right")}
     calls = []
     real_series_value = bw.series.series_value
-
-    def scalar_interpolate(*args):
-        calls.append(("_interpolate", args))
 
     def series_value(series, d):
         if np.ndim(d) == 0:
@@ -884,7 +879,6 @@ def test_profile_reads_no_scalar_path_query(demo, monkeypatch):
         return real_series_value(series, d)
 
     monkeypatch.setattr(bw.shooting, "shoot_half", lambda f, side, c, **kwargs: paths[side])
-    monkeypatch.setattr(bw.shooting, "_interpolate", scalar_interpolate)
     monkeypatch.setattr(bw.shooting, "series_value", series_value)
     ws = bw.reconstruct_profile(demo, c)
     assert calls == []
@@ -962,17 +956,3 @@ def test_solve_wave_pipeline(demo):
     ws = bw.solve_wave(demo, details=det)
     assert bw.verify_c1(ws)
     assert det["evaluations"] > 0
-
-
-@pytest.mark.parametrize("name, arrays", [("RK45", ("A", "B", "C", "E", "P"))])
-def test_copied_tableaux_are_scipys(name, arrays):
-    """The loop's tableau, copied so that shooting needs no scipy, is
-    scipy's arrays to the bit, with the same shapes, dtypes and settings."""
-    ours, theirs = getattr(_tableaux, name), {"RK45": RK45}[name]
-    for attr in arrays:
-        a, b = getattr(ours, attr), getattr(theirs, attr)
-        assert (a.shape, a.dtype) == (b.shape, b.dtype), attr
-        assert a.tobytes() == b.tobytes(), attr
-    assert ours.n_stages == theirs.n_stages
-    assert ours.error_estimator_order == theirs.error_estimator_order
-    assert ours.TOO_SMALL_STEP == theirs.TOO_SMALL_STEP
