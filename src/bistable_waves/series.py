@@ -35,28 +35,24 @@ def manifold_series(
     a_n = -(b_n + sum_{k=2}^{n-1} (n + 1 - k) a_k a_{n+1-k}) / ((n + 1) a_1 - c),
     whose denominator is positive.  The terms k and n + 1 - k of the sum
     share a product and their weights add to n + 1, so the sum is
-    (n + 1) times the products with k < n + 1 - k plus half the square
-    a_{(n+1)/2}^2 at odd n.  The reciprocal follows order by order,
+    (n + 1) / 2 times the plain convolution of a_2, ..., a_{n-1} with
+    itself reversed.  The reciprocal follows order by order,
     e_k = -sum_{j=1}^k r_j e_{k-j}."""
-    a = [0.0, a1]
-    r = []  # r_1, r_2, ...
+    upper = []  # a_2, a_3, ...
     e = [1.0]
     power, fits = 1.0, False
     for n in range(2, terms + 1):
-        m = n // 2
-        s = sum(map(operator.mul, a[2 : m + 1], a[n - 1 : n - m : -1]))
-        if n % 2:
-            s += 0.5 * a[m + 1] * a[m + 1]
-        a_n = -((b[n] if n < len(b) else 0.0) + (n + 1) * s) / ((n + 1) * a1 - c)
-        a.append(a_n)
-        r.append(a_n / a1)
-        e.append(-sum(map(operator.mul, r, reversed(e))))
+        a_n = -((b[n] if n < len(b) else 0.0) + 0.5 * (n + 1) * sum(map(operator.mul, upper, reversed(upper))))
+        a_n /= (n + 1) * a1 - c
+        upper.append(a_n)
+        e_n = -sum(map(operator.mul, upper, reversed(e))) / a1
+        e.append(e_n)
         power *= distance
-        last_fits = abs(r[-1]) * power <= tol and abs(e[-1]) * power <= tol
+        last_fits = abs(a_n) * power <= tol * a1 and abs(e_n) * power <= tol
         if fits and last_fits:
             break
         fits = last_fits
-    return tuple(a[1:]), e
+    return (a1, *upper), e
 
 
 def series_value(series: tuple[float, ...], d):

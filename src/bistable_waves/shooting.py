@@ -567,9 +567,11 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
 
     def solve(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u and w at the samples |z|."""
-        j = np.searchsorted(z_nodes, z, side="right") - 1
-        inside = j < n_ok
-        if n_ok < n and not inside.all():
+        # z ascends, so the samples on each step, and past the seed, are
+        # runs: bounds[k] is where the samples past the k-th node start.
+        bounds = np.searchsorted(z, z_nodes, side="left")
+        n_in = int(bounds[n_ok])  # the samples on usable steps
+        if n_ok < n and n_in < len(z):
             lo, hi = sorted(u_nodes[n_ok : n_ok + 2])
             raise SolverFailure(
                 f"profile march met a non-positive or non-finite w on the {path.side} path "
@@ -577,11 +579,12 @@ def _march(path: PhasePath, target: float, dz: float, forward: bool) -> tuple[np
             )
         u = np.empty_like(z)
         w = np.empty_like(z)
-        for step in np.unique(j[inside]):
-            on = j == step
-            u[on], w[on] = on_step(z[on], int(step))
-        past = ~inside
-        if past.any():
+        for step in range(n_ok):
+            on = slice(bounds[step], bounds[step + 1])
+            if on.start < on.stop:
+                u[on], w[on] = on_step(z[on], step)
+        past = slice(n_in, None)
+        if n_in < len(z):
             # sigma - sigma_seed + p_seed - P(d) = a_1 (|z| - z_seed), one
             # decade of the guess's d, or _SERIES_CHUNK samples if more, at
             # a time, so that each part's power table stops at the terms
