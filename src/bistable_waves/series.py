@@ -6,7 +6,8 @@ saddle the invariant-manifold series (manifold_series), and about any
 point with w > 0 a Taylor step (path_step), in both cases with the
 reciprocal series of 1/w that bounds the piece and that the profile march
 integrates.  Each stops adding terms once its last two terms, and those
-of its reciprocal, are within a tolerance at the distance it must cover.  taylor_shift re-expands a branch about a step's start, and
+of its reciprocal, are within a tolerance at the distance it must cover.
+taylor_shift re-expands a branch about a step's start, and
 autonomous_series gives the steps of q' = p(q).  series_value evaluates a
 series by Horner, and power_table tabulates the powers that a vectorized
 evaluation multiplies by.
@@ -93,14 +94,15 @@ def taylor_shift(coefficients: tuple[float, ...], x0: float, direction: float) -
 
 
 def path_step(
-    w0: float, c: float, g: list[float], rho: float, terms: int, reach: float, tol: float
+    w0: float, c: float, g: list[float], rho: float, terms: int, distance: float, tol: float
 ) -> tuple[list[float], list[float]]:
     """The Taylor coefficients of a phase path about a regular point, in
     x = t / rho: V_0, V_1, ... of V = W / w0 and E_0, E_1, ... of its
     reciprocal 1 / V, where W(t) solves W dW/dt = c W - g(t) from
     W(0) = w0 > 0 and g(t) = sum_k g_k t^k.  Both stop at the index
     terms - 1, or at the first index k whose last two terms of both,
-    |V_{k-1}|, |V_k|, |E_{k-1}| and |E_k| times reach^k, are within tol.
+    |V_{k-1}|, |V_k|, |E_{k-1}| and |E_k| times distance^k, are within tol
+    (distance in units of rho).
 
     Matching powers of t in W W' = c W - g gives
     W_{n+1} = (c W_n - g_n - sum_{j=1}^{n} (n + 1 - j) W_j W_{n+1-j}) / ((n + 1) w0).
@@ -125,7 +127,7 @@ def path_step(
     for k in range(1, terms):
         e_k = -sum(map(operator.mul, v, reversed(e)))
         e.append(e_k)
-        power *= reach
+        power *= distance
         last_fits = abs(v[-1]) * power <= tol and abs(e_k) * power <= tol
         if (fits and last_fits) or k == terms - 1:
             break

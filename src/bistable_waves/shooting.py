@@ -5,18 +5,18 @@ dw/du = c - f(u)/w.  The left half path is the unstable manifold of
 (0, 0), the right half path the stable manifold of (1, 0), integrated
 backward.  Both equilibria are saddles and singular points of the ODE, and
 both manifolds are analytic: in the distance d to the saddle
-w(d) = sum_k a_k d^k, whose first _SERIES_TERMS coefficients follow from a
-recurrence.  Each path is seeded on that series as far out as the last
-two terms of the series and of its reciprocal allow at the tolerance
-rtol, up to u = a itself.  From a seed short of a the path goes on by
-Taylor steps: f is polynomial, so about any point with w > 0 the path is
-a power series too, from a recurrence of the same kind (series.path_step),
-and each step goes as far as the last two terms of its own series and of
-that series' reciprocal allow, as the seed does.  A path is thus a list
-of series pieces, the seed and its steps; where the seed reaches a it is
-the seed alone, one node at a: on every linear branch, whose series is
-the exact line, and on most paths of the benchmark's wave_solve terms at
-c*.
+w(d) = sum_k a_k d^k, whose coefficients follow from a recurrence.  Each
+path is seeded on that series as far out as the last two terms of the
+series and of its reciprocal allow at the tolerance rtol, up to u = a
+itself, with at most _SERIES_TERMS terms.  From a seed short of a the
+path goes on by Taylor steps: f is polynomial, so about any point with
+w > 0 the path is a power series too, from a recurrence of the same kind
+(series.path_step), and each step goes as far as the last two terms of
+its own series and of that series' reciprocal allow, as the seed does.
+A path is thus a list of series pieces, the seed and its steps; where the
+seed reaches a it is the seed alone, one node at a: on every linear
+branch, whose series is the exact line, and on most paths of the
+benchmark's wave_solve terms at c*.
 The mismatch S(c) = w_left(a; c) - w_right(a; c) is strictly increasing in
 c, so the speed solver is a bracketed Brent solve of S = 0 (roots.py).  Its
 monotone spot check reuses the speeds the solve already evaluated in the
@@ -50,12 +50,16 @@ from .series import manifold_series, path_step, power_table, series_value, taylo
 
 PathSide = Literal["left", "right"]
 
+# A right path collapses at the first Taylor step that ends with w at or
+# below _W_FLOOR, or where its steps stall against u with w at or below
+# _W_STALL.
 _W_FLOOR = 1e-12
-# Every piece of a path, the seed and each Taylor step, carries
-# _SERIES_TERMS terms and reaches as far as the last two terms of its
-# series, and of the reciprocal series the march integrates, stay within
-# _SERIES_TAIL * rtol of the first (shoot_half); rtol is floored at
-# _RTOL_MIN, with a warning.
+_W_STALL = 1e-6
+# Every piece of a path, the seed and each Taylor step, reaches as far as
+# the last two terms of its series, and of the reciprocal series the march
+# integrates, stay within _SERIES_TAIL * rtol of the first, with at most
+# _SERIES_TERMS terms (shoot_half); rtol is floored at _RTOL_MIN, with a
+# warning.
 _SERIES_TERMS = 40
 _SERIES_TAIL = 1e-3
 _RTOL_MIN = 100 * float(np.finfo(float).eps)
@@ -151,8 +155,8 @@ def path_nodes(path: PhasePath) -> tuple[np.ndarray, np.ndarray]:
     nodes evenly spaced in u from the seed distance d0 down to d0 / 10,
     then at d0 / 100, d0 / 1000, ..., each cut at d_min (none when the seed
     lies that close), each evaluated at its node's exact distance as the
-    seed is, then the RK45 nodes (the seed alone on a path the series
-    carries to a)."""
+    seed is, then the path's nodes, the seed and the end of each Taylor
+    step (the seed alone on a path the series carries to a)."""
     left = path.side == "left"
     a = float(path.u[-1] if left else path.u[0])
     d_min = max(1e-6 * min(a, 1.0 - a), 1e-8)
@@ -248,11 +252,12 @@ def shoot_half(
 
     Raises PathCollapse at the first step of the right path that ends with
     w <= 1e-12 (callers treat it as w(a) = 0), at the floor crossing
-    bracketed_root finds on that step's series.  Only that path collapses:
-    an admissible f0 < 0 keeps dw/du > 0 on the left path.  A step whose
-    length vanishes against u, or whose end value is not finite, is also a
-    collapse on a right path whose w has fallen to 1e-6 or below, and a
-    SolverFailure otherwise.
+    bracketed_root finds on that step's series: where the path runs into a
+    zero of f1.  Only that path collapses: an admissible f0 < 0 keeps
+    dw/du > 0 on the left path.  A step whose length vanishes against u,
+    or whose end value is not finite, is also a collapse on a right path
+    whose w has fallen to 1e-6 or below, where w falls to zero like a
+    square root (as it does where f1 < 0), and a SolverFailure otherwise.
     """
     if c < 0.0:
         raise ValueError(f"speed c={c} must be >= 0")
@@ -276,7 +281,7 @@ def shoot_half(
         w1 = w0 * (1.0 + series_value(v[1:], x))
         u1 = f.a if h == remaining else u0 + s * h
         if u1 == u0 or not math.isfinite(w1):
-            if not left and w0 <= 1e-6:
+            if not left and w0 <= _W_STALL:
                 raise PathCollapse(
                     f"right path at c={c} collapsed to w={w0:.3g} at u={u0:.6g}", u_at=u0, steps=len(steps)
                 )
@@ -290,7 +295,7 @@ def shoot_half(
                 return w0 * (1.0 + series_value(v[1:], y)) - _W_FLOOR
 
             y, _, _ = bracketed_root(above_floor, 0.0, x, w0 - _W_FLOOR, w1 - _W_FLOOR, 0.0, xtol=_COLLAPSE_XTOL)
-            u_at = u0 - rho * y
+            u_at = u0 + s * rho * y
             raise PathCollapse(
                 f"right path at c={c} collapsed to w<={_W_FLOOR} at u={u_at:.6g}", u_at=u_at, steps=len(steps)
             )
@@ -656,9 +661,9 @@ def reconstruct_profile(
 
     Samples forward from u(0) = a until u >= 1 - u_eps on the right path
     and backward until u <= u_eps on the left path, on a uniform z grid
-    (_march): over the RK45 steps between a and the seed, if any, and past
-    the seed along the manifold series the path was seeded on, from u = a
-    itself on a path the series carries there.  Each side covers
+    (_march): over the Taylor steps between a and the seed, if any, and
+    past the seed along the manifold series the path was seeded on, from
+    u = a itself on a path the series carries there.  Each side covers
     |z| <= _MARCH_Z_RANGE, so dz must leave between 1 and _MARCH_SAMPLE_CAP
     samples per side there.  rtol is the two paths' tolerance, which also
     sets their seeds on the manifold series (shoot_half); the quadrature

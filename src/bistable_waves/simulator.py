@@ -18,8 +18,8 @@ evaluations of the profile on the interior nodes.
 
 The reference wave u* is a cubic Hermite interpolant on the samples and
 the exact slopes the profile march returns (WaveProfile), and the
-comparison ODEs of reaction_ode run on shooting's RK45 loop.  The one
-scipy module used is LAPACK's symmetric tridiagonal factorization and
+comparison ODEs of reaction_ode take Taylor steps, as the phase paths
+do.  The one scipy module used is LAPACK's symmetric tridiagonal factorization and
 solve, imported by Grid1D._imex_solve once per grid; importing this
 module, and solving waves, needs NumPy alone.
 

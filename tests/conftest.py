@@ -20,7 +20,6 @@ import pytest
 from scipy.integrate import DOP853, solve_bvp, solve_ivp
 
 import bistable_waves as bw
-from bistable_waves.errors import PathCollapse
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_path_nodes_lie_on_the_manifold(demo, quartic_terms):
     in the distance d from the linear seed w = a_1 d at d = 1e-12
     (conftest.reference_path): the series nodes to 1e-12 relative (1.6e-15
     measured on the demo and the 20 quartics), and the step ends to 1e-11
-    (2.8e-12; the RK45 nodes that preceded them, 2.4e-11)."""
+    (4.4e-13; the RK45 nodes that preceded them, 2.4e-11)."""
     for f in [demo, *quartic_terms[:3]]:
         d_min = max(1e-6 * min(f.a, 1.0 - f.a), 1e-8)
         c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
@@ -356,7 +356,7 @@ def test_rtol_below_the_floor_warns_and_clips(demo, monkeypatch):
 def test_profile_matches_tight_reference_paths(name, quartic_terms, monkeypatch):
     """reconstruct_profile at the default rtol samples the wave of paths
     shot at rtol 1e-13 to 1.7e-11 in u and 3.2e-10 in w, the largest gaps
-    the RK45 paths left on the benchmark's terms (5.2e-12 and 1.1e-12
+    the RK45 paths left on the benchmark's terms (1.9e-15 and 3.2e-14
     now): from the series' seeds and from seeds moved short of a, where
     both paths take Taylor steps."""
     f = _phase_oracle_terms(quartic_terms[0])[name]
@@ -393,9 +393,8 @@ def test_march_matches_dop853_bitwise(name, rtol, quartic_terms):
     object marching du/dz = w(u) at its tightest tolerance, 1e-13, does,
     in both directions: the same number of samples and u within 1e-10 of
     it, on paths shot at rtol 1e-6, 1e-10 and 1e-12.  On the coarse rtol
-    1e-6 paths the bound is 1e-9: there DOP853's own error reaches 2.5e-10
-    (the demo's right path), where the march agrees with a 40-point,
-    12-substep Gauss quadrature of the same path to 1.1e-16."""
+    1e-6 paths the bound is 1e-9: there DOP853's own error reached 2.5e-10
+    (the demo's right path)."""
     bound = 1e-9 if rtol == 1e-6 else 1e-10
     f = _march_terms(quartic_terms)[name]
     c = bw.find_speed(f, bw.speed_bracket(bw.slope_bounds(f), f.a))
