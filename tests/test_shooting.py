@@ -315,7 +315,7 @@ def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
     path's collapse points are the reference's: where the path runs into
     the equilibrium (0.9, 0), u = 0.9 to 1e-11, and elsewhere
     conftest.reference_collapse to 1e-8, 1e-11 and 1e-13 at rtol 1e-3,
-    1e-6 and 1e-10 (5.5e-9, 5.1e-12 and 2.7e-15 measured)."""
+    1e-6 and 1e-10 (4.9e-9, 4.2e-12 and 2.7e-15 measured)."""
     calls = []
 
     def counting(*args, **kwargs):
