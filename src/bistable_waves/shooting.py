@@ -58,8 +58,8 @@ _W_STALL = 1e-6
 # Every piece of a path, the seed and each Taylor step, reaches as far as
 # the last two terms of its series, and of the reciprocal series the march
 # integrates, stay within _SERIES_TAIL * rtol of the first, with at most
-# _SERIES_TERMS terms (shoot_half); rtol is floored at _RTOL_MIN, with a
-# warning.
+# _SERIES_TERMS terms (shoot_half); rtol is floored at _RTOL_MIN, with
+# solve_ivp's warning.
 _SERIES_TERMS = 40
 _SERIES_TAIL = 1e-3
 _RTOL_MIN = 100 * float(np.finfo(float).eps)
@@ -263,7 +263,12 @@ def shoot_half(
         raise ValueError(f"speed c={c} must be >= 0")
     c = float(c)
     if rtol < _RTOL_MIN:
-        warnings.warn(f"rtol={rtol} is below the floor {_RTOL_MIN}; using the floor", UserWarning, stacklevel=2)
+        warnings.warn(
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {_RTOL_MIN})`.",
+            UserWarning,
+            stacklevel=2,
+        )
         rtol = _RTOL_MIN
     series, e, u0, w0 = _manifold_seed(f, side, c, rtol)
     left = side == "left"

@@ -336,16 +336,21 @@ def test_collapse_event_root_is_the_bracketed_root(monkeypatch):
     assert events == len(calls) > 0
 
 
-def test_rtol_below_the_floor_warns_and_clips(demo, monkeypatch):
-    """An rtol under 100 machine epsilons is clipped to that with a
-    UserWarning naming rtol, and the path is the one at the clipped rtol.
-    The demo's left series reaches a even at the floor, so both seeds are
-    moved short of a, where the path takes Taylor steps."""
+def test_rtol_below_the_floor_warns_and_clips_as_solve_ivp(demo, monkeypatch):
+    """An rtol under 100 machine epsilons is clipped to that with
+    solve_ivp's UserWarning, and the path is the one at the clipped rtol,
+    solve_ivp's floor.  The demo's left series reaches a even at the floor,
+    so both seeds are moved short of a, where the path takes Taylor steps."""
     _seed_short_of_a(monkeypatch)
     floor = bw.shooting._RTOL_MIN
+    with pytest.warns(UserWarning) as theirs:
+        solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], rtol=1e-16)
+    assert floor == 100 * np.finfo(float).eps
     for side in ("left", "right"):
-        with pytest.warns(UserWarning, match="rtol"):
+        with pytest.warns(UserWarning) as got:
             path = bw.shoot_half(demo, side, 0.55, rtol=1e-16)
+        assert [str(w.message) for w in got] == [str(w.message) for w in theirs]
+        assert "rtol" in str(got[0].message)
         want = bw.shoot_half(demo, side, 0.55, rtol=floor)
         assert path.u.tobytes() == want.u.tobytes()
         assert path.w.tobytes() == want.w.tobytes()
@@ -630,10 +635,12 @@ def test_find_speed_counts_every_mismatch_call(term, use_bracket, demo, monkeypa
 
 
 @pytest.mark.parametrize("use_bracket", [True, False], ids=["bracket", "no-bracket"])
-def test_find_speed_totals_taylor_steps_over_every_path(use_bracket, demo, demo_bracket, monkeypatch):
-    """details["taylor_steps"] is the sum of the Taylor steps of every half
-    path find_speed shot; speed_mismatch counts a collapsed right path by
-    the steps its PathCollapse carries."""
+def test_find_speed_totals_ode_nfev_over_every_path(use_bracket, demo, demo_bracket, monkeypatch):
+    """The path ODE's work, its right-hand side evaluated once per Taylor
+    step as the branch's series about the step's base, is totalled over
+    every half path find_speed shot: details["taylor_steps"] is the sum of
+    their steps, and speed_mismatch counts a collapsed right path by the
+    steps its PathCollapse carries."""
     real = bw.shooting.shoot_half
     shot = []
 
